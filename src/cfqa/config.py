@@ -2,7 +2,8 @@
 
 Configs load from plain-text files (diff-able experiment records), accept
 CLI overrides, reject unknown keys, and hash canonically so checkpoints can
-name the configuration that produced them.
+name the configuration that produced them. The hash leaves out the run
+plumbing, so an eval may change the seed, paths or schedule of a run.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from .errors import ConfigError
 
 REWARD_MODES = ("single_final", "shaped")
 DECODE_MODES = ("constrained", "paper_literal")
+RUN_PLUMBING = ("seed", "train_path", "eval_path", "out_dir", "updates",
+                "batch_size", "eval_every")
 
 
 @dataclass
@@ -28,7 +31,6 @@ class RunConfig:
     updates: int = 1000
     batch_size: int = 16
     eval_every: int = 200
-    threads: int = 1
     # representation sizes
     d1: int = 300
     d2: int = 200
@@ -44,7 +46,6 @@ class RunConfig:
     sel_filters: int = 100
     # controller
     gru_size: int = 512
-    learning_rate: float = 1e-4   # recorded setting; AdaDelta sizes steps itself
     gamma: float = 0.9
     rho: float = 0.95
     eps: float = 1e-6
@@ -73,7 +74,7 @@ class RunConfig:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         for name in ("batch_size", "k_initial", "step_cap", "max_span_len",
-                     "max_state_tokens", "gru_size", "char_width", "threads"):
+                     "max_state_tokens", "gru_size", "char_width"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if not 0.0 < self.gamma <= 1.0:
@@ -96,7 +97,10 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
     def hash(self) -> str:
-        return hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()[:16]
+        """Digest of every key outside the ``RUN_PLUMBING`` group."""
+        kept = [line for line in self.to_text().splitlines(keepends=True)
+                if line.split("=", 1)[0] not in RUN_PLUMBING]
+        return hashlib.sha256("".join(kept).encode("utf-8")).hexdigest()[:16]
 
     def replace(self, **kwargs) -> "RunConfig":
         return dataclasses.replace(self, **kwargs)

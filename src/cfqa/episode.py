@@ -279,18 +279,13 @@ def evaluate(model, dataset: list[QAExample], cfg: RunConfig
              ) -> tuple[RunMetrics, list[dict]]:
     """Greedy-policy metrics over a dataset, plus per-example records.
 
-    Episodes are independent and read-only over the parameters, so rollouts
-    may run on a thread pool; results do not depend on the thread count.
+    Episodes run one after another. Each is independent of the others and
+    read-only over the parameters, so a record does not depend on where its
+    example sits in the dataset.
     """
     if not dataset:
         raise DataError("cannot evaluate an empty dataset")
-    if cfg.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(
-                lambda ex: run_episode(model, ex, cfg, "eval"), dataset))
-    else:
-        results = [run_episode(model, ex, cfg, "eval") for ex in dataset]
+    results = [run_episode(model, ex, cfg, "eval") for ex in dataset]
     rows = []
     action_counts = np.zeros(3, dtype=np.int64)
     total_steps = 0

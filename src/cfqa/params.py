@@ -83,10 +83,6 @@ class ParamStore:
     def n_values(self) -> int:
         return sum(p.data.size for p in self._params.values())
 
-    def zero_grads(self) -> None:
-        for p in self._params.values():
-            p.grad = None
-
     def apply_gradients(self) -> int:
         """One AdaDelta step for every parameter that received a gradient.
 

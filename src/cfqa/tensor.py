@@ -64,10 +64,6 @@ def set_debug_checks(enabled: bool) -> None:
     _DEBUG_CHECKS = bool(enabled)
 
 
-def debug_checks_enabled() -> bool:
-    return _DEBUG_CHECKS
-
-
 def active_tape() -> Optional["Tape"]:
     return getattr(_tls, "tape", None)
 
@@ -112,41 +108,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # operators delegate to the module-level primitives
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not a primitive; use reciprocal math")
-        return mul(self, 1.0 / float(other))
 
 
 class _Node:
@@ -344,16 +307,6 @@ def log(a) -> Tensor:
     return _finish(out, (a,), vjp)
 
 
-def exp(a) -> Tensor:
-    a = _wrap(a)
-    out = np.exp(a.data)
-
-    def vjp(g):
-        return (g * out,)
-
-    return _finish(out, (a,), vjp)
-
-
 def square(a) -> Tensor:
     a = _wrap(a)
     out = a.data * a.data
@@ -378,12 +331,6 @@ def reduce_sum(a, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(gg, a.data.shape).copy(),)
 
     return _finish(out, (a,), vjp)
-
-
-def mean(a, axis: Optional[int] = None) -> Tensor:
-    a = _wrap(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(reduce_sum(a, axis=axis), 1.0 / n)
 
 
 def reduce_max(a, axis: int) -> Tensor:
@@ -564,9 +511,9 @@ def conv1d(x, filters) -> Tensor:
 __all__ = [
     "Tensor", "Tape", "active_tape",
     "set_default_dtype", "default_dtype", "using_dtype",
-    "set_debug_checks", "debug_checks_enabled",
-    "add", "sub", "mul", "matmul", "tanh", "sigmoid", "relu", "log", "exp",
-    "square", "reduce_sum", "mean", "reduce_max", "reshape", "transpose",
+    "set_debug_checks",
+    "add", "sub", "mul", "matmul", "tanh", "sigmoid", "relu", "log",
+    "square", "reduce_sum", "reduce_max", "reshape", "transpose",
     "concat", "narrow", "pick", "embedding", "softmax", "log_softmax",
     "conv1d",
 ]

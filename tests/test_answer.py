@@ -51,18 +51,6 @@ def test_scalar_case_is_a_dot_product():
     assert np.allclose(s.data[0, 0], want, atol=1e-6)
 
 
-def test_trilinear_matches_double_loop_oracle():
-    rng = np.random.default_rng(3)
-    q, d = enc(rng, 3), enc(rng, 4)
-    w = Tensor(rng.normal(0, 1, 24))
-    got = trilinear_similarity(q, d, w).data
-    for i in range(4):
-        for j in range(3):
-            qv, dv = q.matrix.data[j], d.matrix.data[i]
-            want = w.data @ np.concatenate([qv, dv, qv * dv])
-            assert abs(got[i, j] - want) < 1e-5
-
-
 # --------------------------------------------------------- cq attention
 
 def test_single_question_token_copies_it_everywhere():
@@ -81,21 +69,6 @@ def test_row_and_column_softmaxes_are_simplices():
     cols = T.softmax(s, axis=0).data
     assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-6)
     assert np.allclose(cols.sum(axis=0), 1.0, atol=1e-6)
-
-
-def test_b_matrix_matches_direct_three_matrix_product():
-    rng = np.random.default_rng(6)
-    q, d = enc(rng, 2), enc(rng, 3)
-    s = Tensor(rng.normal(0, 1, (3, 2)))
-    pair = context_query_attention(s, q, d)
-
-    def soft(x, axis):
-        e = np.exp(x - x.max(axis=axis, keepdims=True))
-        return e / e.sum(axis=axis, keepdims=True)
-
-    s_row, s_col = soft(s.data, 1), soft(s.data, 0)
-    want = s_row @ s_col.T @ d.matrix.data
-    assert np.allclose(pair.b.data, want, atol=1e-5)
 
 
 def test_masked_question_positions_excluded():
@@ -157,21 +130,6 @@ def test_unimodal_distributions_pick_their_peaks():
     p_end = np.full(8, 0.01)
     p_end[5] = 0.93
     assert decode_span(p_start, p_end, max_span_len=10) == (2, 5)
-
-
-def test_constrained_decode_matches_bruteforce():
-    rng = np.random.default_rng(10)
-    for _ in range(500):
-        n = int(rng.integers(1, 15))
-        p_s, p_e = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
-        max_len = int(rng.integers(1, n + 2))
-        got = decode_span(p_s, p_e, max_len)
-        best, want = -1.0, (0, 0)
-        for i in range(n):
-            for j in range(i, min(n, i + max_len)):
-                if p_s[i] * p_e[j] > best:
-                    best, want = p_s[i] * p_e[j], (i, j)
-        assert got == want
 
 
 def test_paper_literal_mode_clips_inverted_spans():

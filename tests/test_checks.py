@@ -1,0 +1,77 @@
+"""Every ``cfqa check`` oracle passes, and planted faults make five of them fail."""
+
+import numpy as np
+import pytest
+
+from cfqa import checks
+from cfqa import tensor as T
+from cfqa.answer import context_query_attention, decode_span, trilinear_similarity
+from cfqa.selector import top_k_indices
+from cfqa.subcontext import excise_span
+from cfqa.tensor import Tensor
+
+
+@pytest.mark.parametrize("name", list(checks.ALL_CHECKS))
+def test_check_passes(name):
+    result = checks.ALL_CHECKS[name]()
+    assert result.passed, result.line()
+
+
+# ------------------------------------------------ each oracle catches a fault
+
+def test_topk_check_catches_unsorted_ids(monkeypatch):
+    monkeypatch.setattr(checks, "top_k_indices",
+                        lambda probs, k: top_k_indices(probs, k)[::-1])
+    assert checks.check_topk().passed is False
+
+
+def test_excision_check_catches_one_extra_token(monkeypatch):
+    def drops_one_more(ctx, start, end):
+        wider = min(end + 1, ctx.n_tokens - 1)
+        if wider - start + 1 >= ctx.n_tokens:
+            wider = end
+        return excise_span(ctx, start, wider)
+
+    monkeypatch.setattr(checks, "excise_span", drops_one_more)
+    assert checks.check_excision().passed is False
+
+
+def test_excision_check_catches_lost_provenance(monkeypatch):
+    def renumbers_sources(ctx, start, end):
+        out, excision = excise_span(ctx, start, end)
+        out.source_spans = [[(si, ti) for ti in range(len(s))]
+                            for si, s in enumerate(out.sentences)]
+        return out, excision
+
+    monkeypatch.setattr(checks, "excise_span", renumbers_sources)
+    result = checks.check_excision()
+    assert result.passed is False
+    assert "provenance" in result.detail
+
+
+def test_span_decode_check_catches_one_token_too_long(monkeypatch):
+    monkeypatch.setattr(checks, "decode_span",
+                        lambda p_s, p_e, max_len: decode_span(p_s, p_e, max_len + 1))
+    assert checks.check_span_decode().passed is False
+
+
+def test_trilinear_check_catches_swapped_weights(monkeypatch):
+    def swaps_question_and_context(q, d, w_sim):
+        dm = d.matrix.data.shape[1]
+        w = w_sim.data
+        return trilinear_similarity(
+            q, d, Tensor(np.concatenate([w[dm:2 * dm], w[:dm], w[2 * dm:]])))
+
+    monkeypatch.setattr(checks, "trilinear_similarity", swaps_question_and_context)
+    assert checks.check_trilinear().passed is False
+
+
+def test_attention_b_check_catches_row_softmax_twice(monkeypatch):
+    def row_softmax_twice(s, q, d):
+        pair = context_query_attention(s, q, d)
+        s_row = T.softmax(s, axis=1, mask=q.mask[None, :])
+        pair.b = T.matmul(T.matmul(s_row, T.transpose(s_row)), d.matrix)
+        return pair
+
+    monkeypatch.setattr(checks, "context_query_attention", row_softmax_twice)
+    assert checks.check_attention_b().passed is False

@@ -1,0 +1,80 @@
+"""The cfqa command line and the config file format, end to end."""
+
+import json
+from dataclasses import fields
+
+import pytest
+
+from cfqa.checks import tiny_config
+from cfqa.cli import EXIT_OK, EXIT_USAGE, main
+from cfqa.config import RunConfig, load_config, save_config
+
+
+def tiny_set_args() -> list[str]:
+    """``--set`` pairs for every key where the tiny config differs."""
+    tiny, default = tiny_config(), RunConfig()
+    args = []
+    for f in fields(RunConfig):
+        if getattr(tiny, f.name) != getattr(default, f.name):
+            args += ["--set", f"{f.name}={getattr(tiny, f.name)}"]
+    return args
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("run")
+    data = root / "train.jsonl"
+    assert main(["gen-data", "--out", str(data), "--n-docs", "4",
+                 "--sentences", "2", "3", "--tokens", "4", "5",
+                 "--vocab-size", "50", "--seed", "1"]) == EXIT_OK
+    run_dir = root / "r"
+    assert main(["train", *tiny_set_args(), "--train", str(data),
+                 "--updates", "1", "--out", str(run_dir)]) == EXIT_OK
+    return data, run_dir
+
+
+def eval_args(trained_run, tmp_path, *extra):
+    data, run_dir = trained_run
+    return ["eval", "--checkpoint", str(run_dir / "model.ckpt"),
+            "--dataset", str(data), "--out", str(tmp_path / "eval"), *extra]
+
+
+def test_eval_accepts_a_change_to_run_plumbing(trained_run, tmp_path):
+    _, run_dir = trained_run
+    code = main(eval_args(trained_run, tmp_path,
+                          "--config", str(run_dir / "config.txt"), "--seed", "3"))
+    assert code == EXIT_OK
+    metrics = json.loads((tmp_path / "eval" / "metrics.json").read_text())
+    assert 0.0 <= metrics["f1"] <= 1.0
+
+
+def test_eval_refuses_a_change_to_the_model_shape(trained_run, tmp_path, capsys):
+    code = main(eval_args(trained_run, tmp_path, *tiny_set_args(),
+                          "--set", "gru_size=7"))
+    assert code == EXIT_USAGE
+    assert "config hash" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pair", ["threads=2", "learning_rate=0.1"])
+def test_removed_keys_are_rejected(trained_run, tmp_path, capsys, pair):
+    code = main(eval_args(trained_run, tmp_path, *tiny_set_args(), "--set", pair))
+    assert code == EXIT_USAGE
+    assert "unknown config key" in capsys.readouterr().err
+
+
+def test_hash_ignores_run_plumbing_only():
+    cfg = tiny_config()
+    plumbing = cfg.replace(seed=3, train_path="a.jsonl", eval_path="b.jsonl",
+                           out_dir="elsewhere", updates=7, batch_size=5,
+                           eval_every=2)
+    assert plumbing.hash() == cfg.hash()
+    assert cfg.replace(gru_size=7).hash() != cfg.hash()
+
+
+def test_save_then_load_round_trips_a_non_default_config(tmp_path):
+    cfg = tiny_config(seed=5, train_path="data/train set.jsonl", gamma=0.8,
+                      entropy_coef=0.01, reward_mode="shaped",
+                      disable_excise=True, use_residual=False)
+    path = tmp_path / "config.txt"
+    save_config(path, cfg)
+    assert load_config(path) == cfg

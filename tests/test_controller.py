@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cfqa import tensor as T
+from cfqa.checks import finite_diff_grads
 from cfqa.controller import (ActionId, Answered, Excised, Narrowed, Transition,
                              actor_critic_update, actor_policy, build_state,
                              compute_reward, create_controller_params,
@@ -198,25 +199,10 @@ def test_actor_gradient_matches_fd_with_frozen_delta(store):
             la, _, _ = actor_critic_update([tr], 0.9, frozen_deltas=frozen)
             return la
 
+        # every coordinate of every actor parameter
         actor_params = [s[n] for n in s.names() if n.startswith("actor.")]
-        for p in actor_params:
-            p.grad = None
-        with Tape() as tape:
-            tape.backward(loss())
-        for p in actor_params:
-            analytic = p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
-            flat = p.data.reshape(-1)
-            idx = np.random.default_rng(10).choice(flat.size, size=min(4, flat.size),
-                                                   replace=False)
-            for c in idx:
-                saved = flat[c]
-                flat[c] = saved + 1e-5
-                up = float(loss().item())
-                flat[c] = saved - 1e-5
-                down = float(loss().item())
-                flat[c] = saved
-                num = (up - down) / 2e-5
-                assert abs(analytic.reshape(-1)[c] - num) <= max(1e-3 * abs(num), 1e-5)
+        reports = finite_diff_grads(loss, actor_params, h=1e-5)
+        assert all(r["ok"] for r in reports), reports
 
 
 def test_critic_perturbation_changes_actor_loss_value_not_direction(store):

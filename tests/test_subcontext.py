@@ -44,32 +44,6 @@ def test_untouched_sentences_keep_their_boundaries():
     assert out.sentences == [[1, 2], [5, 6]]
 
 
-def test_random_cases_match_flat_splice_oracle():
-    rng = np.random.default_rng(0)
-    for _ in range(1000):
-        n_sent = int(rng.integers(1, 6))
-        lens = [int(rng.integers(1, 6)) for _ in range(n_sent)]
-        total = sum(lens)
-        if total < 2:
-            continue
-        tokens = list(rng.integers(10, 99, size=total))
-        sentences, pos = [], 0
-        for ln in lens:
-            sentences.append([int(t) for t in tokens[pos:pos + ln]])
-            pos += ln
-        doc = make_doc(sentences)
-        start = int(rng.integers(0, total - 1))
-        end = int(rng.integers(start, total - 1)) if start < total - 1 else start
-        if end - start + 1 >= total:
-            continue
-        out, exc = excise_span(doc, start, end)
-        flat = [int(t) for t in tokens]
-        assert out.flat_tokens() == flat[:start] + flat[end + 1:]
-        assert out.n_tokens == doc.n_tokens - (end - start + 1)
-        # surviving tokens keep their provenance
-        assert out.flat_spans() == doc.flat_spans()[:start] + doc.flat_spans()[end + 1:]
-
-
 def test_token_count_strictly_decreases():
     doc = make_doc([[1, 2, 3], [4, 5]])
     out, _ = excise_span(doc, 2, 3)

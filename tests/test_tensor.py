@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfqa import tensor as T
+from cfqa.checks import finite_diff_grads
 from cfqa.errors import ContractError, ShapeError
 from cfqa.nn import create_gru, gru_params, gru_step
 from cfqa.optim import AdaDeltaSlot, adadelta_update
@@ -17,27 +18,9 @@ def f64():
         yield
 
 
-def grad_of(loss_fn, *params):
-    for p in params:
-        p.grad = None
-    with Tape() as tape:
-        tape.backward(loss_fn())
-    return [p.grad for p in params]
-
-
-def central_diff(loss_fn, param, h=1e-4):
-    out = np.zeros_like(param.data)
-    flat_p = param.data.reshape(-1)
-    flat_g = out.reshape(-1)
-    for i in range(flat_p.size):
-        saved = flat_p[i]
-        flat_p[i] = saved + h
-        up = float(loss_fn().item())
-        flat_p[i] = saved - h
-        down = float(loss_fn().item())
-        flat_p[i] = saved
-        flat_g[i] = (up - down) / (2 * h)
-    return out
+def assert_fd_match(loss_fn, params):
+    reports = finite_diff_grads(loss_fn, params)
+    assert all(r["ok"] for r in reports), reports
 
 
 # ---------------------------------------------------------------------- matmul
@@ -68,10 +51,10 @@ def test_matmul_gradient_matches_closed_form_and_fd(f64):
     def loss():
         return T.reduce_sum(T.matmul(a, b))
 
-    ga, gb = grad_of(loss, a, b)
-    assert np.allclose(ga, np.ones((3, 2)) @ b.data.T)
-    assert np.allclose(ga, central_diff(loss, a), rtol=1e-3, atol=1e-5)
-    assert np.allclose(gb, central_diff(loss, b), rtol=1e-3, atol=1e-5)
+    with Tape() as tape:
+        tape.backward(loss())
+    assert np.allclose(a.grad, np.ones((3, 2)) @ b.data.T)
+    assert_fd_match(loss, [a, b])
 
 
 # ---------------------------------------------------------------------- conv1d
@@ -125,9 +108,7 @@ def test_conv1d_gradients_match_fd(f64):
     def loss():
         return T.reduce_sum(T.square(T.conv1d(x, f)))
 
-    gx, gf = grad_of(loss, x, f)
-    assert np.allclose(gx, central_diff(loss, x), rtol=1e-3, atol=1e-5)
-    assert np.allclose(gf, central_diff(loss, f), rtol=1e-3, atol=1e-5)
+    assert_fd_match(loss, [x, f])
 
 
 # --------------------------------------------------------------------- softmax
@@ -202,8 +183,7 @@ def test_backward_scalar_value_reused_in_two_terms(f64):
         t2 = T.square(T.sub(0.7, v2))
         return T.add(t1, t2)
 
-    (gw,) = grad_of(loss, w)
-    assert np.allclose(gw, central_diff(loss, w), rtol=1e-3, atol=1e-5)
+    assert_fd_match(loss, [w])
 
 
 def test_leaf_off_the_loss_path_gets_no_gradient():
@@ -257,9 +237,7 @@ def test_gru_gradients_match_fd(f64):
     def loss():
         return T.reduce_sum(gru_step(h0, x, gru_params(store, "g")))
 
-    grads = grad_of(loss, *params)
-    for p, g in zip(params, grads):
-        assert np.allclose(g, central_diff(loss, p), rtol=1e-3, atol=1e-5), p
+    assert_fd_match(loss, params)
 
 
 def test_gru_converges_to_fixed_point_on_constant_input():
