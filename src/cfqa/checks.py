@@ -3,8 +3,9 @@
 Every check pits a fast implementation against an independent slow oracle:
 reverse-mode gradients against central finite differences, top-K against a
 full sort, span decoding against exhaustive pair enumeration, excision
-against a flat splice, the attention products against dense loops, and the
-update rule against a bandit with a known optimum.
+against a flat splice, the fused GRU against its per-step composition of
+tape ops, the attention products against dense loops, and the update rule
+against a bandit with a known optimum.
 
 This module is the only copy of each oracle. Tier-1 runs the same functions
 (``tests/test_checks.py`` over ``ALL_CHECKS``), and the unit tests that need
@@ -26,7 +27,7 @@ from .controller import Transition, actor_critic_update
 from .encoder import Encoded
 from .errors import ContractError
 from .model import QaModel
-from .nn import gru_params, run_gru
+from .nn import create_gru, gru_params, run_gru
 from .params import ParamStore
 from .selector import top_k_indices
 from .subcontext import excise_span
@@ -49,23 +50,27 @@ class CheckResult:
         return f"{status} {self.name}: {self.detail}"
 
 
-def finite_diff_grads(loss_fn: Callable[[], Tensor], params: list[Tensor],
+def finite_diff_grads(loss_fn: Callable[[], Tensor],
+                      params: dict[str, Tensor] | list[Tensor],
                       h: float = FD_STEP,
                       max_coords: Optional[int] = None,
                       rng: Optional[np.random.Generator] = None) -> list[dict]:
     """Central-difference gradients vs tape gradients, per parameter.
 
     Returns one record per parameter with the worst absolute/relative
-    mismatch over the probed coordinates. ``loss_fn`` must rebuild the loss
-    from current parameter values on every call.
+    mismatch over the probed coordinates, named by its key when ``params``
+    is a dict and ``#i`` when it is a list. ``loss_fn`` must rebuild the
+    loss from current parameter values on every call.
     """
-    for p in params:
+    if not isinstance(params, dict):
+        params = {f"#{i}": p for i, p in enumerate(params)}
+    for p in params.values():
         p.grad = None
     with Tape() as tape:
         loss = loss_fn()
         tape.backward(loss)
     reports = []
-    for p in params:
+    for name, p in params.items():
         analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
         flat = p.data.reshape(-1)
         coords = np.arange(flat.size)
@@ -87,7 +92,7 @@ def finite_diff_grads(loss_fn: Callable[[], Tensor], params: list[Tensor],
             worst = max(worst, err - tol)
             if err > tol:
                 ok = False
-        reports.append({"param": getattr(p, "name", ""), "ok": ok,
+        reports.append({"param": name, "ok": ok,
                         "worst_excess": worst})
         p.grad = None
     return reports
@@ -157,17 +162,92 @@ def _op_cases(rng: np.random.Generator):
     def case_gru():
         store = ParamStore()
         grurng = np.random.default_rng(rng.integers(1 << 31))
-        from .nn import create_gru
         create_gru(store, "g", 3, 4, grurng)
-        seq = Tensor(grurng.normal(0, 1, (4, 3)))
-        params = [store[n] for n in store.names()]
-        return _gradcheck(
-            lambda: T.reduce_sum(run_gru(seq, gru_params(store, "g"), 4)), params)
+        seq = Tensor(grurng.normal(0, 1, (4, 3)), requires_grad=True)
+        params = gru_params(store, "g")
+        return _gradcheck(lambda: T.reduce_sum(run_gru(seq, params, 4)),
+                          {**params, "seq": seq})
 
     return [("matmul", case_matmul), ("conv1d", case_conv1d),
             ("softmax", case_softmax), ("log_softmax", case_log_softmax),
             ("elementwise", case_elementwise), ("reduce_max", case_reduce_max),
             ("embedding", case_embedding), ("gru", case_gru)]
+
+
+def gru_step(h: Tensor, x: Tensor, params: dict[str, Tensor]) -> Tensor:
+    """Oracle GRU cell: one step on 1-D state ``h`` and input ``x``, composed
+    of generic tape ops.
+
+    h' = (1 - z) * h + z * cand, with update gate z, reset gate r and
+    candidate tanh(x W + (r * h) U + b). At all-zero parameters this halves
+    the state: z = 0.5, cand = 0.
+    """
+    d_h = h.data.shape[-1]
+    gates = T.sigmoid(T.add(T.add(T.matmul(x, params["w_gates"]),
+                                  T.matmul(h, params["u_gates"])),
+                            params["b_gates"]))
+    z = T.narrow(gates, 0, 0, d_h)
+    r = T.narrow(gates, 0, d_h, 2 * d_h)
+    cand = T.tanh(T.add(T.add(T.matmul(x, params["w_cand"]),
+                              T.matmul(T.mul(r, h), params["u_cand"])),
+                        params["b_cand"]))
+    return T.add(T.mul(T.sub(1.0, z), h), T.mul(z, cand))
+
+
+def gru_steps(seq: Tensor, params: dict[str, Tensor], d_h: int) -> Tensor:
+    """Oracle for ``run_gru``: ``gru_step`` over the rows of ``seq``."""
+    h = Tensor(np.zeros(d_h, dtype=seq.data.dtype))
+    for t in range(seq.data.shape[0]):
+        row = T.reshape(T.narrow(seq, 0, t, t + 1), (seq.data.shape[1],))
+        h = gru_step(h, row, params)
+    return h
+
+
+def check_gru_sequence(seed: int = 0, max_len: int = 8) -> CheckResult:
+    """The fused GRU against the per-step oracle: the final state and all
+    seven gradients (six weights and the input sequence).
+
+    Lengths 1..``max_len`` at random widths in float64, then one float32
+    case at paper width (80 rows, 128 -> 512).
+    """
+    rng = np.random.default_rng(seed)
+    cases = [(np.float64, length, int(rng.integers(1, 7)), int(rng.integers(1, 9)), 1e-9)
+             for length in range(1, max_len + 1)]
+    cases.append((np.float32, 80, 128, 512, 1e-5))
+    for dtype, length, d_x, d_h, tol in cases:
+        with using_dtype(dtype):
+            store = ParamStore()
+            create_gru(store, "g", d_x, d_h, rng)
+            params = gru_params(store, "g")
+            # create_gru zeroes the biases; perturb everything so that no
+            # gradient path starts out all zero
+            for p in params.values():
+                p.data += rng.normal(0, 0.1, p.data.shape).astype(dtype)
+            seq = Tensor(rng.normal(0, 1, (length, d_x)), requires_grad=True)
+            w_out = Tensor(rng.normal(0, 1, d_h))
+            leaves = {"seq": seq, **params}
+            results = []
+            for run in (run_gru, gru_steps):
+                with Tape() as tape:
+                    h = run(seq, params, d_h)
+                    tape.backward(T.reduce_sum(T.mul(h, w_out)))
+                grads = {name: p.grad if p.grad is not None else np.zeros_like(p.data)
+                         for name, p in leaves.items()}
+                results.append({"output": h.data, **grads})
+                for p in leaves.values():
+                    p.grad = None
+        fused, oracle = results
+        for name, want in oracle.items():
+            err = np.abs(fused[name] - want).max() / max(np.abs(want).max(), 1e-12)
+            if not err <= tol:
+                return CheckResult(
+                    "gru_sequence", False,
+                    f"{np.dtype(dtype).name} L={length} {d_x}->{d_h}: {name} "
+                    f"off by {err:.2e} relative (bound {tol:.0e})")
+    return CheckResult("gru_sequence", True,
+                       f"{len(cases)} sequences (lengths 1..{max_len} in float64, "
+                       f"80 rows at 128->512 in float32) matched the per-step "
+                       f"oracle in value and all 7 gradients")
 
 
 def tiny_config(**overrides) -> RunConfig:
@@ -268,7 +348,7 @@ def check_gradient_end_to_end(seed: int = 0, max_coords: int = 6) -> CheckResult
         model = QaModel(cfg, vocab, seed=seed)
         rng = np.random.default_rng(seed + 17)
         example = tiny_example(rng, vocab)
-        params = [model.store[n] for n in model.store.names()]
+        params = dict(model.store.items())
         # pin the discrete pieces: advantage weights are constants by
         # contract, and the selected sentence set is conditioned on.
         # the small step keeps central differences off relu kinks
@@ -277,8 +357,7 @@ def check_gradient_end_to_end(seed: int = 0, max_coords: int = 6) -> CheckResult
             lambda: end_to_end_loss(model, example, frozen_deltas=deltas,
                                     frozen_kept=kept)[0],
             params, h=1e-5, max_coords=max_coords, rng=rng)
-    named = list(zip(model.store.names(), reports))
-    bad = [n for n, r in named if not r["ok"]]
+    bad = [r["param"] for r in reports if not r["ok"]]
     if bad:
         return CheckResult("gradient_end_to_end", False,
                            f"gradient mismatch in {bad[:3]}")
@@ -301,8 +380,14 @@ def check_topk(seed: int = 0, cases: int = 1000) -> CheckResult:
 
 
 def check_excision(seed: int = 0, cases: int = 1000) -> CheckResult:
+    """Draw random docs and spans until ``cases`` splices have been compared.
+
+    Draws that cannot be excised (a one-token doc, or a span covering the
+    whole doc) are redrawn, not counted.
+    """
     rng = np.random.default_rng(seed)
-    for case in range(cases):
+    case = 0
+    while case < cases:
         n_sent = int(rng.integers(1, 6))
         lens = [int(rng.integers(1, 6)) for _ in range(n_sent)]
         total = sum(lens)
@@ -337,6 +422,7 @@ def check_excision(seed: int = 0, cases: int = 1000) -> CheckResult:
         if got.flat_spans() != spans[:start] + spans[end + 1:]:
             return CheckResult("excision", False,
                                f"case {case}: provenance of surviving tokens changed")
+        case += 1
     return CheckResult("excision", True,
                        f"{cases} random splices matched the flat-delete oracle")
 
@@ -419,6 +505,7 @@ def check_bandit(seed: int = 0) -> CheckResult:
 ALL_CHECKS: dict[str, Callable[..., CheckResult]] = {
     "gradient_ops": check_gradient_ops,
     "gradient_end_to_end": check_gradient_end_to_end,
+    "gru_sequence": check_gru_sequence,
     "topk": check_topk,
     "excision": check_excision,
     "span_decode": check_span_decode,

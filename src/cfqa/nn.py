@@ -1,4 +1,9 @@
-"""Recurrent cell and small layer helpers built on the tensor primitives."""
+"""GRU parameters and sequence runner, and small layer helpers.
+
+The GRU itself is the fused ``tensor.gru_sequence`` op; the per-step
+composition of generic tape ops survives only as the oracle in
+``cfqa.checks``.
+"""
 
 from __future__ import annotations
 
@@ -6,16 +11,16 @@ import numpy as np
 
 from .errors import ShapeError
 from .params import ParamStore
-from .tensor import (Tensor, add, concat, matmul, mul, narrow, relu, sigmoid,
-                     tanh)
+from .tensor import Tensor, add, gru_sequence, matmul, relu
 
 
 def create_gru(store: ParamStore, prefix: str, d_x: int, d_h: int,
                rng: np.random.Generator) -> None:
     """Allocate GRU weights under ``prefix``.
 
-    Gate weights for update and reset are fused into one matrix pair so a
-    step costs four matmuls instead of six.
+    Update and reset gate weights share one matrix pair, so
+    ``gru_sequence`` projects every input row for both gates in one matmul
+    and keeps one ``h @ u_gates`` product per step.
     """
     store.create(f"{prefix}.w_gates", (d_x, 2 * d_h), rng, fan_in=d_x)
     store.create(f"{prefix}.u_gates", (d_h, 2 * d_h), rng, fan_in=d_h)
@@ -25,50 +30,23 @@ def create_gru(store: ParamStore, prefix: str, d_x: int, d_h: int,
     store.create(f"{prefix}.b_cand", (d_h,), rng, fan_in=0)
 
 
-def gru_step(h: Tensor, x: Tensor, params: dict[str, Tensor]) -> Tensor:
-    """One GRU recurrence step on 1-D state ``h`` and input ``x``.
+GRU_KEYS = ("w_gates", "u_gates", "b_gates", "w_cand", "u_cand", "b_cand")
 
-    h' = (1 - z) * h + z * cand, with update gate z, reset gate r and
-    candidate tanh(x W + (r * h) U + b). At all-zero parameters this halves
-    the state: z = 0.5, cand = 0.
+
+def gru_params(store: ParamStore, prefix: str) -> dict[str, Tensor]:
+    return {k: store[f"{prefix}.{k}"] for k in GRU_KEYS}
+
+
+def run_gru(seq: Tensor, params: dict[str, Tensor], d_h: int) -> Tensor:
+    """Consume a [length x d_x] sequence row by row; return the final state.
+
+    One fused ``gru_sequence`` op: a single tape node for the whole sequence.
     """
-    d_h = h.data.shape[-1]
     if params["u_cand"].data.shape[0] != d_h:
         raise ShapeError(
             f"state width {d_h} does not match cell size "
             f"{params['u_cand'].data.shape[0]}")
-    gates = sigmoid(add(add(matmul(x, params["w_gates"]),
-                            matmul(h, params["u_gates"])),
-                        params["b_gates"]))
-    z = narrow(gates, 0, 0, d_h)
-    r = narrow(gates, 0, d_h, 2 * d_h)
-    cand = tanh(add(add(matmul(x, params["w_cand"]),
-                        matmul(mul(r, h), params["u_cand"])),
-                    params["b_cand"]))
-    return add(mul(sub_one(z), h), mul(z, cand))
-
-
-def sub_one(t: Tensor) -> Tensor:
-    return add(mul(t, -1.0), 1.0)
-
-
-def gru_params(store: ParamStore, prefix: str) -> dict[str, Tensor]:
-    keys = ("w_gates", "u_gates", "b_gates", "w_cand", "u_cand", "b_cand")
-    return {k: store[f"{prefix}.{k}"] for k in keys}
-
-
-def run_gru(seq: Tensor, params: dict[str, Tensor], d_h: int) -> Tensor:
-    """Consume a [length x d_x] sequence row by row; return the final state."""
-    h = Tensor(np.zeros(d_h, dtype=seq.data.dtype))
-    for t in range(seq.data.shape[0]):
-        x_t = narrow(seq, 0, t, t + 1)
-        h = gru_step(h, _as_vector(x_t), params)
-    return h
-
-
-def _as_vector(row: Tensor) -> Tensor:
-    from .tensor import reshape
-    return reshape(row, (row.data.shape[-1],))
+    return gru_sequence(seq, *(params[k] for k in GRU_KEYS))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:

@@ -40,6 +40,8 @@ class ParamStore:
 
     Every parameter owns an AdaDelta slot. Creation order is fixed by the
     model-building code, which makes seeded initialization reproducible.
+    ``skipped_nonfinite`` counts the optimizer steps refused for a NaN or
+    Inf gradient.
     """
 
     def __init__(self, rho: float = 0.95, eps: float = 1e-6):
@@ -47,6 +49,7 @@ class ParamStore:
         self._slots: dict[str, AdaDeltaSlot] = {}
         self.rho = rho
         self.eps = eps
+        self.skipped_nonfinite = 0
 
     def create(self, name: str, shape, rng: np.random.Generator,
                fan_in: Optional[int] = None,
@@ -88,16 +91,21 @@ class ParamStore:
 
         Step sizes come entirely from the accumulator RMS ratio; the rule
         has no learning-rate knob. Returns the number of parameters updated.
+        If any gradient holds a NaN or Inf, nothing is applied: every
+        gradient is cleared, ``skipped_nonfinite`` counts the skipped step,
+        and the return is 0.
         """
-        updated = 0
-        for name, p in self._params.items():
-            if p.grad is None:
-                continue
+        pending = [(name, p) for name, p in self._params.items() if p.grad is not None]
+        if not all(np.isfinite(p.grad).all() for _, p in pending):
+            for _, p in pending:
+                p.grad = None
+            self.skipped_nonfinite += 1
+            return 0
+        for name, p in pending:
             g = np.asarray(p.grad, dtype=p.data.dtype)
             adadelta_update(p.data, g, self._slots[name])
             p.grad = None
-            updated += 1
-        return updated
+        return len(pending)
 
     def state_bytes(self) -> bytes:
         """Concatenated raw parameter payloads, for bit-identity checks."""

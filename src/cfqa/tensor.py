@@ -508,6 +508,83 @@ def conv1d(x, filters) -> Tensor:
     return _finish(out, (x, filters), vjp)
 
 
+# ---------------------------------------------------------------------------
+# recurrent sequence
+
+def gru_sequence(seq, w_gates, u_gates, b_gates, w_cand, u_cand, b_cand) -> Tensor:
+    """GRU over the rows of ``seq`` from a zero state; returns the final state.
+
+    seq: [L x d_x]; w_gates [d_x x 2d_h], u_gates [d_h x 2d_h] and b_gates
+    [2d_h] give the update gate z (first half) and reset gate r (second
+    half); w_cand [d_x x d_h], u_cand [d_h x d_h] and b_cand [d_h] give the
+    candidate c = tanh(x W_cand + (r * h) U_cand + b_cand), and
+    h' = (1 - z) * h + z * c.
+
+    The input projections of all rows are two matmuls before the loop; only
+    the h U products stay inside it. The whole sequence is one tape node:
+    backward runs BPTT row by row to fill the pre-activation gradients, then
+    every weight and input gradient is a single matmul or sum over rows.
+    Computes in ``seq``'s dtype; an empty sequence returns zeros.
+    """
+    parents = tuple(_wrap(p) for p in
+                    (seq, w_gates, u_gates, b_gates, w_cand, u_cand, b_cand))
+    seq, u_cand = parents[0], parents[5]
+    if seq.ndim != 2 or u_cand.ndim != 2:
+        raise ShapeError(f"gru_sequence expects a [L x d_x] sequence and a "
+                         f"[d_h x d_h] u_cand, got {seq.shape} and {u_cand.shape}")
+    length, d_x = seq.data.shape
+    d_h = u_cand.data.shape[0]
+    want = {"w_gates": (d_x, 2 * d_h), "u_gates": (d_h, 2 * d_h),
+            "b_gates": (2 * d_h,), "w_cand": (d_x, d_h), "u_cand": (d_h, d_h),
+            "b_cand": (d_h,)}
+    for (name, shape), p in zip(want.items(), parents[1:]):
+        if p.data.shape != shape:
+            raise ShapeError(f"gru_sequence {name} has shape {p.shape}, expected "
+                             f"{shape} for input width {d_x} and state width {d_h}")
+    dtype = seq.data.dtype
+    x = seq.data
+    wg, ug, bg, wc, uc, bc = (p.data.astype(dtype, copy=False) for p in parents[1:])
+
+    x_gates = x @ wg + bg          # [L x 2d_h]
+    x_cand = x @ wc + bc           # [L x d_h]
+    hs = np.zeros((length + 1, d_h), dtype=dtype)   # hs[t] is the state before row t
+    zs = np.empty((length, d_h), dtype=dtype)
+    rs = np.empty((length, d_h), dtype=dtype)
+    cs = np.empty((length, d_h), dtype=dtype)
+    rhs = np.empty((length, d_h), dtype=dtype)
+    for t in range(length):
+        h = hs[t]
+        gates = 1.0 / (1.0 + np.exp(-(x_gates[t] + h @ ug)))
+        z, r = gates[:d_h], gates[d_h:]
+        np.multiply(r, h, out=rhs[t])
+        c = np.tanh(x_cand[t] + rhs[t] @ uc)
+        hs[t + 1] = (1.0 - z) * h + z * c
+        zs[t], rs[t], cs[t] = z, r, c
+
+    def vjp(g):
+        da_gates = np.empty((length, 2 * d_h), dtype=dtype)
+        da_cand = np.empty((length, d_h), dtype=dtype)
+        dh = np.asarray(g, dtype=dtype)
+        for t in range(length - 1, -1, -1):
+            h, z, r, c = hs[t], zs[t], rs[t], cs[t]
+            da_c = dh * z * (1.0 - c * c)
+            da_cand[t] = da_c
+            d_rh = uc @ da_c
+            da_gates[t, :d_h] = dh * (c - h) * z * (1.0 - z)
+            da_gates[t, d_h:] = d_rh * h * r * (1.0 - r)
+            dh = dh * (1.0 - z) + d_rh * r + ug @ da_gates[t]
+        h_prev = hs[:-1]
+        grads = (
+            da_gates @ wg.T + da_cand @ wc.T if seq.requires_grad else None,
+            x.T @ da_gates, h_prev.T @ da_gates, da_gates.sum(axis=0),
+            x.T @ da_cand, rhs.T @ da_cand, da_cand.sum(axis=0),
+        )
+        return tuple(None if gr is None else gr.astype(p.data.dtype, copy=False)
+                     for gr, p in zip(grads, parents))
+
+    return _finish(hs[length].copy(), parents, vjp)
+
+
 __all__ = [
     "Tensor", "Tape", "active_tape",
     "set_default_dtype", "default_dtype", "using_dtype",
@@ -515,5 +592,5 @@ __all__ = [
     "add", "sub", "mul", "matmul", "tanh", "sigmoid", "relu", "log",
     "square", "reduce_sum", "reduce_max", "reshape", "transpose",
     "concat", "narrow", "pick", "embedding", "softmax", "log_softmax",
-    "conv1d",
+    "conv1d", "gru_sequence",
 ]

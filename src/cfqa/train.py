@@ -78,6 +78,7 @@ def train(model: QaModel, train_set: list[QAExample], cfg: RunConfig,
             "mean_delta": float(np.mean(deltas_all)) if deltas_all else 0.0,
             "train_em": em_sum / cfg.batch_size,
             "actions": dict(action_hist),
+            "skipped_nonfinite": model.store.skipped_nonfinite,
         }
         if eval_set and cfg.eval_every and (update + 1) % cfg.eval_every == 0:
             metrics, _ = evaluate(model, eval_set, cfg)

@@ -1,4 +1,4 @@
-"""Every ``cfqa check`` oracle passes, and planted faults make five of them fail."""
+"""Every ``cfqa check`` oracle passes, and planted faults make six of them fail."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,10 @@ import pytest
 from cfqa import checks
 from cfqa import tensor as T
 from cfqa.answer import context_query_attention, decode_span, trilinear_similarity
+from cfqa.nn import run_gru
 from cfqa.selector import top_k_indices
 from cfqa.subcontext import excise_span
-from cfqa.tensor import Tensor
+from cfqa.tensor import Tensor, using_dtype
 
 
 @pytest.mark.parametrize("name", list(checks.ALL_CHECKS))
@@ -75,3 +76,40 @@ def test_attention_b_check_catches_row_softmax_twice(monkeypatch):
 
     monkeypatch.setattr(checks, "context_query_attention", row_softmax_twice)
     assert checks.check_attention_b().passed is False
+
+
+def test_gru_sequence_check_catches_u_gates_gradient_off_by_one_percent(monkeypatch):
+    def scales_u_gates_gradient(seq, params, d_h):
+        u = params["u_gates"]
+        # same forward value, 1.01x the gradient
+        same_u = T.sub(T.mul(u, 1.01), Tensor(0.01 * u.data))
+        return run_gru(seq, {**params, "u_gates": same_u}, d_h)
+
+    monkeypatch.setattr(checks, "run_gru", scales_u_gates_gradient)
+    result = checks.check_gru_sequence()
+    assert result.passed is False
+    assert "u_gates" in result.detail
+
+
+def test_gru_sequence_check_catches_skipped_last_row(monkeypatch):
+    monkeypatch.setattr(checks, "run_gru", lambda seq, params, d_h: run_gru(
+        T.narrow(seq, 0, 0, seq.data.shape[0] - 1), params, d_h))
+    assert checks.check_gru_sequence().passed is False
+
+
+# ------------------------------------------------------- finite differences
+
+def test_finite_diff_report_names_the_failing_tensor():
+    with using_dtype(np.float64):
+        good = Tensor([0.5, -1.0], requires_grad=True)
+        bad = Tensor([2.0, 3.0], requires_grad=True)
+
+        def loss():
+            # the value reads ``bad`` once, the tape credits it twice
+            miscounted = T.sub(T.mul(bad, 2.0), Tensor(bad.data.copy()))
+            return T.add(T.reduce_sum(T.square(good)), T.reduce_sum(miscounted))
+
+        named = checks.finite_diff_grads(loss, {"good": good, "bad": bad})
+        listed = checks.finite_diff_grads(loss, [good, bad])
+    assert [(r["param"], r["ok"]) for r in named] == [("good", True), ("bad", False)]
+    assert [(r["param"], r["ok"]) for r in listed] == [("#0", True), ("#1", False)]

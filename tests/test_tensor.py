@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from cfqa import tensor as T
 from cfqa.checks import finite_diff_grads
 from cfqa.errors import ContractError, ShapeError
-from cfqa.nn import create_gru, gru_params, gru_step
+from cfqa.nn import create_gru, gru_params, run_gru
 from cfqa.optim import AdaDeltaSlot, adadelta_update
 from cfqa.params import ParamStore
 from cfqa.tensor import Tape, Tensor, set_debug_checks, using_dtype
@@ -207,37 +207,39 @@ def test_debug_mode_catches_nonfinite():
 
 # ------------------------------------------------------------------------ gru
 
-def _zero_gru_params(d_x, d_h):
+def _zero_gru_params(d_x, d_h, b_cand=None):
     zeros = {
         "w_gates": Tensor(np.zeros((d_x, 2 * d_h))),
         "u_gates": Tensor(np.zeros((d_h, 2 * d_h))),
         "b_gates": Tensor(np.zeros(2 * d_h)),
         "w_cand": Tensor(np.zeros((d_x, d_h))),
         "u_cand": Tensor(np.zeros((d_h, d_h))),
-        "b_cand": Tensor(np.zeros(d_h)),
+        "b_cand": Tensor(np.zeros(d_h) if b_cand is None else b_cand),
     }
     return zeros
 
 
-def test_gru_zero_parameters_halve_the_state():
-    h = Tensor([0.4, -0.8, 1.2])
-    x = Tensor([1.0, 2.0])
-    out = gru_step(h, x, _zero_gru_params(2, 3))
-    assert np.allclose(out.data, 0.5 * h.data)
+def test_gru_zero_parameters_halve_the_state(f64):
+    # all weights zero: z = r = 0.5 and cand = tanh(b_cand), so each row
+    # halves the gap to tanh(b_cand) and h_L = (1 - 0.5^L) tanh(b_cand)
+    b_cand = np.array([0.4, -0.8, 1.2])
+    rng = np.random.default_rng(7)
+    for length in (0, 1, 2, 5):
+        seq = Tensor(rng.normal(0, 1, (length, 2)))
+        out = run_gru(seq, _zero_gru_params(2, 3, b_cand), 3)
+        assert np.allclose(out.data, (1.0 - 0.5 ** length) * np.tanh(b_cand))
 
 
 def test_gru_gradients_match_fd(f64):
     store = ParamStore()
     rng = np.random.default_rng(5)
     create_gru(store, "g", 3, 4, rng)
-    params = [store[n] for n in store.names()]
-    h0 = Tensor(rng.normal(0, 1, 4))
-    x = Tensor(rng.normal(0, 1, 3))
+    seq = Tensor(rng.normal(0, 1, (3, 3)), requires_grad=True)
 
     def loss():
-        return T.reduce_sum(gru_step(h0, x, gru_params(store, "g")))
+        return T.reduce_sum(run_gru(seq, gru_params(store, "g"), 4))
 
-    assert_fd_match(loss, params)
+    assert_fd_match(loss, {**gru_params(store, "g"), "seq": seq})
 
 
 def test_gru_converges_to_fixed_point_on_constant_input():
@@ -247,22 +249,20 @@ def test_gru_converges_to_fixed_point_on_constant_input():
     for name in store.names():
         store[name].data *= 0.1
     params = gru_params(store, "g")
-    x = Tensor(rng.normal(0, 1, 3))
-    h = Tensor(np.zeros(5))
-    prev = h.data.copy()
-    converged_at = None
-    for t in range(200):
-        h = gru_step(h, x, params)
-        if np.linalg.norm(h.data - prev) < 1e-5:
-            converged_at = t
-            break
-        prev = h.data.copy()
-    assert converged_at is not None and converged_at <= 200
+    rows = np.tile(rng.normal(0, 1, 3), (201, 1))
+    h_200 = run_gru(Tensor(rows[:200]), params, 5)
+    h_201 = run_gru(Tensor(rows), params, 5)
+    assert np.linalg.norm(h_201.data - h_200.data) < 1e-5
 
 
 def test_gru_state_size_mismatch_raises():
     with pytest.raises(ShapeError):
-        gru_step(Tensor(np.zeros(4)), Tensor(np.zeros(2)), _zero_gru_params(2, 3))
+        run_gru(Tensor(np.zeros((3, 2))), _zero_gru_params(2, 3), 4)
+
+
+def test_gru_input_width_mismatch_raises():
+    with pytest.raises(ShapeError):
+        run_gru(Tensor(np.zeros((3, 4))), _zero_gru_params(2, 3), 3)
 
 
 # ------------------------------------------------------------------- adadelta
@@ -317,6 +317,43 @@ def test_param_store_bit_identical_after_updates():
         return store.state_bytes()
 
     assert build_and_step() == build_and_step()
+
+
+def test_param_store_skips_a_step_with_a_nonfinite_gradient():
+    def build():
+        store = ParamStore()
+        rng = np.random.default_rng(3)
+        store.create("a", (4, 3), rng)
+        store.create("b", (3,), rng)
+        return store
+
+    def step(store, value, nan_at=None):
+        for name in store.names():
+            store[name].grad = np.full_like(store[name].data, value)
+        if nan_at is not None:
+            store[nan_at].grad[1] = np.nan
+        return store.apply_gradients()
+
+    store, reference = build(), build()
+    step(store, 0.01)
+    step(reference, 0.01)
+    before = store.state_bytes()
+    slots = {name: (slot.accum_grad_sq.copy(), slot.accum_update_sq.copy())
+             for name, slot in store._slots.items()}
+
+    assert step(store, 0.02, nan_at="b") == 0
+    assert store.skipped_nonfinite == 1
+    assert store.state_bytes() == before
+    for name, (grad_sq, update_sq) in slots.items():
+        assert np.array_equal(store._slots[name].accum_grad_sq, grad_sq)
+        assert np.array_equal(store._slots[name].accum_update_sq, update_sq)
+    assert all(store[name].grad is None for name in store.names())
+
+    # the next finite step applies as if the refused one never happened
+    assert step(store, 0.02) == 2
+    step(reference, 0.02)
+    assert store.state_bytes() == reference.state_bytes()
+    assert store.skipped_nonfinite == 1
 
 
 def test_tape_exclusive_per_thread():
