@@ -160,13 +160,20 @@ def _op_cases(rng: np.random.Generator):
             lambda: T.reduce_sum(T.square(T.embedding(table, ids))), [table])
 
     def case_gru():
+        # one sequence, then a packed pair given shorter-first, so the op
+        # has to reorder it; the weights tell the two final states apart
         store = ParamStore()
         grurng = np.random.default_rng(rng.integers(1 << 31))
         create_gru(store, "g", 3, 4, grurng)
-        seq = Tensor(grurng.normal(0, 1, (4, 3)), requires_grad=True)
         params = gru_params(store, "g")
-        return _gradcheck(lambda: T.reduce_sum(run_gru(seq, params, 4)),
-                          {**params, "seq": seq})
+        seq = Tensor(grurng.normal(0, 1, (4, 3)), requires_grad=True)
+        pair = Tensor(grurng.normal(0, 1, (5, 3)), requires_grad=True)
+        w_pair = Tensor(grurng.normal(0, 1, (2, 4)))
+        return (_gradcheck(lambda: T.reduce_sum(run_gru(seq, params, 4)),
+                           {**params, "seq": seq})
+                and _gradcheck(lambda: T.reduce_sum(T.mul(
+                    run_gru(pair, params, 4, lengths=[2, 3]), w_pair)),
+                    {**params, "seq": pair}))
 
     return [("matmul", case_matmul), ("conv1d", case_conv1d),
             ("softmax", case_softmax), ("log_softmax", case_log_softmax),
@@ -194,8 +201,17 @@ def gru_step(h: Tensor, x: Tensor, params: dict[str, Tensor]) -> Tensor:
     return T.add(T.mul(T.sub(1.0, z), h), T.mul(z, cand))
 
 
-def gru_steps(seq: Tensor, params: dict[str, Tensor], d_h: int) -> Tensor:
-    """Oracle for ``run_gru``: ``gru_step`` over the rows of ``seq``."""
+def gru_steps(seq: Tensor, params: dict[str, Tensor], d_h: int,
+              lengths=None) -> Tensor:
+    """Oracle for ``run_gru``: ``gru_step`` over the rows of ``seq``, or over
+    each of the sequences ``lengths`` packs in it, one after another."""
+    if lengths is not None:
+        finals, start = [], 0
+        for n in lengths:
+            h = gru_steps(T.narrow(seq, 0, start, start + n), params, d_h)
+            finals.append(T.reshape(h, (1, d_h)))
+            start += n
+        return T.concat(finals, axis=0)
     h = Tensor(np.zeros(d_h, dtype=seq.data.dtype))
     for t in range(seq.data.shape[0]):
         row = T.reshape(T.narrow(seq, 0, t, t + 1), (seq.data.shape[1],))
@@ -203,18 +219,45 @@ def gru_steps(seq: Tensor, params: dict[str, Tensor], d_h: int) -> Tensor:
     return h
 
 
-def check_gru_sequence(seed: int = 0, max_len: int = 8) -> CheckResult:
-    """The fused GRU against the per-step oracle: the final state and all
+def _pack_lengths(rng: np.random.Generator, n_seqs: int) -> list[int]:
+    """Lengths 1..6 with an empty sequence and a tie once there is room for
+    them, never longest-first, so the op has to sort them."""
+    lengths = [int(n) for n in rng.integers(1, 7, size=n_seqs)]
+    if n_seqs >= 2:
+        lengths[0] = 0
+    if n_seqs >= 3:
+        lengths[1] = lengths[2]
+    rng.shuffle(lengths)
+    if n_seqs >= 2 and lengths == sorted(lengths, reverse=True):
+        lengths.reverse()
+    return lengths
+
+
+def check_gru_sequence(seed: int = 0, max_len: int = 8, max_pack: int = 5
+                       ) -> CheckResult:
+    """The fused GRU against the per-step oracle: the final states and all
     seven gradients (six weights and the input sequence).
 
-    Lengths 1..``max_len`` at random widths in float64, then one float32
-    case at paper width (80 rows, 128 -> 512).
+    Single sequences of lengths 1..``max_len`` at random widths in float64,
+    then packs of 1..``max_pack`` sequences (mixed lengths with an empty one
+    and a tie, in no sorted order) against the oracle run on each sequence
+    alone. In float32 at paper width (128 -> 512): one sequence of 80 rows
+    and a pack of 8 sequences of 20-80 rows.
     """
     rng = np.random.default_rng(seed)
-    cases = [(np.float64, length, int(rng.integers(1, 7)), int(rng.integers(1, 9)), 1e-9)
+
+    def width():
+        return int(rng.integers(1, 7)), int(rng.integers(1, 9))
+
+    cases = [(np.float64, None, length, *width(), 1e-9)
              for length in range(1, max_len + 1)]
-    cases.append((np.float32, 80, 128, 512, 1e-5))
-    for dtype, length, d_x, d_h, tol in cases:
+    cases += [(np.float64, _pack_lengths(rng, n_seqs), None, *width(), 1e-9)
+              for n_seqs in range(1, max_pack + 1)]
+    cases.append((np.float32, None, 80, 128, 512, 1e-5))
+    cases.append((np.float32, [int(n) for n in rng.integers(20, 81, size=8)], None,
+                  128, 512, 1e-5))
+    for dtype, lengths, length, d_x, d_h, tol in cases:
+        n_rows = length if lengths is None else sum(lengths)
         with using_dtype(dtype):
             store = ParamStore()
             create_gru(store, "g", d_x, d_h, rng)
@@ -223,13 +266,15 @@ def check_gru_sequence(seed: int = 0, max_len: int = 8) -> CheckResult:
             # gradient path starts out all zero
             for p in params.values():
                 p.data += rng.normal(0, 0.1, p.data.shape).astype(dtype)
-            seq = Tensor(rng.normal(0, 1, (length, d_x)), requires_grad=True)
-            w_out = Tensor(rng.normal(0, 1, d_h))
+            seq = Tensor(rng.normal(0, 1, (n_rows, d_x)), requires_grad=True)
+            out_shape = (d_h,) if lengths is None else (len(lengths), d_h)
+            w_out = Tensor(rng.normal(0, 1, out_shape))
             leaves = {"seq": seq, **params}
             results = []
             for run in (run_gru, gru_steps):
                 with Tape() as tape:
-                    h = run(seq, params, d_h)
+                    h = (run(seq, params, d_h) if lengths is None
+                         else run(seq, params, d_h, lengths))
                     tape.backward(T.reduce_sum(T.mul(h, w_out)))
                 grads = {name: p.grad if p.grad is not None else np.zeros_like(p.data)
                          for name, p in leaves.items()}
@@ -238,16 +283,24 @@ def check_gru_sequence(seed: int = 0, max_len: int = 8) -> CheckResult:
                     p.grad = None
         fused, oracle = results
         for name, want in oracle.items():
-            err = np.abs(fused[name] - want).max() / max(np.abs(want).max(), 1e-12)
+            got = fused[name]
+            err = (np.abs(got - want).max() / max(np.abs(want).max(), 1e-12)
+                   if got.shape == want.shape else np.inf)
             if not err <= tol:
+                what = f"L={length}" if lengths is None else f"pack of lengths {lengths}"
                 return CheckResult(
                     "gru_sequence", False,
-                    f"{np.dtype(dtype).name} L={length} {d_x}->{d_h}: {name} "
+                    f"{np.dtype(dtype).name} {what} {d_x}->{d_h}: {name} "
                     f"off by {err:.2e} relative (bound {tol:.0e})")
+    singles = sum(lengths is None for _, lengths, *_ in cases)
+    packs = [lengths for _, lengths, *_ in cases if lengths is not None]
     return CheckResult("gru_sequence", True,
-                       f"{len(cases)} sequences (lengths 1..{max_len} in float64, "
-                       f"80 rows at 128->512 in float32) matched the per-step "
-                       f"oracle in value and all 7 gradients")
+                       f"{singles} sequences (lengths 1..{max_len} in float64, "
+                       f"80 rows at 128->512 in float32) and {len(packs)} packs "
+                       f"of {sum(map(len, packs))} sequences (1..{max_pack} per pack "
+                       f"with empty and tied lengths in float64, 8 of 20-80 rows "
+                       f"at 128->512 in float32) matched the per-step oracle in "
+                       f"value and all 7 gradients")
 
 
 def tiny_config(**overrides) -> RunConfig:

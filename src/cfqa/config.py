@@ -29,7 +29,7 @@ class RunConfig:
     eval_path: str = ""
     out_dir: str = "runs/out"
     updates: int = 1000
-    batch_size: int = 16
+    batch_size: int = 16        # episodes per update; also evaluate's lockstep width
     eval_every: int = 200
     # representation sizes
     d1: int = 300

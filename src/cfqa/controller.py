@@ -91,25 +91,32 @@ def build_state(ctx_rows: Tensor, question_rows: Tensor, store: ParamStore,
     return T.concat([ctx_rows, sep, question_rows], axis=0)
 
 
-def actor_logits(state_seq: Tensor, store: ParamStore, gru_size: int) -> Tensor:
-    h = run_gru(state_seq, gru_params(store, "actor.gru"), gru_size)
+def actor_logits(state_seq: Tensor, store: ParamStore, gru_size: int,
+                 lengths=None) -> Tensor:
+    h = run_gru(state_seq, gru_params(store, "actor.gru"), gru_size, lengths)
     return T.add(T.matmul(h, store["actor.head_w"]), store["actor.head_b"])
 
 
 def actor_policy(state_seq: Tensor, store: ParamStore, gru_size: int,
-                 action_mask: Optional[np.ndarray] = None) -> tuple[Tensor, Tensor]:
+                 action_mask: Optional[np.ndarray] = None,
+                 lengths=None) -> tuple[Tensor, Tensor]:
     """(probabilities, log-probabilities) over the three actions.
 
-    Masked actions get probability exactly zero; the rest renormalize.
+    Masked actions get probability exactly zero; the rest renormalize. With
+    ``lengths``, ``state_seq`` packs that many states back to back (see
+    ``run_gru``), ``action_mask`` is [B x 3] and both outputs are [B x 3];
+    without, one state gives [3] outputs for a [3] mask.
     """
-    logits = actor_logits(state_seq, store, gru_size)
-    probs = T.softmax(logits, axis=0, mask=action_mask)
-    log_probs = T.log_softmax(logits, axis=0, mask=action_mask)
+    logits = actor_logits(state_seq, store, gru_size, lengths)
+    probs = T.softmax(logits, axis=-1, mask=action_mask)
+    log_probs = T.log_softmax(logits, axis=-1, mask=action_mask)
     return probs, log_probs
 
 
-def critic_value(state_seq: Tensor, store: ParamStore, gru_size: int) -> Tensor:
-    h = run_gru(state_seq, gru_params(store, "critic.gru"), gru_size)
+def critic_value(state_seq: Tensor, store: ParamStore, gru_size: int,
+                 lengths=None) -> Tensor:
+    """State value: a scalar for one state, [B] for packed ``lengths``."""
+    h = run_gru(state_seq, gru_params(store, "critic.gru"), gru_size, lengths)
     return T.add(T.matmul(h, store["critic.head_w"]),
                  T.pick(store["critic.head_b"], 0))
 

@@ -6,10 +6,17 @@ context and continue. If no answer was produced within the cap, every other
 action is masked and the answer is forced. Rewards are placed according to
 the configured mode (one final reward by default, per-step shaped rewards
 behind a flag).
+
+The step loop is a generator (``episode_steps``) that hands out each state
+and waits for the controller's reading of it, so one copy of the step logic
+serves both drivers: ``run_episode`` plays one episode at a time, and
+``evaluate`` plays a batch of greedy episodes in lockstep and reads all
+their states with one actor and one critic call per round.
 """
 
 from __future__ import annotations
 
+import itertools
 import zlib
 from dataclasses import dataclass, field
 from typing import Optional
@@ -31,11 +38,21 @@ from .text import QAExample, TokenDoc, find_subsequence
 
 @dataclass
 class StepRecord:
-    """One line of the trajectory log."""
+    """One line of the trajectory log.
+
+    ``action`` is what the policy picked and ``outcome`` what the step did.
+    They differ only when an excision would empty the context: the step then
+    answers from the intact context, and records ``excise`` / ``answer``.
+    """
     action: str
     ctx_tokens: int
     reward: float
     span: Optional[tuple[int, int]] = None
+    outcome: Optional[str] = None
+
+    def __post_init__(self):
+        if self.outcome is None:
+            self.outcome = self.action
 
 
 @dataclass
@@ -44,7 +61,7 @@ class EpisodeResult:
     trajectory: list[Transition]
     steps: list[StepRecord]
     n_steps: int
-    forced: bool
+    forced: bool            # the step cap forced the answer
     em: int
     f1: float
     aux_losses: list[Tensor] = field(default_factory=list)
@@ -110,8 +127,29 @@ def run_episode(model, example: QAExample, cfg: RunConfig, mode: str,
                 check_invariants: bool = False) -> EpisodeResult:
     """Play one episode; in train mode the policy samples, in eval it argmaxes.
 
-    The returned trajectory carries live tensors when a tape is active, so
-    the caller can turn it into losses; eval runs are pure numpy.
+    Drives one ``episode_steps`` generator, reading each state with
+    ``model.policy`` and ``model.value``. The returned trajectory carries
+    live tensors when a tape is active, so the caller can turn it into
+    losses; eval runs are pure numpy.
+    """
+    steps = episode_steps(model, example, cfg, mode, rng, check_invariants)
+    state, mask = next(steps)
+    while True:
+        probs, log_probs = model.policy(state, action_mask=mask)
+        try:
+            state, mask = steps.send((probs, log_probs, model.value(state)))
+        except StopIteration as done:
+            return done.value
+
+
+def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
+                  rng: Optional[np.random.Generator] = None,
+                  check_invariants: bool = False):
+    """The step loop of one episode, as a generator.
+
+    Before each decision it yields ``(state, action_mask)`` and expects the
+    controller's ``(probs, log_probs, value)`` for that state to be sent
+    back: [3], [3] and a scalar. It returns the ``EpisodeResult``.
     """
     if mode not in ("train", "eval"):
         raise ContractError(f"mode must be train or eval, got {mode!r}")
@@ -124,7 +162,6 @@ def run_episode(model, example: QAExample, cfg: RunConfig, mode: str,
     ctx = example.doc
     k_budget = cfg.k_initial
     trajectory: list[Transition] = []
-    raw_rewards: list[float] = []
     steps: list[StepRecord] = []
     aux: list[Tensor] = []
     fingerprints: list[bytes] = []
@@ -155,9 +192,7 @@ def run_episode(model, example: QAExample, cfg: RunConfig, mode: str,
                           and cached_span.end == ctx.n_tokens - 1)
 
         mask = action_mask(ctx, forced, cfg, covers_all)
-        state = model.state(ctx_enc, q_enc)
-        probs_t, logp_t = model.policy(state, action_mask=mask)
-        value_t = model.value(state)
+        probs_t, logp_t, value_t = yield model.state(ctx_enc, q_enc), mask
         if trajectory:
             trajectory[-1].next_value = value_t
 
@@ -176,7 +211,6 @@ def run_episode(model, example: QAExample, cfg: RunConfig, mode: str,
             outcome = Answered(answer_tokens, out.span.start, out.span.end)
             reward = compute_reward(action, outcome, example.gold_answers, ctx, None)
             trajectory.append(Transition(action, log_prob, value_t, reward, None))
-            raw_rewards.append(reward)
             steps.append(StepRecord("answer", ctx.n_tokens, reward,
                                     (out.span.start, out.span.end)))
             forced_answer = forced
@@ -198,7 +232,6 @@ def run_episode(model, example: QAExample, cfg: RunConfig, mode: str,
             for i in kept:
                 log_prob = T.add(log_prob, pick(sel_logp, i))
             trajectory.append(Transition(action, log_prob, value_t, reward, None))
-            raw_rewards.append(reward)
             steps.append(StepRecord("select", ctx.n_tokens, reward))
             if train and cfg.selector_loss:
                 gold_sent = _gold_sentence_in(ctx, example.gold_answers)
@@ -211,29 +244,26 @@ def run_episode(model, example: QAExample, cfg: RunConfig, mode: str,
         if cached_span is None:
             with suspend_tape():
                 cached_span = model.answer(q_enc, ctx_enc).span
+        span = (cached_span.start, cached_span.end)
         try:
-            new_ctx, excision = excise_span(ctx, cached_span.start, cached_span.end)
+            new_ctx, excision = excise_span(ctx, *span)
         except ExcisionEmptyError:
-            # refusal: answer directly from the intact context instead,
-            # crediting the decision that was actually sampled
+            # refusal: answer from the intact context instead. The sampled
+            # excise stays on record, with its log-probability, and the step
+            # ends the episode without being a step-cap force
             flat = ctx.flat_tokens()
-            answer_tokens = flat[cached_span.start:cached_span.end + 1]
-            outcome = Answered(answer_tokens, cached_span.start, cached_span.end)
+            answer_tokens = flat[span[0]:span[1] + 1]
+            outcome = Answered(answer_tokens, *span)
             reward = compute_reward(ActionId.ANSWER, outcome,
                                     example.gold_answers, ctx, None)
-            trajectory.append(Transition(ActionId.ANSWER, log_prob, value_t,
-                                         reward, None))
-            raw_rewards.append(reward)
-            steps.append(StepRecord("answer", ctx.n_tokens, reward,
-                                    (cached_span.start, cached_span.end)))
-            forced_answer = True
+            trajectory.append(Transition(action, log_prob, value_t, reward, None))
+            steps.append(StepRecord("excise", ctx.n_tokens, reward, span,
+                                    outcome="answer"))
             break
         outcome = Excised(excision)
         reward = compute_reward(action, outcome, example.gold_answers, ctx, new_ctx)
         trajectory.append(Transition(action, log_prob, value_t, reward, None))
-        raw_rewards.append(reward)
-        steps.append(StepRecord("excise", ctx.n_tokens, reward,
-                                (cached_span.start, cached_span.end)))
+        steps.append(StepRecord("excise", ctx.n_tokens, reward, span))
         ctx = new_ctx
 
     _place_rewards(trajectory, cfg.reward_mode)
@@ -268,24 +298,64 @@ def _place_rewards(trajectory: list[Transition], mode: str) -> None:
 def _check_episode(result: EpisodeResult, cfg: RunConfig) -> None:
     if result.n_steps > cfg.step_cap + 1:
         raise ContractError(f"episode ran {result.n_steps} steps")
-    answers = [tr for tr in result.trajectory if tr.action is ActionId.ANSWER]
-    if len(answers) != 1 or result.trajectory[-1].action is not ActionId.ANSWER:
+    outcomes = [rec.outcome for rec in result.steps]
+    if outcomes.count("answer") != 1 or outcomes[-1] != "answer":
         raise ContractError("episodes must answer exactly once, at the end")
+    if result.forced != (result.n_steps == cfg.step_cap + 1):
+        raise ContractError("only the step cap may force an answer")
     if len(set(result.question_fingerprints)) > 1:
         raise ContractError("question fingerprint changed")
+
+
+def run_lockstep(model, dataset: list[QAExample], cfg: RunConfig
+                 ) -> list[EpisodeResult]:
+    """Greedy episodes over ``dataset``, up to ``cfg.batch_size`` in flight.
+
+    Each round packs the pending states of the episodes in flight back to
+    back and reads them with one ``model.policy`` and one ``model.value``
+    call, so both GRUs step all of them together. An episode that finishes
+    frees its slot for the next example. Forward only: each episode gets
+    its own rows of the outputs as plain arrays. Results come back in
+    dataset order.
+    """
+    results: list[Optional[EpisodeResult]] = [None] * len(dataset)
+    queue = iter(enumerate(dataset))
+    in_flight = []     # (dataset index, generator, its pending (state, mask))
+    while True:
+        for index, example in itertools.islice(queue, cfg.batch_size - len(in_flight)):
+            steps = episode_steps(model, example, cfg, "eval")
+            in_flight.append((index, steps, next(steps)))
+        if not in_flight:
+            return results
+        states = [pending[0] for _, _, pending in in_flight]
+        lengths = [state.data.shape[0] for state in states]
+        packed = T.concat(states, axis=0)
+        masks = np.stack([pending[1] for _, _, pending in in_flight])
+        probs, log_probs = model.policy(packed, masks, lengths)
+        values = model.value(packed, lengths)
+        still = []
+        for row, (index, steps, _) in enumerate(in_flight):
+            reading = (Tensor(probs.data[row]), Tensor(log_probs.data[row]),
+                       Tensor(values.data[row]))
+            try:
+                still.append((index, steps, steps.send(reading)))
+            except StopIteration as done:
+                results[index] = done.value
+        in_flight = still
 
 
 def evaluate(model, dataset: list[QAExample], cfg: RunConfig
              ) -> tuple[RunMetrics, list[dict]]:
     """Greedy-policy metrics over a dataset, plus per-example records.
 
-    Episodes run one after another. Each is independent of the others and
-    read-only over the parameters, so a record does not depend on where its
-    example sits in the dataset.
+    Episodes play in lockstep, ``cfg.batch_size`` at a time (``run_lockstep``).
+    Each is independent of the others and read-only over the parameters, so
+    a record depends neither on where its example sits in the dataset nor on
+    the lockstep width.
     """
     if not dataset:
         raise DataError("cannot evaluate an empty dataset")
-    results = [run_episode(model, ex, cfg, "eval") for ex in dataset]
+    results = run_lockstep(model, dataset, cfg)
     rows = []
     action_counts = np.zeros(3, dtype=np.int64)
     total_steps = 0

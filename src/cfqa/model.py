@@ -66,9 +66,14 @@ class QaModel:
         return build_state(ctx_enc.matrix, q_enc.matrix, self.store,
                            max_state_tokens=self.cfg.max_state_tokens)
 
-    def policy(self, state_seq: Tensor, action_mask: Optional[np.ndarray] = None):
+    def policy(self, state_seq: Tensor, action_mask: Optional[np.ndarray] = None,
+               lengths=None):
+        """Action (probabilities, log-probabilities): [3] each for one state,
+        [B x 3] for B states packed back to back with ``lengths``."""
         return actor_policy(state_seq, self.store, self.cfg.gru_size,
-                            action_mask=action_mask)
+                            action_mask=action_mask, lengths=lengths)
 
-    def value(self, state_seq: Tensor) -> Tensor:
-        return critic_value(state_seq, self.store, self.cfg.gru_size)
+    def value(self, state_seq: Tensor, lengths=None) -> Tensor:
+        """Critic value: a scalar for one state, [B] for packed ``lengths``."""
+        return critic_value(state_seq, self.store, self.cfg.gru_size,
+                            lengths=lengths)

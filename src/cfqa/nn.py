@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .params import ParamStore
-from .tensor import Tensor, add, gru_sequence, matmul, relu
+from .tensor import Tensor, add, gru_sequence, matmul, relu, reshape
 
 
 def create_gru(store: ParamStore, prefix: str, d_x: int, d_h: int,
@@ -37,16 +37,22 @@ def gru_params(store: ParamStore, prefix: str) -> dict[str, Tensor]:
     return {k: store[f"{prefix}.{k}"] for k in GRU_KEYS}
 
 
-def run_gru(seq: Tensor, params: dict[str, Tensor], d_h: int) -> Tensor:
-    """Consume a [length x d_x] sequence row by row; return the final state.
+def run_gru(seq: Tensor, params: dict[str, Tensor], d_h: int,
+            lengths=None) -> Tensor:
+    """Final GRU state of a [length x d_x] sequence, as a [d_h] vector.
 
-    One fused ``gru_sequence`` op: a single tape node for the whole sequence.
+    With ``lengths``, ``seq`` packs that many sequences back to back and the
+    result is their final states, [len(lengths) x d_h]. Either way it is one
+    fused ``gru_sequence`` op: a single tape node for all rows.
     """
     if params["u_cand"].data.shape[0] != d_h:
         raise ShapeError(
             f"state width {d_h} does not match cell size "
             f"{params['u_cand'].data.shape[0]}")
-    return gru_sequence(seq, *(params[k] for k in GRU_KEYS))
+    weights = [params[k] for k in GRU_KEYS]
+    if lengths is None:
+        return reshape(gru_sequence(seq, [seq.data.shape[0]], *weights), (d_h,))
+    return gru_sequence(seq, lengths, *weights)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:

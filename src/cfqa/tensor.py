@@ -189,14 +189,18 @@ def _wrap(x) -> Tensor:
     return Tensor(np.asarray(x, dtype=_DEFAULT_DTYPE))
 
 
+def _records(parents: Sequence[Tensor]) -> bool:
+    """Whether ``_finish`` will put an op over these parents on the tape."""
+    return active_tape() is not None and any(p.requires_grad for p in parents)
+
+
 def _finish(out_data: np.ndarray, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
     if _DEBUG_CHECKS and not np.all(np.isfinite(out_data)):
         raise FloatingPointError("non-finite value produced by a forward op")
     out = Tensor(out_data)
-    tape = active_tape()
-    if tape is not None and any(p.requires_grad for p in parents):
+    if _records(parents):
         out.requires_grad = True
-        tape.record(out, parents, vjp)
+        active_tape().record(out, parents, vjp)
     return out
 
 
@@ -511,28 +515,68 @@ def conv1d(x, filters) -> Tensor:
 # ---------------------------------------------------------------------------
 # recurrent sequence
 
-def gru_sequence(seq, w_gates, u_gates, b_gates, w_cand, u_cand, b_cand) -> Tensor:
-    """GRU over the rows of ``seq`` from a zero state; returns the final state.
+def _pack_schedule(lengths, n_rows: int):
+    """Step bookkeeping for ``gru_sequence`` over packed sequences.
 
-    seq: [L x d_x]; w_gates [d_x x 2d_h], u_gates [d_h x 2d_h] and b_gates
-    [2d_h] give the update gate z (first half) and reset gate r (second
-    half); w_cand [d_x x d_h], u_cand [d_h x d_h] and b_cand [d_h] give the
-    candidate c = tanh(x W_cand + (r * h) U_cand + b_cand), and
+    Returns ``order`` (the sequences longest first, stable), the time-major
+    row bounds of every step (the sequences still running at step t are a
+    prefix of ``order``, so step t owns rows ``bounds[t]:bounds[t+1]``) and
+    ``gather``, the packed row behind each time-major row, or None when the
+    two orders coincide (at most one non-empty sequence).
+    """
+    lens = np.asarray(lengths)
+    if lens.ndim != 1 or (lens.size and not np.issubdtype(lens.dtype, np.integer)):
+        raise ShapeError(f"gru_sequence lengths must be a 1-D integer sequence, "
+                         f"got {lengths!r}")
+    lens = lens.astype(np.int64)
+    if lens.size and lens.min() < 0:
+        raise ShapeError(f"gru_sequence lengths must be non-negative, got {lens.tolist()}")
+    if int(lens.sum()) != n_rows:
+        raise ShapeError(f"gru_sequence lengths sum to {int(lens.sum())}, "
+                         f"but the packed sequence has {n_rows} rows")
+    order = np.argsort(-lens, kind="stable")
+    n_steps = int(lens.max()) if lens.size else 0
+    # live[t]: how many sequences are longer than t
+    live = lens.size - np.cumsum(np.bincount(lens, minlength=n_steps + 1))[:n_steps]
+    bounds = np.concatenate(([0], np.cumsum(live)))
+    gather = None
+    if n_steps and live[0] > 1:
+        starts = (np.cumsum(lens) - lens)[order]
+        step_of = np.repeat(np.arange(n_steps), live)
+        slot_of = np.arange(n_rows) - np.repeat(bounds[:-1], live)
+        gather = starts[slot_of] + step_of
+    return order, bounds.tolist(), gather
+
+
+def gru_sequence(seq, lengths, w_gates, u_gates, b_gates, w_cand, u_cand,
+                 b_cand) -> Tensor:
+    """GRU over packed sequences, each from a zero state; returns the final
+    states [B x d_h], one row per entry of ``lengths``.
+
+    seq: [N x d_x] holds B sequences back to back, ``lengths`` their row
+    counts (summing to N; a single sequence is ``lengths=[L]``, and an empty
+    one ends in zeros). w_gates [d_x x 2d_h], u_gates [d_h x 2d_h] and
+    b_gates [2d_h] give the update gate z (first half) and reset gate r
+    (second half); w_cand [d_x x d_h], u_cand [d_h x d_h] and b_cand [d_h]
+    give the candidate c = tanh(x W_cand + (r * h) U_cand + b_cand), and
     h' = (1 - z) * h + z * c.
 
-    The input projections of all rows are two matmuls before the loop; only
-    the h U products stay inside it. The whole sequence is one tape node:
-    backward runs BPTT row by row to fill the pre-activation gradients, then
-    every weight and input gradient is a single matmul or sum over rows.
-    Computes in ``seq``'s dtype; an empty sequence returns zeros.
+    The sequences are sorted by length once and their rows gathered into
+    time-major order, so the sequences still running at step t are a prefix
+    and each step is one [n_t x d_h] @ U product. The input projections of
+    all rows are two matmuls before the loop. The whole pack is one tape
+    node: backward runs BPTT over the same prefix slices to fill the
+    pre-activation gradients, then every weight and input gradient is a
+    single matmul or sum over all N rows. The activations BPTT needs are
+    kept only when a tape records the op. Computes in ``seq``'s dtype.
     """
     parents = tuple(_wrap(p) for p in
                     (seq, w_gates, u_gates, b_gates, w_cand, u_cand, b_cand))
     seq, u_cand = parents[0], parents[5]
     if seq.ndim != 2 or u_cand.ndim != 2:
-        raise ShapeError(f"gru_sequence expects a [L x d_x] sequence and a "
+        raise ShapeError(f"gru_sequence expects a [N x d_x] sequence and a "
                          f"[d_h x d_h] u_cand, got {seq.shape} and {u_cand.shape}")
-    length, d_x = seq.data.shape
+    n_rows, d_x = seq.data.shape
     d_h = u_cand.data.shape[0]
     want = {"w_gates": (d_x, 2 * d_h), "u_gates": (d_h, 2 * d_h),
             "b_gates": (2 * d_h,), "w_cand": (d_x, d_h), "u_cand": (d_h, d_h),
@@ -541,48 +585,64 @@ def gru_sequence(seq, w_gates, u_gates, b_gates, w_cand, u_cand, b_cand) -> Tens
         if p.data.shape != shape:
             raise ShapeError(f"gru_sequence {name} has shape {p.shape}, expected "
                              f"{shape} for input width {d_x} and state width {d_h}")
+    order, bounds, gather = _pack_schedule(lengths, n_rows)
     dtype = seq.data.dtype
-    x = seq.data
+    x = seq.data if gather is None else seq.data[gather]   # time-major rows
     wg, ug, bg, wc, uc, bc = (p.data.astype(dtype, copy=False) for p in parents[1:])
 
-    x_gates = x @ wg + bg          # [L x 2d_h]
-    x_cand = x @ wc + bc           # [L x d_h]
-    hs = np.zeros((length + 1, d_h), dtype=dtype)   # hs[t] is the state before row t
-    zs = np.empty((length, d_h), dtype=dtype)
-    rs = np.empty((length, d_h), dtype=dtype)
-    cs = np.empty((length, d_h), dtype=dtype)
-    rhs = np.empty((length, d_h), dtype=dtype)
-    for t in range(length):
-        h = hs[t]
-        gates = 1.0 / (1.0 + np.exp(-(x_gates[t] + h @ ug)))
-        z, r = gates[:d_h], gates[d_h:]
-        np.multiply(r, h, out=rhs[t])
-        c = np.tanh(x_cand[t] + rhs[t] @ uc)
-        hs[t + 1] = (1.0 - z) * h + z * c
-        zs[t], rs[t], cs[t] = z, r, c
+    x_gates = x @ wg               # [N x 2d_h]
+    x_gates += bg
+    x_cand = x @ wc                # [N x d_h]
+    x_cand += bc
+    keep = _records(parents)
+    if keep:
+        # per row: the state before the step, z, r, the candidate and r * h
+        h_prev, zs, rs, cs, rhs = (np.empty((n_rows, d_h), dtype=dtype)
+                                   for _ in range(5))
+    h = np.zeros((order.size, d_h), dtype=dtype)   # in ``order``
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        hp = h[:hi - lo]
+        gates = 1.0 / (1.0 + np.exp(-(x_gates[lo:hi] + hp @ ug)))
+        z, r = gates[:, :d_h], gates[:, d_h:]
+        rh = r * hp
+        c = np.tanh(x_cand[lo:hi] + rh @ uc)
+        if keep:
+            h_prev[lo:hi], zs[lo:hi], rs[lo:hi] = hp, z, r
+            cs[lo:hi], rhs[lo:hi] = c, rh
+        h[:hi - lo] = (1.0 - z) * hp + z * c
+    out = np.empty_like(h)
+    out[order] = h
 
     def vjp(g):
-        da_gates = np.empty((length, 2 * d_h), dtype=dtype)
-        da_cand = np.empty((length, d_h), dtype=dtype)
-        dh = np.asarray(g, dtype=dtype)
-        for t in range(length - 1, -1, -1):
-            h, z, r, c = hs[t], zs[t], rs[t], cs[t]
-            da_c = dh * z * (1.0 - c * c)
-            da_cand[t] = da_c
-            d_rh = uc @ da_c
-            da_gates[t, :d_h] = dh * (c - h) * z * (1.0 - z)
-            da_gates[t, d_h:] = d_rh * h * r * (1.0 - r)
-            dh = dh * (1.0 - z) + d_rh * r + ug @ da_gates[t]
-        h_prev = hs[:-1]
+        da_gates = np.empty((n_rows, 2 * d_h), dtype=dtype)
+        da_cand = np.empty((n_rows, d_h), dtype=dtype)
+        dh = np.asarray(g, dtype=dtype)[order]
+        for lo, hi in zip(bounds[-2::-1], bounds[:0:-1]):
+            hp, z, r, c = h_prev[lo:hi], zs[lo:hi], rs[lo:hi], cs[lo:hi]
+            d = dh[:hi - lo]
+            da_c = d * z * (1.0 - c * c)
+            da_cand[lo:hi] = da_c
+            d_rh = da_c @ uc.T
+            da_g = da_gates[lo:hi]
+            da_g[:, :d_h] = d * (c - hp) * z * (1.0 - z)
+            da_g[:, d_h:] = d_rh * hp * r * (1.0 - r)
+            dh[:hi - lo] = d * (1.0 - z) + d_rh * r + da_g @ ug.T
+        dx = None
+        if seq.requires_grad:
+            dx = da_gates @ wg.T + da_cand @ wc.T
+            if gather is not None:
+                packed = np.empty_like(dx)
+                packed[gather] = dx
+                dx = packed
         grads = (
-            da_gates @ wg.T + da_cand @ wc.T if seq.requires_grad else None,
+            dx,
             x.T @ da_gates, h_prev.T @ da_gates, da_gates.sum(axis=0),
             x.T @ da_cand, rhs.T @ da_cand, da_cand.sum(axis=0),
         )
         return tuple(None if gr is None else gr.astype(p.data.dtype, copy=False)
                      for gr, p in zip(grads, parents))
 
-    return _finish(hs[length].copy(), parents, vjp)
+    return _finish(out, parents, vjp)
 
 
 __all__ = [

@@ -7,6 +7,8 @@ and policies/spans can be pinned or randomized at will.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from cfqa.answer import AnswerOutput, SpanPrediction
@@ -26,11 +28,23 @@ def masked_probs(base: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     return p / total
 
 
+@dataclass
+class _Tagged(Encoded):
+    """An encoding that names what it encodes: an episode or a context."""
+    tag: object = None
+
+
 class ScriptedModel:
     """Engine-compatible stub with pluggable policy, span and sentence scorer.
 
     policy_fn(ctx, step) -> base probabilities over (answer, select, excise);
     span_fn(ctx, rng) -> (start, end); dist_fn(ctx, rng) -> sentence probs.
+
+    Lockstep evaluation interleaves episodes, so nothing about the current
+    episode lives on the stub: a question encoding is tagged with its
+    episode, a context encoding with its context, and each state's rows hold
+    a key to the (context, step) it was built for. ``policy`` and ``value``
+    accept states packed back to back with ``lengths``, like ``QaModel``.
     """
 
     def __init__(self, seed: int = 0, d_model: int = 4, policy_fn=None,
@@ -40,8 +54,9 @@ class ScriptedModel:
         self.policy_fn = policy_fn or (lambda ctx, step: self.rng.dirichlet(np.ones(3)))
         self.span_fn = span_fn or self._random_span
         self.dist_fn = dist_fn or (lambda ctx, rng: rng.dirichlet(np.ones(ctx.n_sentences)))
-        self._ctx = None
-        self._step = -1
+        self._episodes = 0
+        self._steps_taken: dict[int, int] = {}
+        self._states: list[tuple] = []     # state key -> (context, step)
 
     def _random_span(self, ctx, rng):
         n = ctx.n_tokens
@@ -51,32 +66,46 @@ class ScriptedModel:
 
     def encode_question(self, example):
         rows = np.full((max(1, len(example.question)), self.d_model), 0.25)
-        return Encoded(Tensor(rows), np.ones(rows.shape[0], dtype=bool))
+        self._episodes += 1
+        return _Tagged(Tensor(rows), np.ones(rows.shape[0], dtype=bool),
+                       tag=self._episodes)
 
     def encode_doc(self, ctx):
-        self._ctx = ctx
-        self._step += 1
         rows = np.zeros((ctx.n_tokens, self.d_model))
-        return Encoded(Tensor(rows), np.ones(ctx.n_tokens, dtype=bool))
+        return _Tagged(Tensor(rows), np.ones(ctx.n_tokens, dtype=bool), tag=ctx)
 
     def state(self, ctx_enc, q_enc):
-        return Tensor(np.zeros((2, self.d_model)))
+        step = self._steps_taken.get(q_enc.tag, 0)
+        self._steps_taken[q_enc.tag] = step + 1
+        self._states.append((ctx_enc.tag, step))
+        # states of different lengths, so packing has something to get wrong
+        rows = 2 + len(self._states) % 3
+        return Tensor(np.full((rows, self.d_model), float(len(self._states) - 1)))
 
-    def policy(self, state, action_mask=None):
-        base = self.policy_fn(self._ctx, self._step)
-        probs = masked_probs(base, action_mask)
+    def _unpack(self, state, lengths):
+        starts = [0] if lengths is None else np.cumsum([0, *lengths[:-1]])
+        return [self._states[int(state.data[start, 0])] for start in starts]
+
+    def policy(self, state, action_mask=None, lengths=None):
+        pairs = self._unpack(state, lengths)
+        masks = [action_mask] if lengths is None else action_mask
+        probs = np.stack([masked_probs(self.policy_fn(ctx, step), mask)
+                          for (ctx, step), mask in zip(pairs, masks)])
+        if lengths is None:
+            probs = probs[0]
         return Tensor(probs), Tensor(np.log(np.maximum(probs, 1e-12)))
 
-    def value(self, state):
-        return Tensor(np.asarray(0.0))
+    def value(self, state, lengths=None):
+        return Tensor(np.zeros(() if lengths is None else len(lengths)))
 
     def sentence_dist(self, q_enc, ctx):
         probs = np.asarray(self.dist_fn(ctx, self.rng), dtype=np.float64)
         return SentenceDist(probs=probs, logits=Tensor(np.log(probs + 1e-12)))
 
     def answer(self, q_enc, ctx_enc):
-        start, end = self.span_fn(self._ctx, self.rng)
-        n = self._ctx.n_tokens
+        ctx = ctx_enc.tag
+        start, end = self.span_fn(ctx, self.rng)
+        n = ctx.n_tokens
         p = np.zeros(n)
         p[start] = 1.0
         pe = np.zeros(n)

@@ -4,7 +4,7 @@ import pytest
 from cfqa.config import RunConfig
 from cfqa.controller import ActionId
 from cfqa.episode import (EpisodeResult, RunMetrics, action_mask, episode_rng,
-                          evaluate, run_episode)
+                          evaluate, run_episode, run_lockstep)
 from cfqa.errors import DataError
 from helpers import (ScriptedModel, make_example, oracle_components,
                      pinned_policy)
@@ -12,7 +12,7 @@ from helpers import (ScriptedModel, make_example, oracle_components,
 
 def engine_cfg(**kw):
     base = dict(d_model=4, step_cap=5, k_initial=5, max_span_len=3,
-                reward_mode="single_final", span_loss=False, batch_size=1,
+                reward_mode="single_final", span_loss=False, batch_size=4,
                 updates=0, d1=4, d2=4, d_f=4, k_s=3, n_heads=2, gru_size=4)
     base.update(kw)
     return RunConfig(**base)
@@ -77,8 +77,15 @@ def test_full_cover_span_converts_excise_to_answer():
     # pre-check cannot see the full cover and the refusal path must fire
     cfg = engine_cfg(max_span_len=3)
     result = run_episode(model, ex, cfg, "eval", check_invariants=True)
-    assert result.trajectory[-1].action is ActionId.ANSWER
     assert result.n_steps == 1
+    # the sampled excise stays on record; the executed outcome is the answer
+    assert result.trajectory[-1].action is ActionId.EXCISE
+    step = result.steps[-1]
+    assert (step.action, step.outcome) == ("excise", "answer")
+    assert step.span == (0, ex.doc.n_tokens - 1)
+    assert result.answer_tokens == ex.doc.flat_tokens()
+    # a refusal is not a step-cap force
+    assert not result.forced
 
 
 def test_single_sentence_masks_select():
@@ -124,6 +131,7 @@ def test_reward_modes_place_rewards_differently():
 def test_invariants_over_random_policies_and_examples():
     cfg = engine_cfg()
     rng = np.random.default_rng(9)
+    refusals = 0
     for case in range(300):
         ex = make_example(rng, n_sentences=int(rng.integers(1, 8)),
                           tokens_per_sentence=int(rng.integers(2, 6)),
@@ -133,11 +141,17 @@ def test_invariants_over_random_policies_and_examples():
                              rng=episode_rng(11, ex.id, case),
                              check_invariants=True)
         assert result.n_steps <= cfg.step_cap + 1
-        actions = [tr.action for tr in result.trajectory]
-        assert actions.count(ActionId.ANSWER) == 1
-        assert actions[-1] is ActionId.ANSWER
+        # the trajectory keeps the sampled actions; an excise that would
+        # empty the context is executed as the answer that ends the episode
+        assert [tr.action.name.lower() for tr in result.trajectory] == \
+            [s.action for s in result.steps]
+        outcomes = [s.outcome for s in result.steps]
+        assert outcomes.count("answer") == 1
+        assert outcomes[-1] == "answer"
+        refusals += result.steps[-1].action == "excise"
         sizes = [s.ctx_tokens for s in result.steps]
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
+    assert refusals > 0
 
 
 def test_episode_rng_is_deterministic_per_example():
@@ -220,3 +234,44 @@ def test_evaluation_is_independent_of_dataset_order():
     assert {r["id"]: r for r in r1} == {r["id"]: r for r in r2}
     # the f1 sum runs in a different order
     assert m2.to_dict() == pytest.approx(m1.to_dict())
+
+
+def test_lockstep_evaluation_matches_one_episode_at_a_time():
+    # episodes of 1 to 6 steps over contexts and questions of mixed sizes, so
+    # slots free up at different rounds and the packed states differ in length
+    from cfqa.checks import tiny_config, tiny_example, toy_vocab
+    from cfqa.model import QaModel
+
+    vocab = toy_vocab()
+    rng = np.random.default_rng(22)
+    dataset = []
+    for i in range(12):
+        ex = tiny_example(rng, vocab, n_sentences=int(rng.integers(1, 6)),
+                          tokens_per_sentence=int(rng.integers(2, 7)),
+                          q_len=int(rng.integers(1, 5)))
+        ex.id = f"m{i}"
+        dataset.append(ex)
+    cfg = tiny_config(seed=22)
+    model = QaModel(cfg, vocab, seed=22)
+    serial = [run_episode(model, ex, cfg, "eval") for ex in dataset]
+    assert {a for r in serial for a in (s.action for s in r.steps)} == \
+        {"answer", "select", "excise"}
+    assert len({r.n_steps for r in serial}) >= 3
+
+    for width in (1, 3, len(dataset) + 1):
+        wide = cfg.replace(batch_size=width)
+        _, rows = evaluate(model, dataset, wide)
+        for ex, row, want in zip(dataset, rows, serial):
+            assert row["id"] == ex.id
+            assert row["actions"] == "|".join(s.action for s in want.steps)
+            # spans, outcomes, rewards and context sizes, step by step
+            assert row["steps"] == [s.__dict__ for s in want.steps]
+            assert (row["em"], row["f1"]) == (want.em, want.f1)
+        for got, want in zip(run_lockstep(model, dataset, wide), serial):
+            assert [tr.action for tr in got.trajectory] == \
+                [tr.action for tr in want.trajectory]
+            for name in ("value", "log_prob"):
+                np.testing.assert_allclose(
+                    [getattr(tr, name).item() for tr in got.trajectory],
+                    [getattr(tr, name).item() for tr in want.trajectory],
+                    rtol=1e-5, atol=1e-6, err_msg=f"{name} at width {width}")

@@ -265,6 +265,60 @@ def test_gru_input_width_mismatch_raises():
         run_gru(Tensor(np.zeros((3, 4))), _zero_gru_params(2, 3), 3)
 
 
+@pytest.mark.parametrize("lengths", [[3, -1], [1, 2], [1], [[1, 1]], [1.0, 1.0]])
+def test_gru_bad_packed_lengths_raise(lengths):
+    # two rows: a negative length, a sum off by one either way, a 2-D list
+    # and non-integer lengths are all refused
+    with pytest.raises(ShapeError):
+        run_gru(Tensor(np.zeros((2, 2))), _zero_gru_params(2, 3), 3, lengths)
+
+
+def test_gru_packed_states_match_each_sequence_alone(f64):
+    store = ParamStore()
+    rng = np.random.default_rng(8)
+    create_gru(store, "g", 3, 4, rng)
+    params = gru_params(store, "g")
+    lengths = [0, 3, 1, 3, 0, 2]
+    seq = Tensor(rng.normal(0, 1, (sum(lengths), 3)))
+    packed = run_gru(seq, params, 4, lengths)
+    assert packed.shape == (len(lengths), 4)
+    starts = np.cumsum([0] + lengths[:-1])
+    for row, start, n in zip(packed.data, starts, lengths):
+        alone = run_gru(Tensor(seq.data[start:start + n]), params, 4)
+        np.testing.assert_allclose(row, alone.data, rtol=1e-12, atol=1e-15)
+    assert not packed.data[0].any() and not packed.data[4].any()
+
+
+def test_gru_keeps_bptt_buffers_only_for_a_tape():
+    import tracemalloc
+
+    store = ParamStore()
+    rng = np.random.default_rng(9)
+    create_gru(store, "g", 8, 64, rng)
+    params = gru_params(store, "g")
+    lengths = [200, 150, 180, 120, 200, 90, 160, 140]
+    seq = Tensor(rng.normal(0, 1, (sum(lengths), 8)))
+
+    def peak_bytes(run):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            out = run()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def recorded():
+        with Tape():
+            return run_gru(seq, params, 64, lengths)
+
+    plain, plain_peak = peak_bytes(lambda: run_gru(seq, params, 64, lengths))
+    taped, taped_peak = peak_bytes(recorded)
+    assert taped.requires_grad and not plain.requires_grad
+    assert np.array_equal(plain.data, taped.data)
+    assert plain_peak < 0.5 * taped_peak, (plain_peak, taped_peak)
+
+
 # ------------------------------------------------------------------- adadelta
 
 def test_adadelta_zero_gradient_leaves_parameter_decays_accumulators():
