@@ -4,7 +4,8 @@ Every check pits a fast implementation against an independent slow oracle:
 reverse-mode gradients against central finite differences, top-K against a
 full sort, span decoding against exhaustive pair enumeration, excision
 against a flat splice, the fused GRU against its per-step composition of
-tape ops, the attention products against dense loops, and the update rule
+tape ops, the packed sentence scorer against scoring one sentence at a
+time, the attention products against dense loops, and the update rule
 against a bandit with a known optimum.
 
 This module is the only copy of each oracle. Tier-1 runs the same functions
@@ -24,12 +25,14 @@ from .answer import context_query_attention, decode_span, trilinear_similarity
 from .bandit import run_bandit_check
 from .config import RunConfig
 from .controller import Transition, actor_critic_update
-from .encoder import Encoded
+from .encoder import (EncoderConfig, Encoded, create_encoder_params, embed_tokens,
+                      project_embeddings)
 from .errors import ContractError
 from .model import QaModel
 from .nn import create_gru, gru_params, run_gru
 from .params import ParamStore
-from .selector import top_k_indices
+from .selector import (SentenceDist, create_selector_params, score_sentences,
+                       top_k_indices)
 from .subcontext import excise_span
 from .tensor import Tape, Tensor, using_dtype
 from .text import QAExample, TokenDoc, Vocab
@@ -175,10 +178,25 @@ def _op_cases(rng: np.random.Generator):
                     run_gru(pair, params, 4, lengths=[2, 3]), w_pair)),
                     {**params, "seq": pair}))
 
+    def case_embed_tokens():
+        # repeated words and a repeated char row under two word ids, so the
+        # per-distinct-row char max has to send each row's gradient to the
+        # chars of every token that shares it
+        store = ParamStore()
+        store.create("emb.word", (7, 3), rng)
+        store.create("emb.char", (6, 4), rng)
+        tokens = [3, 5, 3, 6, 2]
+        chars = [[1, 4, 0], [2, 2, 5], [1, 4, 0], [1, 4, 0], [3, 0, 0]]
+        w_out = Tensor(rng.normal(0, 1, (5, 7)))
+        return _gradcheck(lambda: T.reduce_sum(T.mul(
+            T.square(embed_tokens(tokens, chars, store)), w_out)),
+            dict(store.items()))
+
     return [("matmul", case_matmul), ("conv1d", case_conv1d),
             ("softmax", case_softmax), ("log_softmax", case_log_softmax),
             ("elementwise", case_elementwise), ("reduce_max", case_reduce_max),
-            ("embedding", case_embedding), ("gru", case_gru)]
+            ("embedding", case_embedding), ("gru", case_gru),
+            ("embed_tokens", case_embed_tokens)]
 
 
 def gru_step(h: Tensor, x: Tensor, params: dict[str, Tensor]) -> Tensor:
@@ -233,6 +251,32 @@ def _pack_lengths(rng: np.random.Generator, n_seqs: int) -> list[int]:
     return lengths
 
 
+def _output_and_grads(forward: Callable[[], Tensor], key: str,
+                      leaves: dict[str, Tensor], w_out: Tensor) -> dict:
+    """``forward()``'s value under ``key`` and the gradient of
+    sum(output * w_out) for each leaf (zeros where none arrives)."""
+    with Tape() as tape:
+        out = forward()
+        tape.backward(T.reduce_sum(T.mul(out, w_out)))
+    result = {key: out.data}
+    for name, p in leaves.items():
+        result[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
+        p.grad = None
+    return result
+
+
+def _worst_mismatch(got: dict, want: dict, tol: float) -> Optional[str]:
+    """The first entry whose max error relative to the oracle's largest
+    magnitude exceeds ``tol``, described, or None when all agree."""
+    for name, w in want.items():
+        g = got[name]
+        err = (np.abs(g - w).max() / max(np.abs(w).max(), 1e-12)
+               if g.shape == w.shape else np.inf)
+        if not err <= tol:
+            return f"{name} off by {err:.2e} relative (bound {tol:.0e})"
+    return None
+
+
 def check_gru_sequence(seed: int = 0, max_len: int = 8, max_pack: int = 5
                        ) -> CheckResult:
     """The fused GRU against the per-step oracle: the final states and all
@@ -270,28 +314,18 @@ def check_gru_sequence(seed: int = 0, max_len: int = 8, max_pack: int = 5
             out_shape = (d_h,) if lengths is None else (len(lengths), d_h)
             w_out = Tensor(rng.normal(0, 1, out_shape))
             leaves = {"seq": seq, **params}
-            results = []
-            for run in (run_gru, gru_steps):
-                with Tape() as tape:
-                    h = (run(seq, params, d_h) if lengths is None
-                         else run(seq, params, d_h, lengths))
-                    tape.backward(T.reduce_sum(T.mul(h, w_out)))
-                grads = {name: p.grad if p.grad is not None else np.zeros_like(p.data)
-                         for name, p in leaves.items()}
-                results.append({"output": h.data, **grads})
-                for p in leaves.values():
-                    p.grad = None
-        fused, oracle = results
-        for name, want in oracle.items():
-            got = fused[name]
-            err = (np.abs(got - want).max() / max(np.abs(want).max(), 1e-12)
-                   if got.shape == want.shape else np.inf)
-            if not err <= tol:
-                what = f"L={length}" if lengths is None else f"pack of lengths {lengths}"
-                return CheckResult(
-                    "gru_sequence", False,
-                    f"{np.dtype(dtype).name} {what} {d_x}->{d_h}: {name} "
-                    f"off by {err:.2e} relative (bound {tol:.0e})")
+            fused, oracle = (
+                _output_and_grads(
+                    lambda: (run(seq, params, d_h) if lengths is None
+                             else run(seq, params, d_h, lengths)),
+                    "output", leaves, w_out)
+                for run in (run_gru, gru_steps))
+        mismatch = _worst_mismatch(fused, oracle, tol)
+        if mismatch:
+            what = f"L={length}" if lengths is None else f"pack of lengths {lengths}"
+            return CheckResult(
+                "gru_sequence", False,
+                f"{np.dtype(dtype).name} {what} {d_x}->{d_h}: {mismatch}")
     singles = sum(lengths is None for _, lengths, *_ in cases)
     packs = [lengths for _, lengths, *_ in cases if lengths is not None]
     return CheckResult("gru_sequence", True,
@@ -301,6 +335,91 @@ def check_gru_sequence(seed: int = 0, max_len: int = 8, max_pack: int = 5
                        f"with empty and tied lengths in float64, 8 of 20-80 rows "
                        f"at 128->512 in float32) matched the per-step oracle in "
                        f"value and all 7 gradients")
+
+
+def embed_tokens_per_token(tokens, char_ids, store: ParamStore) -> Tensor:
+    """Oracle for ``embed_tokens``: the char max over every token's own row."""
+    word_vecs = T.embedding(store["emb.word"], np.asarray(tokens, dtype=np.int64))
+    chars = np.asarray(char_ids, dtype=np.int64)
+    char_vecs = T.embedding(store["emb.char"], chars)      # [n x w_c x d2]
+    pad_mask = (chars != 0).astype(char_vecs.data.dtype)   # PAD id is 0
+    penalty = Tensor((pad_mask - 1.0)[:, :, None] * 1e9)
+    char_max = T.reduce_max(T.add(char_vecs, penalty), axis=1)
+    return T.concat([word_vecs, char_max], axis=1)
+
+
+def score_sentences_loop(q: Encoded, ctx: TokenDoc, cfg: EncoderConfig,
+                         store: ParamStore) -> SentenceDist:
+    """Oracle for ``score_sentences``: embed, project, convolve and pool one
+    sentence at a time."""
+    if ctx.n_sentences < 1:
+        raise ContractError("cannot score an empty context")
+    scores = []
+    for tokens, chars in zip(ctx.sentences, ctx.char_ids):
+        sent = project_embeddings(embed_tokens_per_token(tokens, chars, store),
+                                  cfg, store)
+        seq = T.concat([q.matrix, sent], axis=0)
+        conv = T.relu(T.add(T.conv1d(seq, store["sel.conv_w"]), store["sel.conv_b"]))
+        pooled = T.reduce_max(conv, axis=0)
+        scores.append(T.matmul(pooled, store["sel.score_w"]))
+    logits = T.concat([T.reshape(s, (1,)) for s in scores], axis=0)
+    probs = T.softmax(logits, axis=0)
+    return SentenceDist(probs=probs.data.copy(), logits=logits)
+
+
+def check_selector(seed: int = 0, cases: int = 200) -> CheckResult:
+    """The packed sentence scorer against the one-sentence-at-a-time oracle:
+    logits and the gradients of every parameter and of the question rows.
+
+    Float64 docs of 1..12 sentences of 1..9 tokens drawn from 8 words (so
+    words and char rows repeat), questions of 1..6 rows, positions on and
+    off, selector kernels 3 and 5; bound 1e-9 relative.
+    """
+    rng = np.random.default_rng(seed)
+    vocab = toy_vocab(n_words=11, char_width=4)
+    for case in range(cases):
+        use_positional = case % 2 == 0
+        kernel = (3, 5)[case // 2 % 2]
+        n_sent = int(rng.integers(1, 13))
+        sentences = [[int(t) for t in rng.integers(3, 11, size=rng.integers(1, 10))]
+                     for _ in range(n_sent)]
+        doc = TokenDoc(
+            sentences=sentences,
+            char_ids=[[vocab.char_ids(vocab.word(t)) for t in s] for s in sentences],
+            source_spans=[[(si, ti) for ti in range(len(s))]
+                          for si, s in enumerate(sentences)])
+        m = int(rng.integers(1, 7))
+        with using_dtype(np.float64):
+            cfg = EncoderConfig(d1=5, d2=4, d_model=6, k_s=3, d_f=6, n_heads=2,
+                                use_positional=use_positional)
+            store = ParamStore()
+            create_encoder_params(store, cfg, vocab.n_words, vocab.n_chars, rng)
+            create_selector_params(store, cfg, kernel, 4, rng)
+            # the biases start at zero; perturb everything so that no
+            # gradient path starts out all zero
+            for _, p in store.items():
+                p.data += rng.normal(0, 0.1, p.data.shape)
+            q = Encoded(Tensor(rng.normal(0, 1, (m, cfg.d_model)), requires_grad=True),
+                        np.ones(m, dtype=bool))
+            w_out = Tensor(rng.normal(0, 1, n_sent))
+            leaves = {"question": q.matrix, **dict(store.items())}
+            packed, oracle = (
+                _output_and_grads(lambda: score(q, doc, cfg, store).logits,
+                                  "logits", leaves, w_out)
+                for score in (score_sentences, score_sentences_loop))
+        mismatch = _worst_mismatch(packed, oracle, 1e-9)
+        if mismatch:
+            return CheckResult(
+                "selector", False,
+                f"case {case} ({n_sent} sentences of lengths "
+                f"{[len(s) for s in sentences]}, {m} question rows, kernel "
+                f"{kernel}, positions {'on' if use_positional else 'off'}): "
+                f"{mismatch}")
+    return CheckResult("selector", True,
+                       f"{cases} docs (1..12 sentences of 1..9 tokens, questions "
+                       f"of 1..6 rows, kernels 3 and 5, positions on and off) "
+                       f"matched the one-sentence-at-a-time oracle in logits and "
+                       f"all gradients")
 
 
 def tiny_config(**overrides) -> RunConfig:
@@ -559,6 +678,7 @@ ALL_CHECKS: dict[str, Callable[..., CheckResult]] = {
     "gradient_ops": check_gradient_ops,
     "gradient_end_to_end": check_gradient_end_to_end,
     "gru_sequence": check_gru_sequence,
+    "selector": check_selector,
     "topk": check_topk,
     "excision": check_excision,
     "span_decode": check_span_decode,

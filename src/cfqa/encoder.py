@@ -89,23 +89,38 @@ def _create_block(store: ParamStore, prefix: str, cfg: EncoderConfig,
 def embed_tokens(tokens, char_ids, store: ParamStore) -> Tensor:
     """Per-token vectors: word embedding concat char-embedding row max.
 
-    ``char_ids`` is [n x w_c] with PAD entries excluded from the max.
+    ``char_ids`` is [n x w_c] with PAD entries excluded from the max. The
+    max runs once per distinct char row (a long document repeats a small
+    vocabulary), and each token gathers its row's result back, so the
+    forward values are those of a per-token max.
     """
     word_vecs = T.embedding(store["emb.word"], np.asarray(tokens, dtype=np.int64))
-    chars = np.asarray(char_ids, dtype=np.int64)
-    char_vecs = T.embedding(store["emb.char"], chars)      # [n x w_c x d2]
-    pad_mask = (chars != 0).astype(char_vecs.data.dtype)   # PAD id is 0
+    rows, inverse = np.unique(np.asarray(char_ids, dtype=np.int64), axis=0,
+                              return_inverse=True)
+    char_vecs = T.embedding(store["emb.char"], rows)       # [u x w_c x d2]
+    pad_mask = (rows != 0).astype(char_vecs.data.dtype)    # PAD id is 0
     penalty = Tensor((pad_mask - 1.0)[:, :, None] * 1e9)
     char_max = T.reduce_max(T.add(char_vecs, penalty), axis=1)
-    return T.concat([word_vecs, char_max], axis=1)
+    return T.concat([word_vecs, T.embedding(char_max, inverse.reshape(-1))], axis=1)
+
+
+# one read-only table per (width, dtype), grown to the longest sequence seen
+_POSITIONS: dict[tuple[int, np.dtype], np.ndarray] = {}
 
 
 def sinusoidal_positions(n: int, d: int, dtype) -> np.ndarray:
-    pos = np.arange(n, dtype=np.float64)[:, None]
-    dim = np.arange(d, dtype=np.float64)[None, :]
-    angle = pos / np.power(10000.0, (2 * (dim // 2)) / d)
-    enc = np.where(dim % 2 == 0, np.sin(angle), np.cos(angle))
-    return enc.astype(dtype)
+    """Sinusoidal position rows 0..n-1, a read-only slice of a cached table."""
+    key = (d, np.dtype(dtype))
+    table = _POSITIONS.get(key)
+    if table is None or table.shape[0] < n:
+        rows = max(n, 2 * table.shape[0] if table is not None else 0)
+        pos = np.arange(rows, dtype=np.float64)[:, None]
+        dim = np.arange(d, dtype=np.float64)[None, :]
+        angle = pos / np.power(10000.0, (2 * (dim // 2)) / d)
+        table = np.where(dim % 2 == 0, np.sin(angle), np.cos(angle)).astype(dtype)
+        table.flags.writeable = False
+        _POSITIONS[key] = table
+    return table[:n]
 
 
 def self_attention(x: Tensor, mask: np.ndarray, n_heads: int,
@@ -113,14 +128,17 @@ def self_attention(x: Tensor, mask: np.ndarray, n_heads: int,
                    return_weights: bool = False):
     """Multi-head scaled dot-product attention over one sequence.
 
-    Masked key positions receive exactly zero weight from every query.
+    Masked key positions receive exactly zero weight from every query. An
+    all-true ``mask`` (every real caller's) is not applied at all, and the
+    queries are scaled by 1/sqrt(d_head) before the product, so the only
+    [n x n] passes per head are the product, the softmax and its use.
     """
     d = x.data.shape[1]
     d_head = d // n_heads
-    q_all = T.matmul(x, store[f"{prefix}.attn_q"])
+    q_all = T.mul(T.matmul(x, store[f"{prefix}.attn_q"]), 1.0 / np.sqrt(d_head))
     k_all = T.matmul(x, store[f"{prefix}.attn_k"])
     v_all = T.matmul(x, store[f"{prefix}.attn_v"])
-    key_mask = np.broadcast_to(mask[None, :], (x.data.shape[0], x.data.shape[0]))
+    key_mask = None if mask.all() else mask[None, :]
     head_outs = []
     weights = []
     for h in range(n_heads):
@@ -128,8 +146,7 @@ def self_attention(x: Tensor, mask: np.ndarray, n_heads: int,
         q = T.narrow(q_all, 1, lo, hi)
         k = T.narrow(k_all, 1, lo, hi)
         v = T.narrow(v_all, 1, lo, hi)
-        scores = T.mul(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(d_head))
-        attn = T.softmax(scores, axis=1, mask=key_mask)
+        attn = T.softmax(T.matmul(q, T.transpose(k)), axis=1, mask=key_mask)
         head_outs.append(T.matmul(attn, v))
         if return_weights:
             weights.append(attn.data.copy())
@@ -153,11 +170,20 @@ def encoder_block(x: Tensor, mask: np.ndarray, cfg: EncoderConfig,
 
 
 def project_embeddings(x: Tensor, cfg: EncoderConfig, store: ParamStore,
-                       prefix: str = "enc") -> Tensor:
-    """Map (d1+d2)-wide token vectors to d_model, adding positions if enabled."""
+                       prefix: str = "enc",
+                       positions: Optional[np.ndarray] = None) -> Tensor:
+    """Map (d1+d2)-wide token vectors to d_model, adding positions if enabled.
+
+    Row i gets position ``positions[i]``, by default i; the selector passes
+    each token's place in its own sentence.
+    """
     x = linear(x, store[f"{prefix}.proj_w"], store[f"{prefix}.proj_b"])
     if cfg.use_positional:
-        pos = sinusoidal_positions(x.data.shape[0], cfg.d_model, x.data.dtype)
+        if positions is None:
+            pos = sinusoidal_positions(x.data.shape[0], cfg.d_model, x.data.dtype)
+        else:
+            pos = sinusoidal_positions(int(positions.max(initial=-1)) + 1,
+                                       cfg.d_model, x.data.dtype)[positions]
         x = T.add(x, Tensor(pos))
     return x
 

@@ -31,7 +31,7 @@ from .errors import ContractError, DataError, ExcisionEmptyError
 from .metrics import best_f1, exact_match
 from .selector import select_top_k
 from .subcontext import excise_span
-from .tensor import Tensor, pick, log_softmax, suspend_tape
+from .tensor import Tensor, active_tape, pick, log_softmax, suspend_tape
 from . import tensor as T
 from .text import QAExample, TokenDoc, find_subsequence
 
@@ -183,13 +183,13 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
 
         # cheap pre-check: a span that would cover the whole context makes
         # excision illegal, so mask it before the policy decides
-        cached_span = None
+        cached = None
         covers_all = False
         if (not forced and not cfg.disable_excise and 1 < ctx.n_tokens <= cfg.max_span_len):
             with suspend_tape():
-                cached_span = model.answer(q_enc, ctx_enc).span
-            covers_all = (cached_span.start == 0
-                          and cached_span.end == ctx.n_tokens - 1)
+                cached = model.answer(q_enc, ctx_enc)
+            covers_all = (cached.span.start == 0
+                          and cached.span.end == ctx.n_tokens - 1)
 
         mask = action_mask(ctx, forced, cfg, covers_all)
         probs_t, logp_t, value_t = yield model.state(ctx_enc, q_enc), mask
@@ -205,7 +205,12 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
             aux.append(T.mul(entropy_of(probs_t, logp_t), -cfg.entropy_coef))
 
         if action is ActionId.ANSWER:
-            out = model.answer(q_enc, ctx_enc)
+            # without a tape the pre-check's output is this answer; under a
+            # tape it is recomputed so the span loss can differentiate it
+            if cached is None or active_tape() is not None:
+                out = model.answer(q_enc, ctx_enc)
+            else:
+                out = cached
             flat = ctx.flat_tokens()
             answer_tokens = flat[out.span.start:out.span.end + 1]
             outcome = Answered(answer_tokens, out.span.start, out.span.end)
@@ -241,10 +246,10 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
             continue
 
         # excise: produce a span on the current context and cut it out
-        if cached_span is None:
+        if cached is None:
             with suspend_tape():
-                cached_span = model.answer(q_enc, ctx_enc).span
-        span = (cached_span.start, cached_span.end)
+                cached = model.answer(q_enc, ctx_enc)
+        span = (cached.span.start, cached.span.end)
         try:
             new_ctx, excision = excise_span(ctx, *span)
         except ExcisionEmptyError:

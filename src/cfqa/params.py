@@ -16,6 +16,7 @@ Checkpoint layout (version 1, little-endian throughout):
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Callable, Iterator, Optional
 
@@ -133,38 +134,51 @@ def save_checkpoint(path, store: ParamStore, config_hash: str) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
-    """Read a checkpoint, returning (name -> array, config_hash)."""
+    """Read a checkpoint, returning (name -> array, config_hash).
+
+    Every read is bounds-checked: a truncated, padded or otherwise
+    malformed file raises ``DataError``, never a ``struct`` or numpy error.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != _MAGIC:
         raise DataError(f"{path}: not a checkpoint file (bad magic)")
     off = 8
 
-    def take(fmt):
+    def take(size: int, what: str) -> bytes:
         nonlocal off
-        size = struct.calcsize(fmt)
-        vals = struct.unpack_from(fmt, blob, off)
+        if off + size > len(blob):
+            raise DataError(f"{path}: truncated: {what} needs bytes {off}..{off + size}, "
+                            f"the file has {len(blob)}")
+        chunk = blob[off:off + size]
         off += size
-        return vals
+        return chunk
 
-    (hash_len,) = take("<H")
-    config_hash = blob[off:off + hash_len].decode("utf-8")
-    off += hash_len
-    (count,) = take("<I")
+    def unpack(fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt), what))
+
+    def text(size: int, what: str) -> str:
+        try:
+            return take(size, what).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: {what} is not utf-8") from e
+
+    (hash_len,) = unpack("<H", "the config-hash length")
+    config_hash = text(hash_len, "the config hash")
+    (count,) = unpack("<I", "the parameter count")
     params: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = take("<H")
-        name = blob[off:off + name_len].decode("utf-8")
-        off += name_len
-        code, ndim = take("<BB")
+    for i in range(count):
+        (name_len,) = unpack("<H", f"the name length of parameter {i}")
+        name = text(name_len, f"the name of parameter {i}")
+        if name in params:
+            raise DataError(f"{path}: parameter {name!r} appears twice")
+        code, ndim = unpack("<BB", f"the dtype and rank of {name!r}")
         if code not in _CODE_DTYPES:
             raise DataError(f"{path}: unknown dtype code {code} for {name!r}")
-        shape = tuple(take("<I")[0] for _ in range(ndim))
+        shape = unpack(f"<{ndim}I", f"the extents of {name!r}")
         dtype = _CODE_DTYPES[code]
-        n = int(np.prod(shape)) if shape else 1
-        payload = np.frombuffer(blob, dtype=dtype, count=n, offset=off).reshape(shape)
-        off += n * dtype.itemsize
-        params[name] = payload.copy()
+        payload = take(math.prod(shape) * dtype.itemsize, f"the values of {name!r}")
+        params[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
     if off != len(blob):
         raise DataError(f"{path}: {len(blob) - off} trailing bytes")
     return params, config_hash

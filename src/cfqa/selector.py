@@ -1,8 +1,11 @@
 """Sentence scoring and top-K narrowing.
 
 Each sentence is scored by a small text CNN over the encoded question rows
-concatenated with the sentence's projected token embeddings; a softmax over
-the per-sentence scores gives the selection distribution.
+concatenated with the sentence's projected token embeddings (positions
+counted within the sentence); a softmax over the per-sentence scores gives
+the selection distribution. All sentences of a context are scored in one
+pass: the context is embedded and projected once, and one convolution runs
+over every (question, sentence) sequence packed back to back.
 """
 
 from __future__ import annotations
@@ -35,19 +38,59 @@ def create_selector_params(store: ParamStore, cfg: EncoderConfig,
     store.create("sel.score_w", (n_filters,), rng, fan_in=n_filters)
 
 
+def pack_segments(m: int, lengths: np.ndarray, gap: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Row ids for packing one (question, sentence) sequence per sentence.
+
+    The rows come from ``concat([q, ctx, zero_row])``: ids 0..m-1 are the
+    question, m + t is context token t, and m + N the zero row. Segment i is
+    the question, sentence i (``lengths[i]`` tokens), then ``gap`` zero rows;
+    with ``gap`` = k // 2 a same-padded width-k convolution over the pack
+    sees each segment exactly as it would alone. Returns the pack's row ids
+    and, per segment, the pack positions of its m + L_i real rows, padded to
+    m + max(L) with the segment's first row.
+    """
+    n = int(lengths.sum())
+    seg_len = m + lengths + gap
+    seg_start = np.cumsum(seg_len) - seg_len
+    seg_of = np.repeat(np.arange(lengths.size), seg_len)
+    at = np.arange(int(seg_len.sum())) - seg_start[seg_of]
+    sent_start = (np.cumsum(lengths) - lengths)[seg_of]
+    pack_ids = np.where(at < m, at,
+                        np.where(at < m + lengths[seg_of], sent_start + at, m + n))
+    j = np.arange(m + int(lengths.max()))[None, :]
+    seg_rows = seg_start[:, None] + np.where(j < (m + lengths)[:, None], j, 0)
+    return pack_ids, seg_rows
+
+
 def score_sentences(q: Encoded, ctx: TokenDoc, cfg: EncoderConfig,
                     store: ParamStore) -> SentenceDist:
-    """Distribution over the sentences of ``ctx`` given the encoded question."""
+    """Distribution over the sentences of ``ctx`` given the encoded question.
+
+    Sentence i scores ``max_rows(relu(conv([q; sentence i]) + b)) . w``, where
+    the sentence rows are its projected token embeddings with positions
+    0..L_i-1. One pass scores them all: embed and project the flat context
+    once, gather the sequences into one pack (``pack_segments``), run one
+    convolution over it, and max-pool each segment's rows. A segment's
+    padding repeats its first row, so the max and its first-argmax gradient
+    are those of the segment alone.
+    """
     if ctx.n_sentences < 1:
         raise ContractError("cannot score an empty context")
-    scores = []
-    for tokens, chars in zip(ctx.sentences, ctx.char_ids):
-        sent = project_embeddings(embed_tokens(tokens, chars, store), cfg, store)
-        seq = T.concat([q.matrix, sent], axis=0)
-        conv = T.relu(T.add(T.conv1d(seq, store["sel.conv_w"]), store["sel.conv_b"]))
-        pooled = T.reduce_max(conv, axis=0)
-        scores.append(T.matmul(pooled, store["sel.score_w"]))
-    logits = T.concat([T.reshape(s, (1,)) for s in scores], axis=0)
+    lengths = np.array([len(s) for s in ctx.sentences], dtype=np.int64)
+    local = np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths,
+                                                      lengths)
+    sent = project_embeddings(embed_tokens(ctx.flat_tokens(), ctx.flat_char_ids(),
+                                           store),
+                              cfg, store, positions=local)
+    m = q.matrix.data.shape[0]
+    conv_w = store["sel.conv_w"]
+    pack_ids, seg_rows = pack_segments(m, lengths, conv_w.data.shape[0] // 2)
+    zero_row = Tensor(np.zeros((1, sent.data.shape[1]), dtype=sent.data.dtype))
+    pack = T.embedding(T.concat([q.matrix, sent, zero_row], axis=0), pack_ids)
+    conv = T.relu(T.add(T.conv1d(pack, conv_w), store["sel.conv_b"]))
+    pooled = T.reduce_max(T.embedding(conv, seg_rows), axis=1)   # [S x filters]
+    logits = T.matmul(pooled, store["sel.score_w"])
     probs = T.softmax(logits, axis=0)
     return SentenceDist(probs=probs.data.copy(), logits=logits)
 

@@ -447,9 +447,10 @@ def softmax(a, axis: int = -1, mask: Optional[np.ndarray] = None) -> Tensor:
     """Stable softmax along ``axis``; False entries of ``mask`` get weight 0."""
     a = _wrap(a)
     z = _masked_logits(a.data, mask)
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=axis, keepdims=True)
+    # one buffer: shift, exponentiate and normalise in place
+    out = z - z.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
 
     def vjp(g):
         inner = (g * out).sum(axis=axis, keepdims=True)

@@ -1,9 +1,9 @@
-"""Every ``cfqa check`` oracle passes, and planted faults make six of them fail."""
+"""Every ``cfqa check`` oracle passes, and planted faults make seven of them fail."""
 
 import numpy as np
 import pytest
 
-from cfqa import checks
+from cfqa import checks, selector
 from cfqa import tensor as T
 from cfqa.answer import context_query_attention, decode_span, trilinear_similarity
 from cfqa.nn import run_gru
@@ -120,6 +120,17 @@ def test_gru_sequence_check_catches_a_finished_sequence_that_keeps_stepping(monk
     result = checks.check_gru_sequence()
     assert result.passed is False
     assert "pack of lengths" in result.detail
+
+
+def test_selector_check_catches_sentences_bleeding_into_each_other(monkeypatch):
+    # no zero rows between segments: the convolution at a sentence's last
+    # token reads the next segment's question rows
+    pack_segments = selector.pack_segments
+    monkeypatch.setattr(selector, "pack_segments",
+                        lambda m, lengths, gap: pack_segments(m, lengths, 0))
+    result = checks.check_selector()
+    assert result.passed is False
+    assert "logits" in result.detail
 
 
 # ------------------------------------------------------- finite differences

@@ -1,12 +1,16 @@
 """The cfqa command line and the config file format, end to end."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from cfqa.checks import tiny_config
-from cfqa.cli import EXIT_OK, EXIT_USAGE, main
+from cfqa.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from cfqa.config import RunConfig, load_config, save_config
 
 
@@ -78,3 +82,23 @@ def test_save_then_load_round_trips_a_non_default_config(tmp_path):
     path = tmp_path / "config.txt"
     save_config(path, cfg)
     assert load_config(path) == cfg
+
+
+def test_eval_of_a_truncated_checkpoint_exits_with_a_data_error(trained_run, tmp_path,
+                                                                capsys):
+    data, run_dir = trained_run
+    short = tmp_path / "model.ckpt"
+    short.write_bytes((run_dir / "model.ckpt").read_bytes()[:40])
+    code = main(["eval", "--checkpoint", str(short), "--dataset", str(data),
+                 "--vocab", str(run_dir / "vocab.json"), "--out", str(tmp_path / "eval")])
+    assert code == EXIT_DATA
+    assert "truncated" in capsys.readouterr().err
+
+
+def test_python_dash_m_cfqa_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "cfqa", "check", "--only", "topk"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout.startswith("PASS topk")

@@ -56,6 +56,16 @@ def test_char_max_matches_elementwise_loop(store):
     assert np.allclose(emb.data[0, 6:], expected, atol=1e-6)
 
 
+def test_shared_char_rows_give_the_per_token_max_bit_for_bit(store):
+    from cfqa.checks import embed_tokens_per_token
+
+    tokens = [3, 4, 3, 5, 6, 3]
+    chars = [[2, 5, 0, 0], [3, 0, 0, 0], [2, 5, 0, 0], [2, 5, 0, 0],
+             [3, 0, 0, 0], [7, 8, 1, 4]]
+    assert np.array_equal(embed_tokens(tokens, chars, store).data,
+                          embed_tokens_per_token(tokens, chars, store).data)
+
+
 def test_out_of_range_token_raises(store):
     with pytest.raises(IndexError):
         embed_tokens([99], [[1, 0, 0, 0]], store)
@@ -155,6 +165,21 @@ def test_positions_follow_sine_cosine_pattern():
     assert np.allclose(enc[0], [0.0, 1.0, 0.0, 1.0])
     assert np.allclose(enc[1, 0], np.sin(1.0))
     assert np.allclose(enc[1, 1], np.cos(1.0))
+
+
+def test_positions_are_read_only_slices_of_one_growing_table():
+    short = sinusoidal_positions(5, 6, np.float32).copy()
+    long = sinusoidal_positions(700, 6, np.float32)
+    assert long.shape == (700, 6) and long.dtype == np.float32
+    assert np.array_equal(sinusoidal_positions(5, 6, np.float32), short)
+    assert np.array_equal(long[:5], short)
+    pos = np.arange(700, dtype=np.float64)[:, None]
+    dim = np.arange(6, dtype=np.float64)[None, :]
+    angle = pos / np.power(10000.0, (2 * (dim // 2)) / 6)
+    want = np.where(dim % 2 == 0, np.sin(angle), np.cos(angle)).astype(np.float32)
+    assert np.array_equal(long, want)
+    with pytest.raises(ValueError):
+        long[0, 0] = 1.0
 
 
 def test_same_params_encode_doc_and_question(store):

@@ -275,3 +275,57 @@ def test_lockstep_evaluation_matches_one_episode_at_a_time():
                     [getattr(tr, name).item() for tr in got.trajectory],
                     [getattr(tr, name).item() for tr in want.trajectory],
                     rtol=1e-5, atol=1e-6, err_msg=f"{name} at width {width}")
+
+
+def test_greedy_eval_calls_answer_at_most_once_per_step():
+    # a span cap above every context length runs the excision pre-check on
+    # every unforced step, so an answer at such a step reuses its output
+    from cfqa.checks import tiny_config, tiny_example, toy_vocab
+    from cfqa.model import QaModel
+
+    vocab = toy_vocab()
+    rng = np.random.default_rng(22)
+    dataset = []
+    for i in range(12):
+        ex = tiny_example(rng, vocab, n_sentences=int(rng.integers(1, 6)),
+                          tokens_per_sentence=int(rng.integers(2, 7)),
+                          q_len=int(rng.integers(1, 5)))
+        ex.id = f"a{i}"
+        dataset.append(ex)
+    cfg = tiny_config(seed=22, max_span_len=40)
+    model = QaModel(cfg, vocab, seed=22)
+    want_metrics, want_rows = evaluate(model, dataset, cfg)
+    calls = []
+    real_answer = model.answer
+    model.answer = lambda q_enc, ctx_enc: calls.append(1) or real_answer(q_enc, ctx_enc)
+    for ex in dataset:
+        calls.clear()
+        result = run_episode(model, ex, cfg, "eval")
+        assert len(calls) <= result.n_steps, ex.id
+    calls.clear()
+    metrics, rows = evaluate(model, dataset, cfg)
+    assert (metrics, rows) == (want_metrics, want_rows)
+    assert len(calls) <= sum(row["n_steps"] for row in rows)
+    # some unforced answer came after a pre-check: one call where there were two
+    assert any(step["outcome"] == "answer" and step["ctx_tokens"] > 1
+               for row in rows for step in row["steps"][:cfg.step_cap])
+
+
+def test_train_recomputes_the_answer_under_its_tape():
+    from cfqa.checks import tiny_config, tiny_example, toy_vocab
+    from cfqa.model import QaModel
+    from cfqa.tensor import Tape, Tensor
+
+    vocab = toy_vocab()
+    cfg = tiny_config(seed=5, max_span_len=40, span_loss=True, entropy_coef=0.0)
+    model = QaModel(cfg, vocab, seed=5)
+    ex = tiny_example(np.random.default_rng(5), vocab, n_sentences=1,
+                      tokens_per_sentence=5)
+    always_answer = np.array([1.0, 0.0, 0.0])
+    model.policy = lambda state, action_mask=None, lengths=None: (
+        Tensor(always_answer), Tensor(np.log(always_answer + 1e-12)))
+    with Tape():
+        result = run_episode(model, ex, cfg, "train", rng=np.random.default_rng(0))
+    assert [s.action for s in result.steps] == ["answer"]
+    (span_loss,) = result.aux_losses
+    assert span_loss.requires_grad
