@@ -5,8 +5,9 @@ reverse-mode gradients against central finite differences, top-K against a
 full sort, span decoding against exhaustive pair enumeration, excision
 against a flat splice, the fused GRU against its per-step composition of
 tape ops, the packed sentence scorer against scoring one sentence at a
-time, the attention products against dense loops, and the update rule
-against a bandit with a known optimum.
+time, the attention products against dense loops, the packed training
+update against reading each decision's state on its own, and the update
+rule against a bandit with a known optimum.
 
 This module is the only copy of each oracle. Tier-1 runs the same functions
 (``tests/test_checks.py`` over ``ALL_CHECKS``), and the unit tests that need
@@ -24,9 +25,10 @@ from . import tensor as T
 from .answer import context_query_attention, decode_span, trilinear_similarity
 from .bandit import run_bandit_check
 from .config import RunConfig
-from .controller import Transition, actor_critic_update
+from .controller import Transition, actor_critic_update, entropy_of
 from .encoder import (EncoderConfig, Encoded, create_encoder_params, embed_tokens,
                       project_embeddings)
+from .episode import EpisodeResult, episode_rng, run_episode
 from .errors import ContractError
 from .model import QaModel
 from .nn import create_gru, gru_params, run_gru
@@ -36,6 +38,7 @@ from .selector import (SentenceDist, create_selector_params, score_sentences,
 from .subcontext import excise_span
 from .tensor import Tape, Tensor, using_dtype
 from .text import QAExample, TokenDoc, Vocab
+from .train import update_loss
 
 REL_TOL = 1e-3
 ABS_TOL = 1e-5
@@ -265,12 +268,14 @@ def _output_and_grads(forward: Callable[[], Tensor], key: str,
     return result
 
 
-def _worst_mismatch(got: dict, want: dict, tol: float) -> Optional[str]:
+def _worst_mismatch(got: dict, want: dict, tol: float,
+                    floor: float = 1e-12) -> Optional[str]:
     """The first entry whose max error relative to the oracle's largest
-    magnitude exceeds ``tol``, described, or None when all agree."""
+    magnitude (or to ``floor``, if that is larger) exceeds ``tol``,
+    described, or None when all agree."""
     for name, w in want.items():
         g = got[name]
-        err = (np.abs(g - w).max() / max(np.abs(w).max(), 1e-12)
+        err = (np.abs(g - w).max() / max(np.abs(w).max(), floor)
                if g.shape == w.shape else np.inf)
         if not err <= tol:
             return f"{name} off by {err:.2e} relative (bound {tol:.0e})"
@@ -537,6 +542,106 @@ def check_gradient_end_to_end(seed: int = 0, max_coords: int = 6) -> CheckResult
                        f"{len(params)} parameters matched finite differences")
 
 
+def serial_update_loss(model: QaModel, results: list[EpisodeResult],
+                       cfg: RunConfig) -> Tensor:
+    """Oracle for ``train.update_loss``: each decision's state read by its
+    own recorded ``policy`` and ``value`` call, and the entropy bonus added
+    step by step."""
+    total = None
+    for result in results:
+        transitions: list[Transition] = []
+        aux = list(result.aux_losses)
+        for decision in result.trajectory:
+            probs, log_probs = model.policy(decision.state, action_mask=decision.mask)
+            value = model.value(decision.state)
+            if transitions:
+                transitions[-1].next_value = value
+            log_prob = T.pick(log_probs, int(decision.action))
+            if decision.sel_log_prob is not None:
+                log_prob = T.add(log_prob, decision.sel_log_prob)
+            transitions.append(Transition(decision.action, log_prob, value,
+                                          decision.reward, None))
+            if cfg.entropy_coef > 0.0:
+                aux.append(T.mul(entropy_of(probs, log_probs), -cfg.entropy_coef))
+        loss_actor, loss_critic, _ = actor_critic_update(transitions, cfg.gamma)
+        loss = T.add(loss_actor, loss_critic)
+        for term in aux:
+            loss = T.add(loss, term)
+        total = loss if total is None else T.add(total, loss)
+    return total
+
+
+def check_packed_update(seed: int = 0, rounds: int = 3) -> CheckResult:
+    """The packed update loss (one recorded actor and critic pass over all
+    of a batch's states) against the per-decision oracle: the summed loss
+    and every parameter gradient, within 1e-9 relative (to the largest
+    gradient entry of the model, for a parameter whose own entries are all
+    smaller).
+
+    Float64 tiny models; per round, batches of 1 and 4 train episodes at
+    ``entropy_coef`` 0 and 0.1. Documents of 1..5 sentences, so episodes
+    end after different numbers of steps; the sampled episodes must take
+    all three actions, or the check fails for lack of coverage.
+    """
+    vocab = toy_vocab()
+    rng = np.random.default_rng(seed)
+    actions: dict[str, int] = {"answer": 0, "select": 0, "excise": 0}
+    n_batches = n_episodes = 0
+    for rnd in range(rounds):
+        for batch_size in (1, 4):
+            for coef in (0.0, 0.1):
+                with using_dtype(np.float64):
+                    cfg = tiny_config(seed=seed * 1000 + n_batches, entropy_coef=coef,
+                                      batch_size=batch_size)
+                    model = QaModel(cfg, vocab, seed=cfg.seed)
+                    batch = []
+                    for j in range(batch_size):
+                        ex = tiny_example(rng, vocab, n_sentences=int(rng.integers(1, 6)),
+                                          tokens_per_sentence=int(rng.integers(2, 6)),
+                                          q_len=int(rng.integers(1, 4)))
+                        ex.id = f"packed-{n_batches}-{j}"
+                        batch.append(ex)
+                    taken: list[str] = []
+
+                    def rolled_out(loss_fn):
+                        # the episodes play on the tape the loss is read on
+                        results = [run_episode(model, ex, cfg, "train",
+                                               episode_rng(cfg.seed, ex.id))
+                                   for ex in batch]
+                        taken[:] = [rec.action for r in results for rec in r.steps]
+                        return loss_fn(model, results, cfg)
+
+                    packed, oracle = (
+                        _output_and_grads(lambda: rolled_out(loss_fn), "loss",
+                                          dict(model.store.items()), Tensor(1.0))
+                        for loss_fn in (lambda *a: update_loss(*a)[0],
+                                        serial_update_loss))
+                # a gradient that cancels to round-off is measured against
+                # the largest one: the selector's conv bias, once every pooled
+                # feature is active, shifts all sentence scores alike, and the
+                # softmax cancels that
+                scale = max(np.abs(w).max() for name, w in oracle.items()
+                            if name != "loss")
+                mismatch = _worst_mismatch(packed, oracle, 1e-9, floor=scale)
+                if mismatch:
+                    return CheckResult(
+                        "packed_update", False,
+                        f"round {rnd}, batch of {batch_size}, entropy_coef {coef} "
+                        f"(actions {taken}): {mismatch}")
+                n_batches += 1
+                n_episodes += batch_size
+                for action in taken:
+                    actions[action] += 1
+    if min(actions.values()) == 0:
+        return CheckResult("packed_update", False,
+                           f"the sampled episodes never took every action: {actions}")
+    return CheckResult("packed_update", True,
+                       f"{n_batches} batches ({n_episodes} episodes, "
+                       f"{sum(actions.values())} decisions: {actions}; batches of 1 "
+                       f"and 4, entropy_coef 0 and 0.1) matched the per-decision "
+                       f"oracle in the summed loss and every parameter gradient")
+
+
 def check_topk(seed: int = 0, cases: int = 1000) -> CheckResult:
     rng = np.random.default_rng(seed)
     for case in range(cases):
@@ -685,6 +790,7 @@ ALL_CHECKS: dict[str, Callable[..., CheckResult]] = {
     "trilinear": check_trilinear,
     "attention_b": check_attention_b,
     "bandit": check_bandit,
+    "packed_update": check_packed_update,
 }
 
 

@@ -55,7 +55,14 @@ ActionOutcome = Union[Answered, Narrowed, Excised]
 
 @dataclass
 class Transition:
-    """One step of a trajectory, holding live tensors during training."""
+    """One step of a trajectory as the actor-critic update reads it.
+
+    ``train()`` builds these from the recorded packed actor and critic pass
+    over a batch's states, so every tensor is live on the update's tape:
+    ``log_prob`` is the taken action's log-probability (plus the kept
+    sentences' on a SELECT step), ``value`` the state's critic value and
+    ``next_value`` the next state's.
+    """
     action: ActionId
     log_prob: Tensor
     value: Tensor
@@ -174,7 +181,8 @@ def actor_critic_update(trajectory: list[Transition], gamma: float,
 
 
 def entropy_of(probs: Tensor, log_probs: Tensor) -> Tensor:
-    """Policy entropy; masked actions contribute zero."""
+    """Policy entropy, summed over every row given; masked actions
+    contribute zero."""
     return T.mul(T.reduce_sum(T.mul(probs, log_probs)), -1.0)
 
 

@@ -8,10 +8,14 @@ the configured mode (one final reward by default, per-step shaped rewards
 behind a flag).
 
 The step loop is a generator (``episode_steps``) that hands out each state
-and waits for the controller's reading of it, so one copy of the step logic
-serves both drivers: ``run_episode`` plays one episode at a time, and
-``evaluate`` plays a batch of greedy episodes in lockstep and reads all
-their states with one actor and one critic call per round.
+and waits for the actor's action probabilities for it, so one copy of the
+step logic serves both drivers: ``run_episode`` plays one episode at a
+time, and ``run_lockstep`` plays a batch of greedy episodes together and
+reads all their states with one actor call per round. Acting needs only
+those probabilities, so both drivers read the actor with no tape and never
+run the critic. Each step instead records what learning needs (``Decision``):
+``train()`` reads every state of a batch again, in one recorded actor and
+one recorded critic pass, and builds the actor-critic transitions from that.
 """
 
 from __future__ import annotations
@@ -24,8 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .config import RunConfig
-from .controller import (ActionId, Answered, Excised, Narrowed, Transition,
-                         compute_reward, entropy_of)
+from .controller import ActionId, Answered, Excised, Narrowed, compute_reward
 from .answer import span_nll
 from .errors import ContractError, DataError, ExcisionEmptyError
 from .metrics import best_f1, exact_match
@@ -56,16 +59,33 @@ class StepRecord:
 
 
 @dataclass
+class Decision:
+    """One decision as the episode made it, kept for the actor-critic update.
+
+    ``state`` is the controller input (live under a tape; None in eval,
+    where nothing reads it again), ``mask`` the legal actions and ``probs``
+    the [3] actor probabilities the action was drawn from. ``sel_log_prob`` is the log-probability of the kept
+    sentences on a SELECT step, added to the action's own log-probability,
+    and None otherwise. ``reward`` is the placed reward.
+    """
+    action: ActionId
+    state: Optional[Tensor]
+    mask: np.ndarray
+    probs: np.ndarray
+    sel_log_prob: Optional[Tensor]
+    reward: float
+
+
+@dataclass
 class EpisodeResult:
     answer_tokens: list[int]
-    trajectory: list[Transition]
+    trajectory: list[Decision]
     steps: list[StepRecord]
     n_steps: int
     forced: bool            # the step cap forced the answer
     em: int
     f1: float
     aux_losses: list[Tensor] = field(default_factory=list)
-    question_fingerprints: list[bytes] = field(default_factory=list)
 
 
 @dataclass
@@ -127,17 +147,19 @@ def run_episode(model, example: QAExample, cfg: RunConfig, mode: str,
                 check_invariants: bool = False) -> EpisodeResult:
     """Play one episode; in train mode the policy samples, in eval it argmaxes.
 
-    Drives one ``episode_steps`` generator, reading each state with
-    ``model.policy`` and ``model.value``. The returned trajectory carries
-    live tensors when a tape is active, so the caller can turn it into
+    Drives one ``episode_steps`` generator, reading each state with one
+    ``model.policy`` call under ``suspend_tape``; the critic does not run.
+    When a tape is active, the trajectory's states and selector terms are
+    live, so ``train()`` can read them again on the tape and turn them into
     losses; eval runs are pure numpy.
     """
     steps = episode_steps(model, example, cfg, mode, rng, check_invariants)
     state, mask = next(steps)
     while True:
-        probs, log_probs = model.policy(state, action_mask=mask)
+        with suspend_tape():
+            probs, _ = model.policy(state, action_mask=mask)
         try:
-            state, mask = steps.send((probs, log_probs, model.value(state)))
+            state, mask = steps.send(probs.data)
         except StopIteration as done:
             return done.value
 
@@ -148,8 +170,8 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
     """The step loop of one episode, as a generator.
 
     Before each decision it yields ``(state, action_mask)`` and expects the
-    controller's ``(probs, log_probs, value)`` for that state to be sent
-    back: [3], [3] and a scalar. It returns the ``EpisodeResult``.
+    actor's [3] action probabilities for that state, as an array, to be sent
+    back. It returns the ``EpisodeResult``.
     """
     if mode not in ("train", "eval"):
         raise ContractError(f"mode must be train or eval, got {mode!r}")
@@ -158,13 +180,12 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
         raise ContractError("train mode needs an rng for action sampling")
 
     q_enc = model.encode_question(example)
-    q_bytes = q_enc.matrix.data.tobytes()
+    q_bytes = q_enc.matrix.data.tobytes() if check_invariants else None
     ctx = example.doc
     k_budget = cfg.k_initial
-    trajectory: list[Transition] = []
+    trajectory: list[Decision] = []
     steps: list[StepRecord] = []
     aux: list[Tensor] = []
-    fingerprints: list[bytes] = []
     prev_token_count = ctx.n_tokens
     answer_tokens: list[int] = []
     forced_answer = False
@@ -177,7 +198,6 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
             if q_enc.matrix.data.tobytes() != q_bytes:
                 raise ContractError("question encoding changed during episode")
         prev_token_count = ctx.n_tokens
-        fingerprints.append(q_bytes)
 
         ctx_enc = model.encode_doc(ctx)
 
@@ -192,17 +212,17 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
                           and cached.span.end == ctx.n_tokens - 1)
 
         mask = action_mask(ctx, forced, cfg, covers_all)
-        probs_t, logp_t, value_t = yield model.state(ctx_enc, q_enc), mask
-        if trajectory:
-            trajectory[-1].next_value = value_t
+        state = model.state(ctx_enc, q_enc)
+        probs = yield state, mask
+        if not train:
+            # only the update reads a state again: an eval result keeps no
+            # [rows x d_model] copy per step
+            state = None
 
         if train:
-            action = ActionId(int(rng.choice(3, p=_renorm(probs_t.data))))
+            action = ActionId(int(rng.choice(3, p=_renorm(probs))))
         else:
-            action = ActionId(int(np.argmax(probs_t.data)))
-        log_prob = pick(logp_t, int(action))
-        if train and cfg.entropy_coef > 0.0:
-            aux.append(T.mul(entropy_of(probs_t, logp_t), -cfg.entropy_coef))
+            action = ActionId(int(np.argmax(probs)))
 
         if action is ActionId.ANSWER:
             # without a tape the pre-check's output is this answer; under a
@@ -215,7 +235,7 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
             answer_tokens = flat[out.span.start:out.span.end + 1]
             outcome = Answered(answer_tokens, out.span.start, out.span.end)
             reward = compute_reward(action, outcome, example.gold_answers, ctx, None)
-            trajectory.append(Transition(action, log_prob, value_t, reward, None))
+            trajectory.append(Decision(action, state, mask, probs, None, reward))
             steps.append(StepRecord("answer", ctx.n_tokens, reward,
                                     (out.span.start, out.span.end)))
             forced_answer = forced
@@ -234,9 +254,11 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
             # selection trains through the policy loss: credit the chosen
             # sentences alongside the action choice itself
             sel_logp = log_softmax(dist.logits, axis=0)
-            for i in kept:
-                log_prob = T.add(log_prob, pick(sel_logp, i))
-            trajectory.append(Transition(action, log_prob, value_t, reward, None))
+            sel_log_prob = pick(sel_logp, kept[0])
+            for i in kept[1:]:
+                sel_log_prob = T.add(sel_log_prob, pick(sel_logp, i))
+            trajectory.append(Decision(action, state, mask, probs, sel_log_prob,
+                                       reward))
             steps.append(StepRecord("select", ctx.n_tokens, reward))
             if train and cfg.selector_loss:
                 gold_sent = _gold_sentence_in(ctx, example.gold_answers)
@@ -261,13 +283,13 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
             outcome = Answered(answer_tokens, *span)
             reward = compute_reward(ActionId.ANSWER, outcome,
                                     example.gold_answers, ctx, None)
-            trajectory.append(Transition(action, log_prob, value_t, reward, None))
+            trajectory.append(Decision(action, state, mask, probs, None, reward))
             steps.append(StepRecord("excise", ctx.n_tokens, reward, span,
                                     outcome="answer"))
             break
         outcome = Excised(excision)
         reward = compute_reward(action, outcome, example.gold_answers, ctx, new_ctx)
-        trajectory.append(Transition(action, log_prob, value_t, reward, None))
+        trajectory.append(Decision(action, state, mask, probs, None, reward))
         steps.append(StepRecord("excise", ctx.n_tokens, reward, span))
         ctx = new_ctx
 
@@ -278,8 +300,7 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
     f1 = best_f1(answer_tokens, example.gold_answers) if answer_tokens else 0.0
     result = EpisodeResult(answer_tokens=answer_tokens, trajectory=trajectory,
                            steps=steps, n_steps=len(trajectory),
-                           forced=forced_answer, em=em, f1=f1, aux_losses=aux,
-                           question_fingerprints=fingerprints)
+                           forced=forced_answer, em=em, f1=f1, aux_losses=aux)
     if check_invariants:
         _check_episode(result, cfg)
     return result
@@ -291,7 +312,7 @@ def _renorm(p: np.ndarray) -> np.ndarray:
     return p / p.sum()
 
 
-def _place_rewards(trajectory: list[Transition], mode: str) -> None:
+def _place_rewards(trajectory: list[Decision], mode: str) -> None:
     if mode == "shaped":
         return
     # single final reward: intermediate steps get zero, the terminal answer
@@ -308,8 +329,6 @@ def _check_episode(result: EpisodeResult, cfg: RunConfig) -> None:
         raise ContractError("episodes must answer exactly once, at the end")
     if result.forced != (result.n_steps == cfg.step_cap + 1):
         raise ContractError("only the step cap may force an answer")
-    if len(set(result.question_fingerprints)) > 1:
-        raise ContractError("question fingerprint changed")
 
 
 def run_lockstep(model, dataset: list[QAExample], cfg: RunConfig
@@ -317,11 +336,11 @@ def run_lockstep(model, dataset: list[QAExample], cfg: RunConfig
     """Greedy episodes over ``dataset``, up to ``cfg.batch_size`` in flight.
 
     Each round packs the pending states of the episodes in flight back to
-    back and reads them with one ``model.policy`` and one ``model.value``
-    call, so both GRUs step all of them together. An episode that finishes
-    frees its slot for the next example. Forward only: each episode gets
-    its own rows of the outputs as plain arrays. Results come back in
-    dataset order.
+    back and reads them with one ``model.policy`` call under
+    ``suspend_tape``, so the actor GRU steps all of them together; the
+    critic does not run. An episode that finishes frees its slot for the
+    next example. Each episode gets its own row of the probabilities as a
+    plain array. Results come back in dataset order.
     """
     results: list[Optional[EpisodeResult]] = [None] * len(dataset)
     queue = iter(enumerate(dataset))
@@ -334,16 +353,13 @@ def run_lockstep(model, dataset: list[QAExample], cfg: RunConfig
             return results
         states = [pending[0] for _, _, pending in in_flight]
         lengths = [state.data.shape[0] for state in states]
-        packed = T.concat(states, axis=0)
         masks = np.stack([pending[1] for _, _, pending in in_flight])
-        probs, log_probs = model.policy(packed, masks, lengths)
-        values = model.value(packed, lengths)
+        with suspend_tape():
+            probs, _ = model.policy(T.concat(states, axis=0), masks, lengths)
         still = []
         for row, (index, steps, _) in enumerate(in_flight):
-            reading = (Tensor(probs.data[row]), Tensor(log_probs.data[row]),
-                       Tensor(values.data[row]))
             try:
-                still.append((index, steps, steps.send(reading)))
+                still.append((index, steps, steps.send(probs.data[row])))
             except StopIteration as done:
                 results[index] = done.value
         in_flight = still

@@ -618,16 +618,19 @@ def gru_sequence(seq, lengths, w_gates, u_gates, b_gates, w_cand, u_cand,
         da_gates = np.empty((n_rows, 2 * d_h), dtype=dtype)
         da_cand = np.empty((n_rows, d_h), dtype=dtype)
         dh = np.asarray(g, dtype=dtype)[order]
+        # contiguous transposes: a product with a strided ``.T`` view runs
+        # ~2x slower at a few rows per step
+        ug_t, uc_t = np.ascontiguousarray(ug.T), np.ascontiguousarray(uc.T)
         for lo, hi in zip(bounds[-2::-1], bounds[:0:-1]):
             hp, z, r, c = h_prev[lo:hi], zs[lo:hi], rs[lo:hi], cs[lo:hi]
             d = dh[:hi - lo]
             da_c = d * z * (1.0 - c * c)
             da_cand[lo:hi] = da_c
-            d_rh = da_c @ uc.T
+            d_rh = da_c @ uc_t
             da_g = da_gates[lo:hi]
             da_g[:, :d_h] = d * (c - hp) * z * (1.0 - z)
             da_g[:, d_h:] = d_rh * hp * r * (1.0 - r)
-            dh[:hi - lo] = d * (1.0 - z) + d_rh * r + da_g @ ug.T
+            dh[:hi - lo] = d * (1.0 - z) + d_rh * r + da_g @ ug_t
         dx = None
         if seq.requires_grad:
             dx = da_gates @ wg.T + da_cand @ wc.T

@@ -1,18 +1,21 @@
-"""Batch training: roll out episodes, sum their losses, one optimizer step."""
+"""Batch training: roll out episodes, read their states in one packed pass,
+sum their losses, one optimizer step."""
 
 from __future__ import annotations
 
 import json
+import time
 from collections import Counter
 from typing import Callable, Optional
 
 import numpy as np
 
 from .config import RunConfig
-from .controller import actor_critic_update
-from .episode import episode_rng, evaluate, run_episode
+from . import tensor as T
+from .controller import ActionId, Transition, actor_critic_update, entropy_of
+from .episode import Decision, EpisodeResult, episode_rng, evaluate, run_episode
 from .model import QaModel
-from .tensor import Tape, add
+from .tensor import Tape, Tensor
 from .text import QAExample
 
 
@@ -34,52 +37,125 @@ class _ExampleSampler:
         return out
 
 
+def episode_transitions(trajectory: list[Decision], log_probs: Tensor,
+                        values: Tensor, start: int) -> list[Transition]:
+    """The ``Transition``s of one episode whose states are rows ``start``
+    onwards of a packed actor and critic pass: each step's log-probability
+    is its row's entry for the taken action plus its selector term, and its
+    next value is the next row's value."""
+    transitions = []
+    for row, decision in enumerate(trajectory, start):
+        log_prob = T.pick(log_probs, (row, int(decision.action)))
+        if decision.sel_log_prob is not None:
+            log_prob = T.add(log_prob, decision.sel_log_prob)
+        transitions.append(Transition(decision.action, log_prob,
+                                      T.pick(values, row), decision.reward, None))
+    for tr, following in zip(transitions, transitions[1:]):
+        tr.next_value = following.value
+    return transitions
+
+
+def update_loss(model: QaModel, results: list[EpisodeResult], cfg: RunConfig
+                ) -> tuple[Tensor, dict]:
+    """The summed loss of one update's episodes, and its train-log fields.
+
+    Every state of every episode is packed back to back and read once by a
+    recorded ``model.policy`` and once by a recorded ``model.value`` call,
+    so each GRU runs forward and backward once per update. Per episode the
+    actor and critic losses come from ``actor_critic_update`` over its
+    ``episode_transitions``, plus its auxiliary losses; the entropy bonus
+    covers all rows at once. Call it under the tape the episodes ran on.
+    """
+    decisions = [d for result in results for d in result.trajectory]
+    lengths = [d.state.data.shape[0] for d in decisions]
+    packed = T.concat([d.state for d in decisions], axis=0)
+    masks = np.stack([d.mask for d in decisions])
+    probs, log_probs = model.policy(packed, masks, lengths)
+    values = model.value(packed, lengths)
+
+    la_sum = lc_sum = aux_sum = 0.0
+    deltas_all: list[float] = []
+    total = None
+    start = 0
+    for result in results:
+        loss_actor, loss_critic, deltas = actor_critic_update(
+            episode_transitions(result.trajectory, log_probs, values, start),
+            cfg.gamma)
+        start += len(result.trajectory)
+        loss = T.add(loss_actor, loss_critic)
+        for aux in result.aux_losses:
+            loss = T.add(loss, aux)
+            aux_sum += float(aux.item())
+        total = loss if total is None else T.add(total, loss)
+        la_sum += float(loss_actor.item())
+        lc_sum += float(loss_critic.item())
+        deltas_all.extend(deltas)
+    # masked actions have probability 0, so they add nothing here
+    entropies = -(probs.data * log_probs.data).sum(axis=1)
+    if cfg.entropy_coef > 0.0:
+        bonus = T.mul(entropy_of(probs, log_probs), -cfg.entropy_coef)
+        total = T.add(total, bonus)
+        aux_sum += float(bonus.item())
+
+    n = len(results)
+    actions = Counter(rec.action for result in results for rec in result.steps)
+    mean_probs = probs.data.mean(axis=0)
+    record = {
+        "loss_actor": la_sum / n,
+        "loss_critic": lc_sum / n,
+        "loss_aux": aux_sum / n,
+        "mean_delta": float(np.mean(deltas_all)),
+        "train_em": sum(result.em for result in results) / n,
+        "actions": dict(actions),
+        "policy_entropy": float(entropies.mean()),
+        "mean_action_probs": {action.name.lower(): float(p)
+                              for action, p in zip(ActionId, mean_probs)},
+        "mean_value": float(values.data.mean()),
+    }
+    return total, record
+
+
 def train(model: QaModel, train_set: list[QAExample], cfg: RunConfig,
           eval_set: Optional[list[QAExample]] = None,
           log_line: Optional[Callable[[str], None]] = None) -> dict:
-    """Run ``cfg.updates`` optimizer steps; returns summary statistics."""
+    """Run ``cfg.updates`` optimizer steps; returns summary statistics.
+
+    An update plays its ``cfg.batch_size`` episodes one at a time with
+    ``run_episode`` under one tape. The actor acts from tape-free readings
+    and the critic does not run. Once the episodes have ended,
+    ``update_loss`` reads all their states with one recorded actor and one
+    recorded critic pass; one backward and one optimizer step follow. Each
+    train-log record adds the wall-clock totals of the three phases:
+    ``rollout_ms`` (episodes and the packed pass), ``backward_ms`` and
+    ``step_ms``.
+    """
     sampler = _ExampleSampler(len(train_set), cfg.seed)
     passes: Counter = Counter()
     history = []
     last_eval = None
     for update in range(cfg.updates):
         idxs = sampler.draw(cfg.batch_size)
-        action_hist: Counter = Counter()
-        deltas_all: list[float] = []
-        la_sum = lc_sum = aux_sum = 0.0
-        em_sum = 0
+        started = time.perf_counter()
         with Tape() as tape:
-            total = None
+            results = []
             for i in idxs:
                 example = train_set[i]
                 rng = episode_rng(cfg.seed, example.id, passes[example.id])
                 passes[example.id] += 1
-                result = run_episode(model, example, cfg, "train", rng)
-                loss_actor, loss_critic, deltas = actor_critic_update(
-                    result.trajectory, cfg.gamma)
-                loss = add(loss_actor, loss_critic)
-                for aux in result.aux_losses:
-                    loss = add(loss, aux)
-                    aux_sum += float(aux.item())
-                total = loss if total is None else add(total, loss)
-                la_sum += float(loss_actor.item())
-                lc_sum += float(loss_critic.item())
-                deltas_all.extend(deltas)
-                em_sum += result.em
-                for rec in result.steps:
-                    action_hist[rec.action] += 1
+                results.append(run_episode(model, example, cfg, "train", rng))
+            total, record = update_loss(model, results, cfg)
+            rolled_out = time.perf_counter()
             tape.backward(total)
+        backward_done = time.perf_counter()
         model.store.apply_gradients()
-        record = {
+        stepped = time.perf_counter()
+        record.update({
             "update": update,
-            "loss_actor": la_sum / cfg.batch_size,
-            "loss_critic": lc_sum / cfg.batch_size,
-            "loss_aux": aux_sum / cfg.batch_size,
-            "mean_delta": float(np.mean(deltas_all)) if deltas_all else 0.0,
-            "train_em": em_sum / cfg.batch_size,
-            "actions": dict(action_hist),
             "skipped_nonfinite": model.store.skipped_nonfinite,
-        }
+            "rollout_ms": 1000 * (rolled_out - started),
+            "backward_ms": 1000 * (backward_done - rolled_out),
+            "step_ms": 1000 * (stepped - backward_done),
+        })
         if eval_set and cfg.eval_every and (update + 1) % cfg.eval_every == 0:
             metrics, _ = evaluate(model, eval_set, cfg)
             record["eval"] = metrics.to_dict()

@@ -43,8 +43,9 @@ class ScriptedModel:
     Lockstep evaluation interleaves episodes, so nothing about the current
     episode lives on the stub: a question encoding is tagged with its
     episode, a context encoding with its context, and each state's rows hold
-    a key to the (context, step) it was built for. ``policy`` and ``value``
-    accept states packed back to back with ``lengths``, like ``QaModel``.
+    a key to the (context, step) it was built for. ``policy`` accepts
+    states packed back to back with ``lengths``, like ``QaModel``; acting
+    never reads the critic, so the stub has no ``value``.
     """
 
     def __init__(self, seed: int = 0, d_model: int = 4, policy_fn=None,
@@ -94,9 +95,6 @@ class ScriptedModel:
         if lengths is None:
             probs = probs[0]
         return Tensor(probs), Tensor(np.log(np.maximum(probs, 1e-12)))
-
-    def value(self, state, lengths=None):
-        return Tensor(np.zeros(() if lengths is None else len(lengths)))
 
     def sentence_dist(self, q_enc, ctx):
         probs = np.asarray(self.dist_fn(ctx, self.rng), dtype=np.float64)

@@ -1,9 +1,9 @@
-"""Every ``cfqa check`` oracle passes, and planted faults make seven of them fail."""
+"""Every ``cfqa check`` oracle passes, and planted faults make eight of them fail."""
 
 import numpy as np
 import pytest
 
-from cfqa import checks, selector
+from cfqa import checks, selector, train
 from cfqa import tensor as T
 from cfqa.answer import context_query_attention, decode_span, trilinear_similarity
 from cfqa.nn import run_gru
@@ -131,6 +131,21 @@ def test_selector_check_catches_sentences_bleeding_into_each_other(monkeypatch):
     result = checks.check_selector()
     assert result.passed is False
     assert "logits" in result.detail
+
+
+def test_packed_update_check_catches_next_value_from_the_wrong_row(monkeypatch):
+    transitions = train.episode_transitions
+
+    def next_value_from_its_own_row(trajectory, log_probs, values, start):
+        out = transitions(trajectory, log_probs, values, start)
+        for tr in out[:-1]:
+            tr.next_value = tr.value
+        return out
+
+    monkeypatch.setattr(train, "episode_transitions", next_value_from_its_own_row)
+    result = checks.check_packed_update()
+    assert result.passed is False
+    assert "loss off by" in result.detail
 
 
 # ------------------------------------------------------- finite differences

@@ -5,7 +5,7 @@ from cfqa.config import RunConfig
 from cfqa.controller import ActionId
 from cfqa.episode import (EpisodeResult, RunMetrics, action_mask, episode_rng,
                           evaluate, run_episode, run_lockstep)
-from cfqa.errors import DataError
+from cfqa.errors import ContractError, DataError
 from helpers import (ScriptedModel, make_example, oracle_components,
                      pinned_policy)
 
@@ -154,6 +154,18 @@ def test_invariants_over_random_policies_and_examples():
     assert refusals > 0
 
 
+def test_question_encoding_changed_mid_episode_breaks_the_invariants():
+    class MutatesQuestion(ScriptedModel):
+        def state(self, ctx_enc, q_enc):
+            q_enc.matrix.data += 1.0
+            return super().state(ctx_enc, q_enc)
+
+    ex = make_example(np.random.default_rng(19), n_sentences=6)
+    model = MutatesQuestion(seed=19, policy_fn=pinned_policy(ActionId.SELECT))
+    with pytest.raises(ContractError, match="question encoding"):
+        run_episode(model, ex, engine_cfg(), "eval", check_invariants=True)
+
+
 def test_episode_rng_is_deterministic_per_example():
     a = episode_rng(5, "ex-1", 0).integers(0, 1000, 5)
     b = episode_rng(5, "ex-1", 0).integers(0, 1000, 5)
@@ -270,11 +282,34 @@ def test_lockstep_evaluation_matches_one_episode_at_a_time():
         for got, want in zip(run_lockstep(model, dataset, wide), serial):
             assert [tr.action for tr in got.trajectory] == \
                 [tr.action for tr in want.trajectory]
-            for name in ("value", "log_prob"):
-                np.testing.assert_allclose(
-                    [getattr(tr, name).item() for tr in got.trajectory],
-                    [getattr(tr, name).item() for tr in want.trajectory],
-                    rtol=1e-5, atol=1e-6, err_msg=f"{name} at width {width}")
+            # the probabilities each action was taken from
+            np.testing.assert_allclose(
+                np.stack([tr.probs for tr in got.trajectory]),
+                np.stack([tr.probs for tr in want.trajectory]),
+                rtol=1e-5, atol=1e-6, err_msg=f"probs at width {width}")
+
+
+def test_acting_never_runs_the_critic():
+    from cfqa.checks import tiny_config, tiny_example, toy_vocab
+    from cfqa.model import QaModel
+
+    vocab = toy_vocab()
+    rng = np.random.default_rng(23)
+    dataset = []
+    for i in range(6):
+        ex = tiny_example(rng, vocab, n_sentences=int(rng.integers(1, 5)))
+        ex.id = f"c{i}"
+        dataset.append(ex)
+    cfg = tiny_config(seed=23, batch_size=3)
+    model = QaModel(cfg, vocab, seed=23)
+    calls = []
+    real_value = model.value
+    model.value = lambda *args, **kw: calls.append(1) or real_value(*args, **kw)
+    _, rows = evaluate(model, dataset, cfg)
+    results = [run_episode(model, ex, cfg, "eval") for ex in dataset]
+    assert sum(row["n_steps"] for row in rows) > len(dataset)
+    assert [r.n_steps for r in results] == [row["n_steps"] for row in rows]
+    assert calls == []
 
 
 def test_greedy_eval_calls_answer_at_most_once_per_step():

@@ -1,10 +1,13 @@
-"""The train loop refuses a non-finite update and says so in its log."""
+"""The train loop: a non-finite update is refused and logged, each update
+reads the controller once on its tape, and the log says how the policy,
+the critic and the time moved."""
 
 import itertools
 import json
 import math
 
 import numpy as np
+import pytest
 
 import cfqa.train
 from cfqa import tensor as T
@@ -38,3 +41,65 @@ def test_nonfinite_loss_skips_the_update_and_is_logged(monkeypatch):
     assert states[0] == before
     assert states[1] != before
     assert [r["skipped_nonfinite"] for r in records] == [1, 1]
+
+
+def _one_update(**overrides):
+    """A tiny model, four examples of mixed sizes and a config for one
+    ``train()`` update over them."""
+    vocab = toy_vocab()
+    cfg = tiny_config(updates=1, batch_size=4, **overrides)
+    model = QaModel(cfg, vocab, seed=3)
+    rng = np.random.default_rng(3)
+    examples = []
+    for i in range(cfg.batch_size):
+        ex = tiny_example(rng, vocab, n_sentences=int(rng.integers(1, 5)),
+                          tokens_per_sentence=int(rng.integers(2, 6)))
+        ex.id = f"u{i}"
+        examples.append(ex)
+    return model, examples, cfg
+
+
+def test_one_update_reads_actor_and_critic_once_on_the_tape():
+    model, examples, cfg = _one_update()
+    calls = []     # (which, under a tape, states read)
+    real_policy, real_value = model.policy, model.value
+
+    def policy(state, action_mask=None, lengths=None):
+        calls.append(("policy", T.active_tape() is not None,
+                      1 if lengths is None else len(lengths)))
+        return real_policy(state, action_mask, lengths)
+
+    def value(state, lengths=None):
+        calls.append(("value", T.active_tape() is not None,
+                      1 if lengths is None else len(lengths)))
+        return real_value(state, lengths)
+
+    model.policy, model.value = policy, value
+    records = []
+    cfqa.train.train(model, examples, cfg,
+                     log_line=lambda line: records.append(json.loads(line)))
+    (record,) = records
+    decisions = sum(record["actions"].values())
+    assert decisions > len(examples)      # some episode took several steps
+    # acting: one tape-free actor reading per decision, and no critic
+    assert [c for c in calls if not c[1]] == [("policy", False, 1)] * decisions
+    # learning: every state of the update in one recorded pass of each GRU
+    assert [c for c in calls if c[1]] == [("policy", True, decisions),
+                                          ("value", True, decisions)]
+
+
+def test_train_log_records_policy_critic_and_phase_times():
+    model, examples, cfg = _one_update(entropy_coef=0.1)
+    records = []
+    cfqa.train.train(model, examples, cfg,
+                     log_line=lambda line: records.append(json.loads(line)))
+    (record,) = records
+    for key in ("policy_entropy", "mean_value", "rollout_ms", "backward_ms",
+                "step_ms"):
+        assert math.isfinite(record[key]), key
+    assert 0.0 < record["policy_entropy"] <= math.log(3)
+    probs = record["mean_action_probs"]
+    assert set(probs) == {"answer", "select", "excise"}
+    assert all(0.0 <= p <= 1.0 for p in probs.values())
+    assert sum(probs.values()) == pytest.approx(1.0, abs=1e-5)
+    assert min(record[k] for k in ("rollout_ms", "backward_ms", "step_ms")) > 0.0
