@@ -4,7 +4,8 @@ The context attends to the question through a trilinear similarity matrix;
 row- and column-normalized variants of that matrix produce the two
 attention summaries that are fused with the context and pushed through one
 weight-shared encoder block three times. Start and end heads read pairs of
-those passes.
+those passes. It reads plain encoder outputs, never padded: the question
+``q`` [m x d_model] and the context ``d`` [n x d_model].
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .encoder import EncoderConfig, Encoded, encoder_block, _create_block
+from .encoder import EncoderConfig, encoder_block, _create_block
 from .errors import ContractError
 from .params import ParamStore
 from .tensor import Tensor
@@ -24,7 +25,6 @@ from .tensor import Tensor
 class AttentionPair:
     a: Tensor        # context-to-question summary [n x d_model]
     b: Tensor        # question-to-context summary [n x d_model]
-    s: Tensor        # raw similarity [n x m]
 
 
 @dataclass
@@ -41,7 +41,6 @@ class AnswerOutput:
     """Forward results of the span extractor on one context."""
     start_logits: Tensor
     end_logits: Tensor
-    mask: np.ndarray
     span: SpanPrediction
 
 
@@ -56,44 +55,36 @@ def create_answer_params(store: ParamStore, cfg: EncoderConfig,
     store.create("ans.w_end", (2 * d,), rng, fan_in=2 * d)
 
 
-def trilinear_similarity(q: Encoded, d: Encoded, w_sim: Tensor) -> Tensor:
+def trilinear_similarity(q: Tensor, d: Tensor, w_sim: Tensor) -> Tensor:
     """S[i,j] = w . [q_j, d_i, q_j * d_i] for context row i, question row j."""
-    dm = d.matrix.data.shape[1]
-    if q.matrix.data.shape[1] != dm:
-        raise ContractError("question and context encodings differ in width")
+    (n, dm), m = d.data.shape, q.data.shape[0]
     w_q = T.narrow(w_sim, 0, 0, dm)
     w_d = T.narrow(w_sim, 0, dm, 2 * dm)
     w_m = T.narrow(w_sim, 0, 2 * dm, 3 * dm)
-    n, m = d.seq_len, q.seq_len
-    col = T.reshape(T.matmul(d.matrix, w_d), (n, 1))
-    row = T.reshape(T.matmul(q.matrix, w_q), (1, m))
-    cross = T.matmul(T.mul(d.matrix, w_m), T.transpose(q.matrix))
+    col = T.reshape(T.matmul(d, w_d), (n, 1))
+    row = T.reshape(T.matmul(q, w_q), (1, m))
+    cross = T.matmul(T.mul(d, w_m), T.transpose(q))
     return T.add(T.add(cross, col), row)
 
 
-def context_query_attention(s: Tensor, q: Encoded, d: Encoded) -> AttentionPair:
-    """Row/column softmax products of the similarity matrix.
-
-    Padded question columns are excluded from the row softmax and padded
-    context rows from the column softmax.
-    """
-    s_row = T.softmax(s, axis=1, mask=q.mask[None, :])
-    s_col = T.softmax(s, axis=0, mask=d.mask[:, None])
-    a = T.matmul(s_row, q.matrix)
-    b = T.matmul(T.matmul(s_row, T.transpose(s_col)), d.matrix)
-    return AttentionPair(a=a, b=b, s=s)
+def context_query_attention(s: Tensor, q: Tensor, d: Tensor) -> AttentionPair:
+    """Row/column softmax products of the similarity matrix:
+    ``a = S_row q`` and ``b = S_row S_col^T d``."""
+    s_row = T.softmax(s, axis=1)
+    s_col = T.softmax(s, axis=0)
+    a = T.matmul(s_row, q)
+    b = T.matmul(T.matmul(s_row, T.transpose(s_col)), d)
+    return AttentionPair(a=a, b=b)
 
 
-def model_encode(d: Encoded, pair: AttentionPair, cfg: EncoderConfig,
+def model_encode(d: Tensor, pair: AttentionPair, cfg: EncoderConfig,
                  store: ParamStore) -> tuple[Tensor, Tensor, Tensor]:
     """Fuse attention into the context and run the shared block three times."""
-    fused = T.concat([d.matrix, pair.a,
-                      T.mul(d.matrix, pair.a),
-                      T.mul(d.matrix, pair.b)], axis=1)
+    fused = T.concat([d, pair.a, T.mul(d, pair.a), T.mul(d, pair.b)], axis=1)
     x = T.add(T.matmul(fused, store["ans.fuse_w"]), store["ans.fuse_b"])
-    e0 = encoder_block(x, d.mask, cfg, store, "m2")
-    e1 = encoder_block(e0, d.mask, cfg, store, "m2")
-    e2 = encoder_block(e1, d.mask, cfg, store, "m2")
+    e0 = encoder_block(x, cfg, store, "m2")
+    e1 = encoder_block(e0, cfg, store, "m2")
+    e2 = encoder_block(e1, cfg, store, "m2")
     return e0, e1, e2
 
 
@@ -122,23 +113,21 @@ def decode_span(p_start: np.ndarray, p_end: np.ndarray, max_span_len: int,
     return best[1], best[2]
 
 
-def predict_span(start_logits: Tensor, end_logits: Tensor, mask: np.ndarray,
-                 max_span_len: int, mode: str = "constrained") -> SpanPrediction:
-    p_start = _masked_probs(start_logits.data, mask)
-    p_end = _masked_probs(end_logits.data, mask)
+def predict_span(start_logits: Tensor, end_logits: Tensor, max_span_len: int,
+                 mode: str = "constrained") -> SpanPrediction:
+    p_start = _probs(start_logits.data)
+    p_end = _probs(end_logits.data)
     s, e = decode_span(p_start, p_end, max_span_len, mode=mode)
     return SpanPrediction(start=s, end=e, p_start=p_start, p_end=p_end,
                           score=float(p_start[s] * p_end[e]))
 
 
-def _masked_probs(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    z = np.where(mask, logits, -1e30)
-    z = z - z.max()
-    ez = np.exp(z)
+def _probs(logits: np.ndarray) -> np.ndarray:
+    ez = np.exp(logits - logits.max())
     return ez / ez.sum()
 
 
-def answer_forward(q: Encoded, d: Encoded, cfg: EncoderConfig, store: ParamStore,
+def answer_forward(q: Tensor, d: Tensor, cfg: EncoderConfig, store: ParamStore,
                    max_span_len: int, mode: str = "constrained") -> AnswerOutput:
     """Full extractor forward on one (question, context) pair."""
     sim = trilinear_similarity(q, d, store["ans.w_sim"])
@@ -146,13 +135,12 @@ def answer_forward(q: Encoded, d: Encoded, cfg: EncoderConfig, store: ParamStore
     e0, e1, e2 = model_encode(d, pair, cfg, store)
     start_logits = T.matmul(T.concat([e0, e1], axis=1), store["ans.w_start"])
     end_logits = T.matmul(T.concat([e0, e2], axis=1), store["ans.w_end"])
-    span = predict_span(start_logits, end_logits, d.mask, max_span_len, mode=mode)
-    return AnswerOutput(start_logits=start_logits, end_logits=end_logits,
-                        mask=d.mask, span=span)
+    span = predict_span(start_logits, end_logits, max_span_len, mode=mode)
+    return AnswerOutput(start_logits=start_logits, end_logits=end_logits, span=span)
 
 
 def span_nll(out: AnswerOutput, gold_start: int, gold_end: int) -> Tensor:
     """Negative log-likelihood of a gold (start, end) pair."""
-    ls = T.log_softmax(out.start_logits, axis=0, mask=out.mask)
-    le = T.log_softmax(out.end_logits, axis=0, mask=out.mask)
+    ls = T.log_softmax(out.start_logits, axis=0)
+    le = T.log_softmax(out.end_logits, axis=0)
     return T.mul(T.add(T.pick(ls, gold_start), T.pick(le, gold_end)), -1.0)

@@ -26,12 +26,12 @@ from .answer import context_query_attention, decode_span, trilinear_similarity
 from .bandit import run_bandit_check
 from .config import RunConfig
 from .controller import Transition, actor_critic_update, entropy_of
-from .encoder import (EncoderConfig, Encoded, create_encoder_params, embed_tokens,
-                      project_embeddings)
+from .encoder import (EncoderConfig, add_positions, create_encoder_params,
+                      embed_tokens, encode_tokens)
 from .episode import EpisodeResult, episode_rng, run_episode
 from .errors import ContractError
 from .model import QaModel
-from .nn import create_gru, gru_params, run_gru
+from .nn import create_gru, gru_params, linear, run_gru
 from .params import ParamStore
 from .selector import (SentenceDist, create_selector_params, score_sentences,
                        top_k_indices)
@@ -353,17 +353,17 @@ def embed_tokens_per_token(tokens, char_ids, store: ParamStore) -> Tensor:
     return T.concat([word_vecs, char_max], axis=1)
 
 
-def score_sentences_loop(q: Encoded, ctx: TokenDoc, cfg: EncoderConfig,
+def score_sentences_loop(q: Tensor, ctx: TokenDoc, cfg: EncoderConfig,
                          store: ParamStore) -> SentenceDist:
-    """Oracle for ``score_sentences``: embed, project, convolve and pool one
-    sentence at a time."""
+    """Oracle for ``score_sentences``: embed, project, add positions 0..L-1,
+    convolve and pool one sentence at a time."""
     if ctx.n_sentences < 1:
         raise ContractError("cannot score an empty context")
     scores = []
     for tokens, chars in zip(ctx.sentences, ctx.char_ids):
-        sent = project_embeddings(embed_tokens_per_token(tokens, chars, store),
-                                  cfg, store)
-        seq = T.concat([q.matrix, sent], axis=0)
+        sent = add_positions(linear(embed_tokens_per_token(tokens, chars, store),
+                                    store["enc.proj_w"], store["enc.proj_b"]), cfg)
+        seq = T.concat([q, sent], axis=0)
         conv = T.relu(T.add(T.conv1d(seq, store["sel.conv_w"]), store["sel.conv_b"]))
         pooled = T.reduce_max(conv, axis=0)
         scores.append(T.matmul(pooled, store["sel.score_w"]))
@@ -373,8 +373,10 @@ def score_sentences_loop(q: Encoded, ctx: TokenDoc, cfg: EncoderConfig,
 
 
 def check_selector(seed: int = 0, cases: int = 200) -> CheckResult:
-    """The packed sentence scorer against the one-sentence-at-a-time oracle:
-    logits and the gradients of every parameter and of the question rows.
+    """The packed sentence scorer, fed the encoder's projected rows, against
+    the one-sentence-at-a-time oracle that embeds and projects each sentence
+    itself: logits and the gradients of every parameter and of the question
+    rows.
 
     Float64 docs of 1..12 sentences of 1..9 tokens drawn from 8 words (so
     words and char rows repeat), questions of 1..6 rows, positions on and
@@ -388,11 +390,7 @@ def check_selector(seed: int = 0, cases: int = 200) -> CheckResult:
         n_sent = int(rng.integers(1, 13))
         sentences = [[int(t) for t in rng.integers(3, 11, size=rng.integers(1, 10))]
                      for _ in range(n_sent)]
-        doc = TokenDoc(
-            sentences=sentences,
-            char_ids=[[vocab.char_ids(vocab.word(t)) for t in s] for s in sentences],
-            source_spans=[[(si, ti) for ti in range(len(s))]
-                          for si, s in enumerate(sentences)])
+        doc = toy_doc(sentences, vocab)
         m = int(rng.integers(1, 7))
         with using_dtype(np.float64):
             cfg = EncoderConfig(d1=5, d2=4, d_model=6, k_s=3, d_f=6, n_heads=2,
@@ -404,14 +402,18 @@ def check_selector(seed: int = 0, cases: int = 200) -> CheckResult:
             # gradient path starts out all zero
             for _, p in store.items():
                 p.data += rng.normal(0, 0.1, p.data.shape)
-            q = Encoded(Tensor(rng.normal(0, 1, (m, cfg.d_model)), requires_grad=True),
-                        np.ones(m, dtype=bool))
+            q = Tensor(rng.normal(0, 1, (m, cfg.d_model)), requires_grad=True)
             w_out = Tensor(rng.normal(0, 1, n_sent))
-            leaves = {"question": q.matrix, **dict(store.items())}
+            leaves = {"question": q, **dict(store.items())}
+
+            def packed_scores():
+                ctx = encode_tokens(doc.flat_tokens(), doc.flat_char_ids(), cfg, store)
+                return score_sentences(q, doc, ctx.projected, cfg, store)
+
             packed, oracle = (
-                _output_and_grads(lambda: score(q, doc, cfg, store).logits,
-                                  "logits", leaves, w_out)
-                for score in (score_sentences, score_sentences_loop))
+                _output_and_grads(lambda: score().logits, "logits", leaves, w_out)
+                for score in (packed_scores,
+                              lambda: score_sentences_loop(q, doc, cfg, store)))
         mismatch = _worst_mismatch(packed, oracle, 1e-9)
         if mismatch:
             return CheckResult(
@@ -423,8 +425,8 @@ def check_selector(seed: int = 0, cases: int = 200) -> CheckResult:
     return CheckResult("selector", True,
                        f"{cases} docs (1..12 sentences of 1..9 tokens, questions "
                        f"of 1..6 rows, kernels 3 and 5, positions on and off) "
-                       f"matched the one-sentence-at-a-time oracle in logits and "
-                       f"all gradients")
+                       f"scored from the encoder's projected rows matched the "
+                       f"one-sentence-at-a-time oracle in logits and all gradients")
 
 
 def tiny_config(**overrides) -> RunConfig:
@@ -445,16 +447,16 @@ def tiny_example(rng: np.random.Generator, vocab: Vocab,
         return [int(i) for i in rng.integers(3, n_words, size=k)]
 
     sentences = [ids(tokens_per_sentence) for _ in range(n_sentences)]
-    doc = TokenDoc(
-        sentences=sentences,
-        char_ids=[[vocab.char_ids(vocab.word(t)) for t in s] for s in sentences],
-        source_spans=[[(si, ti) for ti in range(len(s))]
-                      for si, s in enumerate(sentences)],
-    )
+    doc = toy_doc(sentences, vocab)
     q = ids(q_len)
     gold = list(sentences[0][:2])
     return QAExample("toy-0", doc, q, [vocab.char_ids(vocab.word(t)) for t in q],
                      [gold])
+
+
+def toy_doc(sentences: list[list[int]], vocab: Vocab) -> TokenDoc:
+    """A document of the given word ids, with their char ids from ``vocab``."""
+    return TokenDoc.from_words([[vocab.word(t) for t in s] for s in sentences], vocab)
 
 
 def toy_vocab(n_words: int = 30, char_width: int = 6) -> Vocab:
@@ -486,7 +488,7 @@ def end_to_end_loss(model: QaModel, example: QAExample,
     probs, logp = model.policy(state)
     value = model.value(state)
 
-    dist = model.sentence_dist(q_enc, ctx)
+    dist = model.sentence_dist(q_enc, ctx, ctx_enc)
     if frozen_kept is not None:
         pinned = np.zeros_like(dist.probs)
         pinned[frozen_kept] = 1.0 / len(frozen_kept)
@@ -732,14 +734,14 @@ def check_trilinear(seed: int = 0, cases: int = 50) -> CheckResult:
     for case in range(cases):
         n, m, d = (int(rng.integers(1, 6)), int(rng.integers(1, 5)),
                    int(rng.integers(1, 9)))
-        q = Encoded(Tensor(rng.normal(0, 1, (m, d))), np.ones(m, dtype=bool))
-        dd = Encoded(Tensor(rng.normal(0, 1, (n, d))), np.ones(n, dtype=bool))
+        q = Tensor(rng.normal(0, 1, (m, d)))
+        dd = Tensor(rng.normal(0, 1, (n, d)))
         w = Tensor(rng.normal(0, 1, 3 * d))
         got = trilinear_similarity(q, dd, w).data
         want = np.zeros((n, m))
         for i in range(n):
             for j in range(m):
-                qv, dv = q.matrix.data[j], dd.matrix.data[i]
+                qv, dv = q.data[j], dd.data[i]
                 feat = np.concatenate([qv, dv, qv * dv])
                 want[i, j] = float(w.data @ feat)
         if np.abs(got - want).max() > 1e-5:
@@ -752,8 +754,8 @@ def check_attention_b(seed: int = 0, cases: int = 50) -> CheckResult:
     for case in range(cases):
         n, m, d = (int(rng.integers(1, 6)), int(rng.integers(1, 5)),
                    int(rng.integers(1, 9)))
-        q = Encoded(Tensor(rng.normal(0, 1, (m, d))), np.ones(m, dtype=bool))
-        dd = Encoded(Tensor(rng.normal(0, 1, (n, d))), np.ones(n, dtype=bool))
+        q = Tensor(rng.normal(0, 1, (m, d)))
+        dd = Tensor(rng.normal(0, 1, (n, d)))
         s = Tensor(rng.normal(0, 1, (n, m)))
         pair = context_query_attention(s, q, dd)
 
@@ -763,8 +765,8 @@ def check_attention_b(seed: int = 0, cases: int = 50) -> CheckResult:
 
         s_row = naive_softmax(s.data, 1)
         s_col = naive_softmax(s.data, 0)
-        want_a = s_row @ q.matrix.data
-        want_b = s_row @ s_col.T @ dd.matrix.data
+        want_a = s_row @ q.data
+        want_b = s_row @ s_col.T @ dd.data
         if not (np.allclose(pair.a.data, want_a, atol=1e-5)
                 and np.allclose(pair.b.data, want_b, atol=1e-5)):
             return CheckResult("attention_b", False, f"case {case} mismatch")

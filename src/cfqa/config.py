@@ -70,15 +70,23 @@ class RunConfig:
             raise ConfigError(f"reward_mode must be one of {REWARD_MODES}")
         if self.decode_mode not in DECODE_MODES:
             raise ConfigError(f"decode_mode must be one of {DECODE_MODES}")
-        for name in ("updates",):
-            if getattr(self, name) < 0:
+        for name in ("updates", "max_doc_tokens", "entropy_coef"):
+            if not getattr(self, name) >= 0:
                 raise ConfigError(f"{name} must be >= 0")
         for name in ("batch_size", "k_initial", "step_cap", "max_span_len",
-                     "max_state_tokens", "gru_size", "char_width"):
+                     "max_state_tokens", "gru_size", "char_width", "d1", "d2",
+                     "d_model", "k_s", "d_f", "n_heads", "sel_kernel",
+                     "sel_filters"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.sel_kernel % 2 == 0:
+            raise ConfigError(f"sel_kernel must be odd, got {self.sel_kernel}")
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError("gamma must lie in (0, 1]")
+        if not 0.0 < self.rho < 1.0:
+            raise ConfigError("rho must lie in (0, 1)")
+        if not self.eps > 0.0:
+            raise ConfigError("eps must be > 0")
         self.encoder_config().validate()
 
     def encoder_config(self) -> EncoderConfig:

@@ -4,7 +4,9 @@ Two layers: an input embedding layer (word embedding concatenated with a
 max-pooled character embedding) and an encoder block (projection, optional
 sinusoidal positions, one convolution, multi-head self-attention, a
 position-wise feed-forward), all through one parameter set regardless of
-whether the input is a document or the question.
+whether the input is a document or the question. Only this module embeds
+tokens: the selector reads the projected rows an ``Encoded`` keeps. Every
+sequence is encoded alone, so nothing is padded or masked.
 """
 
 from __future__ import annotations
@@ -46,13 +48,9 @@ class EncoderConfig:
 
 @dataclass
 class Encoded:
-    """Sequence representation plus its padding mask (True = real token)."""
-    matrix: Tensor            # [seq_len x d_model]
-    mask: np.ndarray          # bool [seq_len]
-
-    @property
-    def seq_len(self) -> int:
-        return self.matrix.data.shape[0]
+    """Encoder output plus the projected token rows it was computed from."""
+    matrix: Tensor            # [n x d_model]
+    projected: Tensor         # [n x d_model], before positions are added
 
 
 def create_encoder_params(store: ParamStore, cfg: EncoderConfig,
@@ -65,8 +63,7 @@ def create_encoder_params(store: ParamStore, cfg: EncoderConfig,
     else:
         store.create("emb.word", (n_words, cfg.d1), rng, fan_in=cfg.d1)
     store.create("emb.char", (n_chars, cfg.d2), rng, fan_in=cfg.d2)
-    _create_block(store, "enc", cfg, rng,
-                  proj_in=cfg.d1 + cfg.d2)
+    _create_block(store, "enc", cfg, rng, proj_in=cfg.d1 + cfg.d2)
 
 
 def _create_block(store: ParamStore, prefix: str, cfg: EncoderConfig,
@@ -123,22 +120,19 @@ def sinusoidal_positions(n: int, d: int, dtype) -> np.ndarray:
     return table[:n]
 
 
-def self_attention(x: Tensor, mask: np.ndarray, n_heads: int,
-                   store: ParamStore, prefix: str,
+def self_attention(x: Tensor, n_heads: int, store: ParamStore, prefix: str,
                    return_weights: bool = False):
     """Multi-head scaled dot-product attention over one sequence.
 
-    Masked key positions receive exactly zero weight from every query. An
-    all-true ``mask`` (every real caller's) is not applied at all, and the
-    queries are scaled by 1/sqrt(d_head) before the product, so the only
-    [n x n] passes per head are the product, the softmax and its use.
+    Every position attends to every position. The queries are scaled by
+    1/sqrt(d_head) before the product, so the only [n x n] passes per head
+    are the product, the softmax and its use.
     """
     d = x.data.shape[1]
     d_head = d // n_heads
     q_all = T.mul(T.matmul(x, store[f"{prefix}.attn_q"]), 1.0 / np.sqrt(d_head))
     k_all = T.matmul(x, store[f"{prefix}.attn_k"])
     v_all = T.matmul(x, store[f"{prefix}.attn_v"])
-    key_mask = None if mask.all() else mask[None, :]
     head_outs = []
     weights = []
     for h in range(n_heads):
@@ -146,7 +140,7 @@ def self_attention(x: Tensor, mask: np.ndarray, n_heads: int,
         q = T.narrow(q_all, 1, lo, hi)
         k = T.narrow(k_all, 1, lo, hi)
         v = T.narrow(v_all, 1, lo, hi)
-        attn = T.softmax(T.matmul(q, T.transpose(k)), axis=1, mask=key_mask)
+        attn = T.softmax(T.matmul(q, T.transpose(k)), axis=1)
         head_outs.append(T.matmul(attn, v))
         if return_weights:
             weights.append(attn.data.copy())
@@ -156,47 +150,37 @@ def self_attention(x: Tensor, mask: np.ndarray, n_heads: int,
     return out
 
 
-def encoder_block(x: Tensor, mask: np.ndarray, cfg: EncoderConfig,
-                  store: ParamStore, prefix: str) -> Tensor:
+def encoder_block(x: Tensor, cfg: EncoderConfig, store: ParamStore,
+                  prefix: str) -> Tensor:
     """conv -> self-attention -> feed-forward, residual around each sublayer."""
     conv = T.relu(T.add(T.conv1d(x, store[f"{prefix}.conv_w"]),
                         store[f"{prefix}.conv_b"]))
     x = T.add(x, conv) if cfg.use_residual else conv
-    attn = self_attention(x, mask, cfg.n_heads, store, prefix)
+    attn = self_attention(x, cfg.n_heads, store, prefix)
     x = T.add(x, attn) if cfg.use_residual else attn
     ff = feed_forward(x, store[f"{prefix}.ff_w1"], store[f"{prefix}.ff_b1"],
                       store[f"{prefix}.ff_w2"], store[f"{prefix}.ff_b2"])
     return T.add(x, ff) if cfg.use_residual else ff
 
 
-def project_embeddings(x: Tensor, cfg: EncoderConfig, store: ParamStore,
-                       prefix: str = "enc",
-                       positions: Optional[np.ndarray] = None) -> Tensor:
-    """Map (d1+d2)-wide token vectors to d_model, adding positions if enabled.
-
-    Row i gets position ``positions[i]``, by default i; the selector passes
-    each token's place in its own sentence.
-    """
-    x = linear(x, store[f"{prefix}.proj_w"], store[f"{prefix}.proj_b"])
-    if cfg.use_positional:
-        if positions is None:
-            pos = sinusoidal_positions(x.data.shape[0], cfg.d_model, x.data.dtype)
-        else:
-            pos = sinusoidal_positions(int(positions.max(initial=-1)) + 1,
-                                       cfg.d_model, x.data.dtype)[positions]
-        x = T.add(x, Tensor(pos))
-    return x
-
-
-def encode_sequence(x: Tensor, cfg: EncoderConfig, store: ParamStore,
-                    mask: Optional[np.ndarray] = None) -> Encoded:
-    """Full encoder: projection, positions, then the conv/attention/ff block."""
-    if mask is None:
-        mask = np.ones(x.data.shape[0], dtype=bool)
-    x = project_embeddings(x, cfg, store)
-    out = encoder_block(x, mask, cfg, store, "enc")
-    return Encoded(out, mask)
+def add_positions(x: Tensor, cfg: EncoderConfig,
+                  positions: Optional[np.ndarray] = None) -> Tensor:
+    """Add sinusoidal positions, if enabled: row i gets ``positions[i]``, by
+    default i; the selector passes each token's place in its sentence."""
+    if not cfg.use_positional:
+        return x
+    if positions is None:
+        pos = sinusoidal_positions(x.data.shape[0], cfg.d_model, x.data.dtype)
+    else:
+        pos = sinusoidal_positions(int(positions.max(initial=-1)) + 1,
+                                   cfg.d_model, x.data.dtype)[positions]
+    return T.add(x, Tensor(pos))
 
 
 def encode_tokens(tokens, char_ids, cfg: EncoderConfig, store: ParamStore) -> Encoded:
-    return encode_sequence(embed_tokens(tokens, char_ids, store), cfg, store)
+    """Full encoder: embed, project to d_model, add positions, run the block;
+    the projected rows are kept for the selector."""
+    projected = linear(embed_tokens(tokens, char_ids, store),
+                       store["enc.proj_w"], store["enc.proj_b"])
+    return Encoded(encoder_block(add_positions(projected, cfg), cfg, store, "enc"),
+                   projected)

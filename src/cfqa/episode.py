@@ -246,7 +246,7 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
             break
 
         if action is ActionId.SELECT:
-            dist = model.sentence_dist(q_enc, ctx)
+            dist = model.sentence_dist(q_enc, ctx, ctx_enc)
             new_ctx, kept = select_top_k(dist, ctx, k_budget)
             k_budget = max(1, k_budget - 1)
             outcome = Narrowed(kept)

@@ -54,11 +54,14 @@ class QaModel:
                              self.enc_cfg, self.store)
 
     # ---- modules ---------------------------------------------------------
-    def sentence_dist(self, q_enc: Encoded, ctx: TokenDoc) -> SentenceDist:
-        return score_sentences(q_enc, ctx, self.enc_cfg, self.store)
+    def sentence_dist(self, q_enc: Encoded, ctx: TokenDoc,
+                      ctx_enc: Encoded) -> SentenceDist:
+        """Sentence distribution of ``ctx``, read from its encoding ``ctx_enc``."""
+        return score_sentences(q_enc.matrix, ctx, ctx_enc.projected,
+                               self.enc_cfg, self.store)
 
     def answer(self, q_enc: Encoded, ctx_enc: Encoded) -> AnswerOutput:
-        return answer_forward(q_enc, ctx_enc, self.enc_cfg, self.store,
+        return answer_forward(q_enc.matrix, ctx_enc.matrix, self.enc_cfg, self.store,
                               self.cfg.max_span_len, mode=self.cfg.decode_mode)
 
     # ---- controller -------------------------------------------------------

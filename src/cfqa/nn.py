@@ -55,11 +55,8 @@ def run_gru(seq: Tensor, params: dict[str, Tensor], d_h: int,
     return gru_sequence(seq, lengths, *weights)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    out = matmul(x, w)
-    if b is not None:
-        out = add(out, b)
-    return out
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    return add(matmul(x, w), b)
 
 
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:

@@ -3,9 +3,9 @@
 Each sentence is scored by a small text CNN over the encoded question rows
 concatenated with the sentence's projected token embeddings (positions
 counted within the sentence); a softmax over the per-sentence scores gives
-the selection distribution. All sentences of a context are scored in one
-pass: the context is embedded and projected once, and one convolution runs
-over every (question, sentence) sequence packed back to back.
+the selection distribution. The projected rows are the encoder's, so the
+selector embeds nothing itself, and one convolution runs over every
+(question, sentence) sequence packed back to back.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .encoder import EncoderConfig, Encoded, embed_tokens, project_embeddings
+from .encoder import EncoderConfig, add_positions
 from .errors import ContractError
 from .params import ParamStore
 from .tensor import Tensor
@@ -63,31 +63,32 @@ def pack_segments(m: int, lengths: np.ndarray, gap: int
     return pack_ids, seg_rows
 
 
-def score_sentences(q: Encoded, ctx: TokenDoc, cfg: EncoderConfig,
-                    store: ParamStore) -> SentenceDist:
-    """Distribution over the sentences of ``ctx`` given the encoded question.
+def score_sentences(q: Tensor, ctx: TokenDoc, projected: Tensor,
+                    cfg: EncoderConfig, store: ParamStore) -> SentenceDist:
+    """Distribution over the sentences of ``ctx`` given the encoded question
+    ``q``, from ``projected``, the ``Encoded.projected`` rows of ``ctx``.
 
     Sentence i scores ``max_rows(relu(conv([q; sentence i]) + b)) . w``, where
-    the sentence rows are its projected token embeddings with positions
-    0..L_i-1. One pass scores them all: embed and project the flat context
-    once, gather the sequences into one pack (``pack_segments``), run one
-    convolution over it, and max-pool each segment's rows. A segment's
-    padding repeats its first row, so the max and its first-argmax gradient
-    are those of the segment alone.
+    the sentence rows are its projected rows with positions 0..L_i-1. One
+    pass scores them all: add the positions, gather the sequences into one
+    pack (``pack_segments``), run one convolution over it, and max-pool each
+    segment's rows. A segment's padding repeats its first row, so the max
+    and its first-argmax gradient are those of the segment alone.
     """
     if ctx.n_sentences < 1:
         raise ContractError("cannot score an empty context")
     lengths = np.array([len(s) for s in ctx.sentences], dtype=np.int64)
     local = np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths,
                                                       lengths)
-    sent = project_embeddings(embed_tokens(ctx.flat_tokens(), ctx.flat_char_ids(),
-                                           store),
-                              cfg, store, positions=local)
-    m = q.matrix.data.shape[0]
+    if projected.data.shape[0] != local.size:
+        raise ContractError(f"{projected.data.shape[0]} projected rows for a "
+                            f"context of {local.size} tokens")
+    sent = add_positions(projected, cfg, positions=local)
+    m = q.data.shape[0]
     conv_w = store["sel.conv_w"]
     pack_ids, seg_rows = pack_segments(m, lengths, conv_w.data.shape[0] // 2)
     zero_row = Tensor(np.zeros((1, sent.data.shape[1]), dtype=sent.data.dtype))
-    pack = T.embedding(T.concat([q.matrix, sent, zero_row], axis=0), pack_ids)
+    pack = T.embedding(T.concat([q, sent, zero_row], axis=0), pack_ids)
     conv = T.relu(T.add(T.conv1d(pack, conv_w), store["sel.conv_b"]))
     pooled = T.reduce_max(T.embedding(conv, seg_rows), axis=1)   # [S x filters]
     logits = T.matmul(pooled, store["sel.score_w"])

@@ -70,20 +70,9 @@ class Vocab:
 
     @classmethod
     def build(cls, token_lists: Iterable[list[str]], char_width: int = 16) -> "Vocab":
-        words: list[str] = []
-        seen = set()
-        chars: list[str] = []
-        seen_chars = set()
-        for tokens in token_lists:
-            for w in tokens:
-                if w not in seen:
-                    seen.add(w)
-                    words.append(w)
-                for c in w:
-                    if c not in seen_chars:
-                        seen_chars.add(c)
-                        chars.append(c)
-        return cls(words, chars, char_width=char_width)
+        """Words and chars in order of first occurrence."""
+        words = [w for tokens in token_lists for w in tokens]
+        return cls(words, (c for w in words for c in w), char_width=char_width)
 
     @property
     def n_words(self) -> int:
@@ -203,21 +192,38 @@ class QAExample:
 _REQUIRED_FIELDS = ("id", "document", "question", "answers")
 
 
+def _is_text(value) -> bool:
+    return isinstance(value, str) and bool(value.strip())
+
+
 def read_jsonl(path) -> list[dict]:
+    """The records of a JSONL dataset, one object per non-blank line, each
+    with an ``id``, non-blank ``document`` and ``question`` strings, and
+    ``answers``, a non-empty list of non-blank strings. A line that breaks
+    this raises ``DataError`` naming the file and the line.
+    """
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{path}: line {lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
-                raise DataError(f"{path}: line {lineno}: invalid JSON ({e.msg})") from e
+                raise DataError(f"{where}: invalid JSON ({e.msg})") from e
+            if not isinstance(obj, dict):
+                raise DataError(f"{where}: expected a JSON object")
             for fname in _REQUIRED_FIELDS:
                 if fname not in obj:
-                    raise DataError(f"{path}: line {lineno}: missing field {fname!r}")
-            if not isinstance(obj["answers"], list) or not obj["answers"]:
-                raise DataError(f"{path}: line {lineno}: answers must be a non-empty list")
+                    raise DataError(f"{where}: missing field {fname!r}")
+            for fname in ("document", "question"):
+                if not _is_text(obj[fname]):
+                    raise DataError(f"{where}: {fname} must be a non-blank string")
+            answers = obj["answers"]
+            if not (isinstance(answers, list) and answers and all(map(_is_text, answers))):
+                raise DataError(f"{where}: answers must be a non-empty list of "
+                                "non-blank strings")
             records.append(obj)
     return records
 
@@ -263,8 +269,20 @@ def save_vocab(path, vocab: Vocab) -> None:
 
 
 def load_vocab(path) -> Vocab:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    """The vocabulary ``save_vocab`` wrote; a malformed file raises ``DataError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as e:      # JSONDecodeError and UnicodeDecodeError
+        raise DataError(f"{path}: vocab file is not JSON ({e})") from e
+    if not (isinstance(payload, dict)
+            and all(isinstance(payload.get(key), list)
+                    and all(isinstance(x, str) for x in payload[key])
+                    for key in ("words", "chars"))
+            and type(payload.get("char_width")) is int
+            and payload["char_width"] >= 1):
+        raise DataError(f"{path}: a vocab file needs lists of strings 'words' "
+                        "and 'chars' and a positive integer 'char_width'")
     return Vocab(payload["words"], payload["chars"],
                  char_width=payload["char_width"])
 

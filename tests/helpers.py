@@ -68,12 +68,11 @@ class ScriptedModel:
     def encode_question(self, example):
         rows = np.full((max(1, len(example.question)), self.d_model), 0.25)
         self._episodes += 1
-        return _Tagged(Tensor(rows), np.ones(rows.shape[0], dtype=bool),
-                       tag=self._episodes)
+        return _Tagged(Tensor(rows), Tensor(rows), tag=self._episodes)
 
     def encode_doc(self, ctx):
         rows = np.zeros((ctx.n_tokens, self.d_model))
-        return _Tagged(Tensor(rows), np.ones(ctx.n_tokens, dtype=bool), tag=ctx)
+        return _Tagged(Tensor(rows), Tensor(rows), tag=ctx)
 
     def state(self, ctx_enc, q_enc):
         step = self._steps_taken.get(q_enc.tag, 0)
@@ -96,7 +95,7 @@ class ScriptedModel:
             probs = probs[0]
         return Tensor(probs), Tensor(np.log(np.maximum(probs, 1e-12)))
 
-    def sentence_dist(self, q_enc, ctx):
+    def sentence_dist(self, q_enc, ctx, ctx_enc):
         probs = np.asarray(self.dist_fn(ctx, self.rng), dtype=np.float64)
         return SentenceDist(probs=probs, logits=Tensor(np.log(probs + 1e-12)))
 
@@ -109,8 +108,7 @@ class ScriptedModel:
         pe = np.zeros(n)
         pe[end] = 1.0
         span = SpanPrediction(start=start, end=end, p_start=p, p_end=pe, score=1.0)
-        return AnswerOutput(start_logits=Tensor(p), end_logits=Tensor(pe),
-                            mask=np.ones(n, dtype=bool), span=span)
+        return AnswerOutput(start_logits=Tensor(p), end_logits=Tensor(pe), span=span)
 
 
 def pinned_policy(action_index: int):

@@ -5,7 +5,7 @@ from cfqa import tensor as T
 from cfqa.answer import (AnswerOutput, answer_forward, context_query_attention,
                          create_answer_params, decode_span, model_encode,
                          predict_span, span_nll, trilinear_similarity)
-from cfqa.encoder import EncoderConfig, Encoded, create_encoder_params
+from cfqa.encoder import EncoderConfig, create_encoder_params
 from cfqa.params import ParamStore
 from cfqa.tensor import Tape, Tensor
 
@@ -24,9 +24,8 @@ def store():
     return s
 
 
-def enc(rng, n, d=8, mask=None):
-    return Encoded(Tensor(rng.normal(0, 1, (n, d))),
-                   np.ones(n, dtype=bool) if mask is None else mask)
+def enc(rng, n, d=8):
+    return Tensor(rng.normal(0, 1, (n, d)))
 
 
 # ------------------------------------------------------------------ trilinear
@@ -45,7 +44,7 @@ def test_scalar_case_is_a_dot_product():
     q, d = enc(rng, 1), enc(rng, 1)
     w = Tensor(rng.normal(0, 1, 24))
     s = trilinear_similarity(q, d, w)
-    qv, dv = q.matrix.data[0], d.matrix.data[0]
+    qv, dv = q.data[0], d.data[0]
     want = w.data @ np.concatenate([qv, dv, qv * dv])
     assert s.data.shape == (1, 1)
     assert np.allclose(s.data[0, 0], want, atol=1e-6)
@@ -59,7 +58,7 @@ def test_single_question_token_copies_it_everywhere():
     s = Tensor(rng.normal(0, 1, (4, 1)))
     pair = context_query_attention(s, q, d)
     for i in range(4):
-        assert np.allclose(pair.a.data[i], q.matrix.data[0], atol=1e-6)
+        assert np.allclose(pair.a.data[i], q.data[0], atol=1e-6)
 
 
 def test_row_and_column_softmaxes_are_simplices():
@@ -69,17 +68,6 @@ def test_row_and_column_softmaxes_are_simplices():
     cols = T.softmax(s, axis=0).data
     assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-6)
     assert np.allclose(cols.sum(axis=0), 1.0, atol=1e-6)
-
-
-def test_masked_question_positions_excluded():
-    rng = np.random.default_rng(7)
-    q = enc(rng, 3, mask=np.array([True, False, True]))
-    d = enc(rng, 4)
-    s = Tensor(rng.normal(0, 1, (4, 3)))
-    pair = context_query_attention(s, q, d)
-    s_row = T.softmax(s, axis=1, mask=q.mask[None, :]).data
-    assert np.all(s_row[:, 1] == 0.0)
-    assert np.allclose(pair.a.data, s_row @ q.matrix.data, atol=1e-6)
 
 
 # ------------------------------------------------------------- model encoder

@@ -58,7 +58,7 @@ def test_span_decode_check_catches_one_token_too_long(monkeypatch):
 
 def test_trilinear_check_catches_swapped_weights(monkeypatch):
     def swaps_question_and_context(q, d, w_sim):
-        dm = d.matrix.data.shape[1]
+        dm = d.data.shape[1]
         w = w_sim.data
         return trilinear_similarity(
             q, d, Tensor(np.concatenate([w[dm:2 * dm], w[:dm], w[2 * dm:]])))
@@ -70,8 +70,8 @@ def test_trilinear_check_catches_swapped_weights(monkeypatch):
 def test_attention_b_check_catches_row_softmax_twice(monkeypatch):
     def row_softmax_twice(s, q, d):
         pair = context_query_attention(s, q, d)
-        s_row = T.softmax(s, axis=1, mask=q.mask[None, :])
-        pair.b = T.matmul(T.matmul(s_row, T.transpose(s_row)), d.matrix)
+        s_row = T.softmax(s, axis=1)
+        pair.b = T.matmul(T.matmul(s_row, T.transpose(s_row)), d)
         return pair
 
     monkeypatch.setattr(checks, "context_query_attention", row_softmax_twice)
@@ -131,6 +131,17 @@ def test_selector_check_catches_sentences_bleeding_into_each_other(monkeypatch):
     result = checks.check_selector()
     assert result.passed is False
     assert "logits" in result.detail
+
+
+def test_selector_check_catches_the_encoders_flat_positions(monkeypatch):
+    # the encoder's rows after its own positions, 0..N-1 over the whole
+    # context, in place of positions counted within each sentence
+    add_positions = selector.add_positions
+    monkeypatch.setattr(selector, "add_positions",
+                        lambda x, cfg, positions=None: add_positions(x, cfg))
+    result = checks.check_selector()
+    assert result.passed is False
+    assert "positions on" in result.detail
 
 
 def test_packed_update_check_catches_next_value_from_the_wrong_row(monkeypatch):

@@ -11,7 +11,8 @@ import pytest
 
 from cfqa.checks import tiny_config
 from cfqa.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from cfqa.config import RunConfig, load_config, save_config
+from cfqa.config import RunConfig, apply_overrides, load_config, save_config
+from cfqa.errors import ConfigError
 
 
 def tiny_set_args() -> list[str]:
@@ -93,6 +94,51 @@ def test_eval_of_a_truncated_checkpoint_exits_with_a_data_error(trained_run, tmp
                  "--vocab", str(run_dir / "vocab.json"), "--out", str(tmp_path / "eval")])
     assert code == EXIT_DATA
     assert "truncated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [{"document": 5}, {"answers": [3]},
+                                 {"document": ["x"]}])
+def test_train_on_a_mistyped_record_exits_with_a_data_error(tmp_path, capsys, bad):
+    data = tmp_path / "bad.jsonl"
+    data.write_text(json.dumps({"id": "a", "document": "Alpha beta.",
+                                "question": "alpha", "answers": ["beta"], **bad}) + "\n")
+    code = main(["train", *tiny_set_args(), "--train", str(data), "--updates", "1",
+                 "--out", str(tmp_path / "r")])
+    assert code == EXIT_DATA
+    assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["{}", "not json"])
+def test_eval_with_a_malformed_vocab_exits_with_a_data_error(trained_run, tmp_path,
+                                                             capsys, text):
+    _, run_dir = trained_run
+    vocab = tmp_path / "vocab.json"
+    vocab.write_text(text)
+    code = main(eval_args(trained_run, tmp_path, "--config",
+                          str(run_dir / "config.txt"), "--vocab", str(vocab)))
+    assert code == EXIT_DATA
+    assert str(vocab) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pair", ["rho=1.5", "rho=0", "eps=0", "entropy_coef=-0.1",
+                                  "sel_kernel=4", "sel_kernel=-1", "sel_filters=0",
+                                  "max_doc_tokens=-1", "n_heads=0"])
+def test_out_of_range_values_are_config_errors(pair):
+    key, value = pair.split("=")
+    with pytest.raises(ConfigError, match=key):
+        apply_overrides(RunConfig(), [pair]).validate()
+
+
+def test_train_with_an_out_of_range_value_prints_one_error_line(tmp_path, capsys):
+    data = tmp_path / "train.jsonl"
+    data.write_text(json.dumps({"id": "a", "document": "Alpha beta.",
+                                "question": "alpha", "answers": ["beta"]}) + "\n")
+    code = main(["train", "--set", "rho=1.5", "--train", str(data),
+                 "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and "rho" in err and "Traceback" not in err
+    assert not (tmp_path / "r").exists()
 
 
 def test_python_dash_m_cfqa_runs_the_cli():

@@ -3,8 +3,7 @@ import pytest
 
 from cfqa import tensor as T
 from cfqa.encoder import (EncoderConfig, create_encoder_params, embed_tokens,
-                          encode_sequence, encode_tokens, self_attention,
-                          sinusoidal_positions)
+                          encode_tokens, self_attention, sinusoidal_positions)
 from cfqa.errors import ConfigError
 from cfqa.params import ParamStore
 from cfqa.tensor import Tape, Tensor
@@ -78,22 +77,9 @@ def test_single_position_sequence_shape(store):
     enc = encode_tokens([3], [[2, 1, 0, 0]], cfg, store)
     assert enc.matrix.data.shape == (1, cfg.d_model)
     x = Tensor(np.random.default_rng(1).normal(0, 1, (1, cfg.d_model)))
-    _, weights = self_attention(x, np.ones(1, dtype=bool), cfg.n_heads,
-                                store, "enc", return_weights=True)
+    _, weights = self_attention(x, cfg.n_heads, store, "enc", return_weights=True)
     for w in weights:
         assert np.allclose(w, [[1.0]])
-
-
-def test_masked_positions_get_zero_attention(store):
-    cfg = small_cfg()
-    rng = np.random.default_rng(2)
-    x = Tensor(rng.normal(0, 1, (5, cfg.d_model)))
-    mask = np.array([True, True, False, True, False])
-    _, weights = self_attention(x, mask, cfg.n_heads, store, "enc",
-                                return_weights=True)
-    for w in weights:
-        assert np.all(w[:, ~mask] == 0.0)
-        assert np.allclose(w.sum(axis=1), 1.0, atol=1e-6)
 
 
 def test_permutation_equivariance_without_positions():
@@ -115,8 +101,7 @@ def test_equal_tokens_give_uniform_attention(store):
     cfg = small_cfg()
     row = np.random.default_rng(4).normal(0, 1, cfg.d_model)
     x = Tensor(np.tile(row, (4, 1)))
-    _, weights = self_attention(x, np.ones(4, dtype=bool), cfg.n_heads,
-                                store, "enc", return_weights=True)
+    _, weights = self_attention(x, cfg.n_heads, store, "enc", return_weights=True)
     for w in weights:
         assert np.allclose(w, 0.25, atol=1e-6)
 
@@ -124,8 +109,7 @@ def test_equal_tokens_give_uniform_attention(store):
 def test_attention_rows_sum_to_one(store):
     cfg = small_cfg()
     x = Tensor(np.random.default_rng(5).normal(0, 1, (6, cfg.d_model)))
-    _, weights = self_attention(x, np.ones(6, dtype=bool), cfg.n_heads,
-                                store, "enc", return_weights=True)
+    _, weights = self_attention(x, cfg.n_heads, store, "enc", return_weights=True)
     for w in weights:
         assert np.allclose(w.sum(axis=1), 1.0, atol=1e-6)
 
@@ -136,8 +120,7 @@ def test_single_head_matches_hand_rolled_oracle():
     create_encoder_params(store, cfg, n_words=12, n_chars=9,
                           rng=np.random.default_rng(6))
     x_np = np.random.default_rng(7).normal(0, 1, (5, cfg.d_model))
-    got = self_attention(Tensor(x_np), np.ones(5, dtype=bool), 1,
-                         store, "enc").data
+    got = self_attention(Tensor(x_np), 1, store, "enc").data
 
     q = x_np @ store["enc.attn_q"].data
     k = x_np @ store["enc.attn_k"].data

@@ -364,3 +364,36 @@ def test_train_recomputes_the_answer_under_its_tape():
     assert [s.action for s in result.steps] == ["answer"]
     (span_loss,) = result.aux_losses
     assert span_loss.requires_grad
+
+
+def test_a_select_step_embeds_its_context_once(monkeypatch):
+    # the selector reads the step's context encoding, so the word table is
+    # looked up once for the question and once per step, SELECT included
+    from cfqa import tensor as T
+    from cfqa.checks import tiny_config, tiny_example, toy_vocab
+    from cfqa.model import QaModel
+    from cfqa.tensor import Tensor
+
+    vocab = toy_vocab()
+    cfg = tiny_config(seed=3, max_span_len=40, k_initial=2)
+    model = QaModel(cfg, vocab, seed=3)
+    ex = tiny_example(np.random.default_rng(3), vocab, n_sentences=4)
+    picks = iter([ActionId.SELECT, ActionId.ANSWER])
+
+    def select_then_answer(state, action_mask=None, lengths=None):
+        probs = np.eye(3)[int(next(picks))]
+        return Tensor(probs), Tensor(np.log(probs + 1e-12))
+
+    model.policy = select_then_answer
+    word_lookups = []
+    embedding = T.embedding
+
+    def counting_embedding(table, ids):
+        if table is model.store["emb.word"]:
+            word_lookups.append(len(ids))
+        return embedding(table, ids)
+
+    monkeypatch.setattr(T, "embedding", counting_embedding)
+    result = run_episode(model, ex, cfg, "eval")
+    assert [s.action for s in result.steps] == ["select", "answer"]
+    assert word_lookups == [len(ex.question)] + [s.ctx_tokens for s in result.steps]

@@ -6,6 +6,7 @@ from cfqa.errors import ContractError
 from cfqa.params import ParamStore
 from cfqa.selector import (SentenceDist, create_selector_params,
                            score_sentences, select_top_k, top_k_indices)
+from cfqa.tensor import Tensor
 from cfqa.text import TokenDoc
 
 
@@ -36,19 +37,25 @@ def make_doc(sentences):
 
 
 def encode_q(cfg, store, tokens=(3, 4)):
-    return encode_tokens(list(tokens), [[1, 0]] * len(tokens), cfg, store)
+    return encode_tokens(list(tokens), [[1, 0]] * len(tokens), cfg, store).matrix
+
+
+def score(q, doc, cfg, store):
+    """Score ``doc`` from its own encoding's projected rows, as a step does."""
+    ctx_enc = encode_tokens(doc.flat_tokens(), doc.flat_char_ids(), cfg, store)
+    return score_sentences(q, doc, ctx_enc.projected, cfg, store)
 
 
 def test_single_sentence_prob_one(setup):
     cfg, store = setup
-    dist = score_sentences(encode_q(cfg, store), make_doc([[5, 6, 7]]), cfg, store)
+    dist = score(encode_q(cfg, store), make_doc([[5, 6, 7]]), cfg, store)
     assert np.allclose(dist.probs, [1.0])
 
 
 def test_identical_sentences_split_evenly(setup):
     cfg, store = setup
     doc = make_doc([[5, 6, 7], [5, 6, 7]])
-    dist = score_sentences(encode_q(cfg, store), doc, cfg, store)
+    dist = score(encode_q(cfg, store), doc, cfg, store)
     assert np.allclose(dist.probs, [0.5, 0.5], atol=1e-6)
 
 
@@ -56,7 +63,7 @@ def test_scores_match_unbatched_numpy_oracle(setup):
     cfg, store = setup
     doc = make_doc([[5, 6, 7, 8], [9, 10], [11, 12, 13]])
     q = encode_q(cfg, store)
-    dist = score_sentences(q, doc, cfg, store)
+    dist = score(q, doc, cfg, store)
 
     # independent oracle: plain numpy, one sentence at a time
     def embed(tokens, chars):
@@ -88,7 +95,7 @@ def test_scores_match_unbatched_numpy_oracle(setup):
     scores = []
     for tokens, chars in zip(doc.sentences, doc.char_ids):
         sent = project(embed(tokens, chars))
-        seq = np.concatenate([q.matrix.data, sent], axis=0)
+        seq = np.concatenate([q.data, sent], axis=0)
         h = np.maximum(conv(seq, store["sel.conv_w"].data)
                        + store["sel.conv_b"].data, 0.0)
         scores.append(float(h.max(axis=0) @ store["sel.score_w"].data))
@@ -103,13 +110,21 @@ def test_empty_context_is_contract_error(setup):
     doc = make_doc([[5]])
     doc.sentences = []
     with pytest.raises(ContractError):
-        score_sentences(encode_q(cfg, store), doc, cfg, store)
+        score_sentences(encode_q(cfg, store), doc, Tensor(np.zeros((0, 8))),
+                        cfg, store)
+
+
+def test_rows_of_another_context_are_contract_error(setup):
+    cfg, store = setup
+    other = encode_tokens([5, 6], [[1, 0]] * 2, cfg, store)
+    with pytest.raises(ContractError):
+        score_sentences(encode_q(cfg, store), make_doc([[5, 6, 7]]),
+                        other.projected, cfg, store)
 
 
 # ----------------------------------------------------------------- narrowing
 
 def _dist(probs):
-    from cfqa.tensor import Tensor
     return SentenceDist(probs=np.asarray(probs, dtype=np.float64),
                         logits=Tensor(np.log(np.asarray(probs) + 1e-12)))
 
@@ -162,3 +177,18 @@ def test_selection_invariant_to_constant_score_shift():
 
         assert (top_k_indices(softmax(scores), k)
                 == top_k_indices(softmax(scores + 3.7), k))
+
+
+def test_model_scores_a_context_from_its_encoding_like_the_oracle():
+    # QaModel hands the selector the step encoding's projected rows; the
+    # oracle embeds and projects each sentence itself
+    from cfqa.checks import score_sentences_loop, tiny_config, tiny_example, toy_vocab
+    from cfqa.model import QaModel
+
+    vocab = toy_vocab()
+    model = QaModel(tiny_config(seed=4), vocab, seed=4)
+    ex = tiny_example(np.random.default_rng(4), vocab, n_sentences=4)
+    q_enc = model.encode_question(ex)
+    got = model.sentence_dist(q_enc, ex.doc, model.encode_doc(ex.doc))
+    want = score_sentences_loop(q_enc.matrix, ex.doc, model.enc_cfg, model.store)
+    assert np.allclose(got.logits.data, want.logits.data, rtol=1e-5, atol=1e-6)

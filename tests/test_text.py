@@ -124,6 +124,45 @@ def test_missing_field_names_field_and_line(tmp_path):
     assert "question" in str(err.value) and "line 1" in str(err.value)
 
 
+GOOD_RECORD = {"id": "a", "document": "Alpha beta.", "question": "alpha",
+               "answers": ["beta"]}
+
+
+@pytest.mark.parametrize("bad, names", [
+    ({"document": 5}, "document"),
+    ({"document": ["x"]}, "document"),
+    ({"document": "  "}, "document"),
+    ({"question": None}, "question"),
+    ({"answers": [3]}, "answers"),
+    ({"answers": ["beta", ""]}, "answers"),
+    ({"answers": "beta"}, "answers"),
+])
+def test_mistyped_field_names_field_and_line(tmp_path, bad, names):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(GOOD_RECORD) + "\n"
+                    + json.dumps({**GOOD_RECORD, **bad}) + "\n")
+    with pytest.raises(DataError) as err:
+        read_jsonl(path)
+    assert names in str(err.value) and "line 2" in str(err.value)
+
+
+def test_non_object_line_is_a_data_error(tmp_path):
+    path = tmp_path / "list.jsonl"
+    path.write_text('["a", "b"]\n')
+    with pytest.raises(DataError, match="line 1: expected a JSON object"):
+        read_jsonl(path)
+
+
+@pytest.mark.parametrize("text", ["{}", "not json", "[1, 2]", "\udcff",
+                                  '{"words": [1], "chars": [], "char_width": 4}',
+                                  '{"words": [], "chars": [], "char_width": 0}'])
+def test_malformed_vocab_file_is_a_data_error_naming_it(tmp_path, text):
+    path = tmp_path / "vocab.json"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    with pytest.raises(DataError, match="vocab.json"):
+        load_vocab(path)
+
+
 def test_truncate_doc_keeps_sentence_structure(vocab):
     doc = tokenize("a b c. d a b. c d.", vocab)
     cut = truncate_doc(doc, 4)
