@@ -65,6 +65,12 @@ def _load_examples(cfg: RunConfig):
     return train_set, eval_set, vocab
 
 
+def _run_hash(cfg: RunConfig, vocab) -> str:
+    """What a checkpoint records of its run: the config hash and the vocab
+    digest, joined by ``/``."""
+    return f"{cfg.hash()}/{vocab.digest()}"
+
+
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     train_set, eval_set, vocab = _load_examples(cfg)
@@ -76,7 +82,7 @@ def cmd_train(args) -> int:
     with open(out_dir / "train_log.jsonl", "w", encoding="utf-8") as log:
         summary = train(model, train_set, cfg, eval_set=eval_set,
                         log_line=lambda line: print(line, file=log))
-    save_checkpoint(out_dir / "model.ckpt", model.store, cfg.hash())
+    save_checkpoint(out_dir / "model.ckpt", model.store, _run_hash(cfg, vocab))
     with open(out_dir / "train_summary.json", "w", encoding="utf-8") as fh:
         json.dump({k: v for k, v in summary.items() if k != "history"}, fh,
                   indent=2, sort_keys=True)
@@ -88,14 +94,21 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
-    params, ckpt_hash = load_checkpoint(args.checkpoint)
-    if ckpt_hash != cfg.hash() and not args.force:
-        print(f"error: checkpoint was written for config hash {ckpt_hash}, "
+    params, run_hash = load_checkpoint(args.checkpoint)
+    # a checkpoint written before vocab digests holds the config hash only
+    ckpt_config, _, ckpt_vocab = run_hash.partition("/")
+    if ckpt_config != cfg.hash() and not args.force:
+        print(f"error: checkpoint was written for config hash {ckpt_config}, "
               f"current config hashes to {cfg.hash()}; pass --force to "
               "evaluate anyway", file=sys.stderr)
         return EXIT_USAGE
     vocab_path = args.vocab or str(Path(args.checkpoint).parent / "vocab.json")
     vocab = load_vocab(vocab_path)
+    if ckpt_vocab and ckpt_vocab != vocab.digest() and not args.force:
+        print(f"error: checkpoint was written with vocab digest {ckpt_vocab}, "
+              f"{vocab_path} digests to {vocab.digest()}; every word id would "
+              "mean another word; pass --force to evaluate anyway", file=sys.stderr)
+        return EXIT_USAGE
     records = read_jsonl(args.dataset)
     dataset = examples_from_records(records, vocab,
                                     max_doc_tokens=cfg.max_doc_tokens)
@@ -174,7 +187,7 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--vocab", help="vocab.json (default: next to checkpoint)")
     p_eval.add_argument("--out", help="output directory")
     p_eval.add_argument("--force", action="store_true",
-                        help="evaluate even on a config-hash mismatch")
+                        help="evaluate even on a config-hash or vocab mismatch")
     p_eval.set_defaults(fn=cmd_eval)
 
     p_gen = sub.add_parser("gen-data", help="generate a synthetic corpus")

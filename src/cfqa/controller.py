@@ -17,6 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import tensor as T
+from .encoder import Encoded
 from .errors import ContractError
 from .metrics import best_f1
 from .nn import create_gru, gru_params, run_gru
@@ -81,19 +82,22 @@ def create_controller_params(store: ParamStore, d_model: int, gru_size: int,
     store.create("critic.head_b", (1,), rng, fan_in=0)
 
 
-def build_state(ctx_rows: Tensor, question_rows: Tensor, store: ParamStore,
+def build_state(ctx_enc: Encoded, question_rows: Tensor, store: ParamStore,
                 max_state_tokens: int = 512) -> Tensor:
     """Sequence fed to both GRUs: context rows, separator row, question rows.
 
-    Oversized contexts are head-and-tail truncated for the state only; the
-    acting modules still see the full context.
+    A context of up to ``max_state_tokens`` rows enters whole. A longer one
+    enters by its first ``(max_state_tokens + 1) // 2`` and last
+    ``max_state_tokens // 2`` rows, and only those rows of its encoder block
+    are computed here; the acting modules still see the full context.
     """
-    n = ctx_rows.data.shape[0]
+    n = ctx_enc.n_rows
     if n > max_state_tokens:
         head = (max_state_tokens + 1) // 2
         tail = max_state_tokens - head
-        ctx_rows = T.concat([T.narrow(ctx_rows, 0, 0, head),
-                             T.narrow(ctx_rows, 0, n - tail, n)], axis=0)
+        ctx_rows = ctx_enc.rows(np.r_[0:head, n - tail:n])
+    else:
+        ctx_rows = ctx_enc.matrix
     sep = T.reshape(store["state.sep"], (1, ctx_rows.data.shape[1]))
     return T.concat([ctx_rows, sep, question_rows], axis=0)
 

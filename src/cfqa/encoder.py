@@ -7,6 +7,13 @@ position-wise feed-forward), all through one parameter set regardless of
 whether the input is a document or the question. Only this module embeds
 tokens: the selector reads the projected rows an ``Encoded`` keeps. Every
 sequence is encoded alone, so nothing is padded or masked.
+
+``encode_tokens`` runs the embedding, the projection, the positions, the
+convolution and the attention key/value projections over every row, since
+every query reads them. The rest of the block, from the queries to the
+feed-forward, runs per output row, and only when a row is first read: the
+controller state of a long context reads its head and tail rows, the span
+extractor reads them all, and the selector reads none.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from . import tensor as T
 from .errors import ConfigError
 from .nn import feed_forward, linear
 from .params import ParamStore
-from .tensor import Tensor
+from .tensor import Tensor, active_tape, on_tape
 
 
 @dataclass
@@ -44,13 +51,6 @@ class EncoderConfig:
             raise ConfigError(
                 f"conv filter count {self.d_f} must equal d_model {self.d_model} "
                 "so the attention layer sees a constant width")
-
-
-@dataclass
-class Encoded:
-    """Encoder output plus the projected token rows it was computed from."""
-    matrix: Tensor            # [n x d_model]
-    projected: Tensor         # [n x d_model], before positions are added
 
 
 def create_encoder_params(store: ParamStore, cfg: EncoderConfig,
@@ -120,19 +120,29 @@ def sinusoidal_positions(n: int, d: int, dtype) -> np.ndarray:
     return table[:n]
 
 
+def attention_keys(x: Tensor, store: ParamStore, prefix: str) -> tuple[Tensor, Tensor]:
+    """The attention keys and values of every row of ``x``."""
+    return (T.matmul(x, store[f"{prefix}.attn_k"]),
+            T.matmul(x, store[f"{prefix}.attn_v"]))
+
+
 def self_attention(x: Tensor, n_heads: int, store: ParamStore, prefix: str,
+                   rows: Optional[np.ndarray] = None,
+                   keys: Optional[tuple[Tensor, Tensor]] = None,
                    return_weights: bool = False):
     """Multi-head scaled dot-product attention over one sequence.
 
-    Every position attends to every position. The queries are scaled by
-    1/sqrt(d_head) before the product, so the only [n x n] passes per head
-    are the product, the softmax and its use.
+    The queries are the rows ``rows`` of ``x`` (all rows when None), and
+    each attends to every row; ``keys`` passes ``attention_keys(x, ...)``
+    when the caller has them already. The queries are scaled by
+    1/sqrt(d_head) before the product, so the only [queries x n] passes per
+    head are the product, the softmax and its use.
     """
     d = x.data.shape[1]
     d_head = d // n_heads
-    q_all = T.mul(T.matmul(x, store[f"{prefix}.attn_q"]), 1.0 / np.sqrt(d_head))
-    k_all = T.matmul(x, store[f"{prefix}.attn_k"])
-    v_all = T.matmul(x, store[f"{prefix}.attn_v"])
+    queries = x if rows is None else T.embedding(x, rows)
+    q_all = T.mul(T.matmul(queries, store[f"{prefix}.attn_q"]), 1.0 / np.sqrt(d_head))
+    k_all, v_all = attention_keys(x, store, prefix) if keys is None else keys
     head_outs = []
     weights = []
     for h in range(n_heads):
@@ -150,17 +160,33 @@ def self_attention(x: Tensor, n_heads: int, store: ParamStore, prefix: str,
     return out
 
 
-def encoder_block(x: Tensor, cfg: EncoderConfig, store: ParamStore,
+def conv_sublayer(x: Tensor, cfg: EncoderConfig, store: ParamStore,
                   prefix: str) -> Tensor:
-    """conv -> self-attention -> feed-forward, residual around each sublayer."""
+    """The block's convolution, with its residual: every row of the block
+    input, which every attention query reads."""
     conv = T.relu(T.add(T.conv1d(x, store[f"{prefix}.conv_w"]),
                         store[f"{prefix}.conv_b"]))
-    x = T.add(x, conv) if cfg.use_residual else conv
-    attn = self_attention(x, cfg.n_heads, store, prefix)
+    return T.add(x, conv) if cfg.use_residual else conv
+
+
+def block_rows(x: Tensor, cfg: EncoderConfig, store: ParamStore, prefix: str,
+               rows: Optional[np.ndarray] = None,
+               keys: Optional[tuple[Tensor, Tensor]] = None) -> Tensor:
+    """Self-attention -> feed-forward, residual around each, for the rows
+    ``rows`` (all when None) of the convolution output ``x``."""
+    attn = self_attention(x, cfg.n_heads, store, prefix, rows=rows, keys=keys)
+    if rows is not None:
+        x = T.embedding(x, rows)
     x = T.add(x, attn) if cfg.use_residual else attn
     ff = feed_forward(x, store[f"{prefix}.ff_w1"], store[f"{prefix}.ff_b1"],
                       store[f"{prefix}.ff_w2"], store[f"{prefix}.ff_b2"])
     return T.add(x, ff) if cfg.use_residual else ff
+
+
+def encoder_block(x: Tensor, cfg: EncoderConfig, store: ParamStore,
+                  prefix: str) -> Tensor:
+    """conv -> self-attention -> feed-forward, residual around each sublayer."""
+    return block_rows(conv_sublayer(x, cfg, store, prefix), cfg, store, prefix)
 
 
 def add_positions(x: Tensor, cfg: EncoderConfig,
@@ -177,10 +203,72 @@ def add_positions(x: Tensor, cfg: EncoderConfig,
     return T.add(x, Tensor(pos))
 
 
+class Encoded:
+    """One sequence's encoder output, computed a row at a time as it is read.
+
+    ``projected`` holds the token rows after the input projection, before
+    positions are added; the selector reads those. Making an encoding runs
+    the block's convolution and its attention keys and values over every
+    row. The block output rows are computed on first read, each row once:
+    ``rows(index)`` computes the rows of ``index`` not computed before, and
+    ``matrix`` the rest. Rows read late are recorded on the tape that was
+    active when the encoding was made, so a read under ``suspend_tape``
+    still keeps the gradient path of a recorded encoding.
+    """
+
+    def __init__(self, block_in: Tensor, projected: Tensor, cfg: EncoderConfig,
+                 store: ParamStore):
+        self.projected = projected
+        self._cfg, self._store = cfg, store
+        self._tape = active_tape()
+        self._x = conv_sublayer(block_in, cfg, store, "enc")
+        self._keys = attention_keys(self._x, store, "enc")
+        self._have = np.zeros(self._x.data.shape[0], dtype=bool)   # rows computed
+        self._done: Optional[Tensor] = None   # the output of those rows, in row order
+
+    @property
+    def n_rows(self) -> int:
+        return self._have.size
+
+    def rows(self, index) -> Tensor:
+        """Output rows ``index``, in its order, as [len(index) x d_model]."""
+        index = np.asarray(index, dtype=np.int64)
+        need = np.zeros_like(self._have)
+        need[index] = True
+        self._compute(np.flatnonzero(need & ~self._have))
+        if np.array_equal(index, np.flatnonzero(self._have)):
+            return self._done
+        with on_tape(self._tape):
+            return T.embedding(self._done, np.cumsum(self._have)[index] - 1)
+
+    @property
+    def matrix(self) -> Tensor:
+        """Every output row, [n x d_model]."""
+        self._compute(np.flatnonzero(~self._have))
+        return self._done
+
+    def _compute(self, missing: np.ndarray) -> None:
+        """Run the block for the rows ``missing`` (ascending, none computed
+        yet) and merge them into ``_done`` in row order."""
+        if not missing.size:
+            return
+        with on_tape(self._tape):
+            every = missing.size == self.n_rows
+            new = block_rows(self._x, self._cfg, self._store, "enc",
+                             rows=None if every else missing, keys=self._keys)
+            if self._done is not None:
+                merged = np.concatenate([np.flatnonzero(self._have), missing])
+                new = T.embedding(T.concat([self._done, new]), np.argsort(merged))
+        self._done = new
+        self._have[missing] = True
+        if self._have.all():
+            # no row is left to compute, so the block inputs are not read again
+            self._x = self._keys = None
+
+
 def encode_tokens(tokens, char_ids, cfg: EncoderConfig, store: ParamStore) -> Encoded:
-    """Full encoder: embed, project to d_model, add positions, run the block;
-    the projected rows are kept for the selector."""
+    """Full encoder: embed, project to d_model, add positions, convolve; the
+    rest of the block runs as the output rows are read."""
     projected = linear(embed_tokens(tokens, char_ids, store),
                        store["enc.proj_w"], store["enc.proj_b"])
-    return Encoded(encoder_block(add_positions(projected, cfg), cfg, store, "enc"),
-                   projected)
+    return Encoded(add_positions(projected, cfg), projected, cfg, store)

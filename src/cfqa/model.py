@@ -66,7 +66,7 @@ class QaModel:
 
     # ---- controller -------------------------------------------------------
     def state(self, ctx_enc: Encoded, q_enc: Encoded) -> Tensor:
-        return build_state(ctx_enc.matrix, q_enc.matrix, self.store,
+        return build_state(ctx_enc, q_enc.matrix, self.store,
                            max_state_tokens=self.cfg.max_state_tokens)
 
     def policy(self, state_seq: Tensor, action_mask: Optional[np.ndarray] = None,

@@ -3,8 +3,10 @@
 Checkpoint layout (version 1, little-endian throughout):
 
     magic    8 bytes  b"CFQACKP1"
-    hash_len u16      length of the config-hash string
-    hash     utf-8    config hash of the run that wrote the file
+    hash_len u16      length of the run-hash string
+    hash     utf-8    run hash of the run that wrote the file: ``cfqa
+                      train`` writes its config hash and vocab digest,
+                      joined by "/"
     count    u32      number of parameters
     per parameter:
         name_len u16, name utf-8
@@ -111,10 +113,10 @@ class ParamStore:
                         for p in self._params.values())
 
 
-def save_checkpoint(path, store: ParamStore, config_hash: str) -> None:
+def save_checkpoint(path, store: ParamStore, run_hash: str) -> None:
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        encoded = config_hash.encode("utf-8")
+        encoded = run_hash.encode("utf-8")
         fh.write(struct.pack("<H", len(encoded)))
         fh.write(encoded)
         fh.write(struct.pack("<I", len(store.names())))
@@ -131,7 +133,7 @@ def save_checkpoint(path, store: ParamStore, config_hash: str) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
-    """Read a checkpoint, returning (name -> array, config_hash).
+    """Read a checkpoint, returning (name -> array, run_hash).
 
     Every read is bounds-checked: a truncated, padded or otherwise
     malformed file raises ``DataError``, never a ``struct`` or numpy error.
@@ -160,8 +162,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
         except UnicodeDecodeError as e:
             raise DataError(f"{path}: {what} is not utf-8") from e
 
-    (hash_len,) = unpack("<H", "the config-hash length")
-    config_hash = text(hash_len, "the config hash")
+    (hash_len,) = unpack("<H", "the run-hash length")
+    run_hash = text(hash_len, "the run hash")
     (count,) = unpack("<I", "the parameter count")
     params: dict[str, np.ndarray] = {}
     for i in range(count):
@@ -178,7 +180,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
         params[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
     if off != len(blob):
         raise DataError(f"{path}: {len(blob) - off} trailing bytes")
-    return params, config_hash
+    return params, run_hash
 
 
 def restore_into(store: ParamStore, params: dict[str, np.ndarray]) -> None:

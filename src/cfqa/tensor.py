@@ -68,17 +68,28 @@ def active_tape() -> Optional["Tape"]:
     return getattr(_tls, "tape", None)
 
 
-class suspend_tape:
-    """Run a forward pass without recording, inside an active tape."""
+class on_tape:
+    """Record onto ``tape`` (nothing, for None) whatever tape is active, for
+    example to finish a forward pass on the tape it started on."""
+
+    def __init__(self, tape: Optional["Tape"]):
+        self.tape = tape
 
     def __enter__(self):
         self._saved = active_tape()
-        _tls.tape = None
+        _tls.tape = self.tape
         return self
 
     def __exit__(self, *exc):
         _tls.tape = self._saved
         return False
+
+
+class suspend_tape(on_tape):
+    """Run a forward pass without recording, inside an active tape."""
+
+    def __init__(self):
+        super().__init__(None)
 
 
 class Tensor:

@@ -7,6 +7,7 @@ behind this module so it can be swapped without touching the models.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from dataclasses import dataclass, field
@@ -24,15 +25,17 @@ _SENT_SPLIT = re.compile(r"[.!?]+(?:\s+|$)")
 _WORD_SPLIT = re.compile(r"[a-z0-9_']+|[^\sa-z0-9_']")
 
 
+def _sentence_words(text: str) -> list[list[str]]:
+    """The word tokens of each sentence of ``text`` that has any, lowercased."""
+    return [words for chunk in _SENT_SPLIT.split(text.lower())
+            if (words := _WORD_SPLIT.findall(chunk))]
+
+
 def split_sentences(text: str) -> list[list[str]]:
     """Lowercase and split into sentences of word tokens."""
     if not text or not text.strip():
         raise DataError("cannot tokenize empty or whitespace-only text")
-    sentences = []
-    for chunk in _SENT_SPLIT.split(text.lower()):
-        words = _WORD_SPLIT.findall(chunk)
-        if words:
-            sentences.append(words)
+    sentences = _sentence_words(text)
     if not sentences:
         raise DataError(f"no tokens found in text {text!r}")
     return sentences
@@ -95,6 +98,12 @@ class Vocab:
 
     def encode_words(self, words: list[str]) -> tuple[list[int], list[list[int]]]:
         return [self.word_id(w) for w in words], [self.char_ids(w) for w in words]
+
+    def digest(self) -> str:
+        """Digest of both id spaces and the char width: vocabs with one
+        digest give every word and every char the same id."""
+        payload = json.dumps([self.words, self.chars, self.char_width])
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass
@@ -193,14 +202,16 @@ _REQUIRED_FIELDS = ("id", "document", "question", "answers")
 
 
 def _is_text(value) -> bool:
-    return isinstance(value, str) and bool(value.strip())
+    """Whether ``value`` is a string the tokenizer finds a word token in."""
+    return isinstance(value, str) and bool(_sentence_words(value))
 
 
 def read_jsonl(path) -> list[dict]:
     """The records of a JSONL dataset, one object per non-blank line, each
-    with an ``id``, non-blank ``document`` and ``question`` strings, and
-    ``answers``, a non-empty list of non-blank strings. A line that breaks
-    this raises ``DataError`` naming the file and the line.
+    with an ``id``, ``document`` and ``question`` strings, and ``answers``,
+    a non-empty list of strings; every string holds a word token (``"..."``
+    holds none). A line that breaks this raises ``DataError`` naming the
+    file, the line and the field.
     """
     records = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -219,11 +230,12 @@ def read_jsonl(path) -> list[dict]:
                     raise DataError(f"{where}: missing field {fname!r}")
             for fname in ("document", "question"):
                 if not _is_text(obj[fname]):
-                    raise DataError(f"{where}: {fname} must be a non-blank string")
+                    raise DataError(f"{where}: {fname} must be a string with a "
+                                    f"word token, got {obj[fname]!r:.60}")
             answers = obj["answers"]
             if not (isinstance(answers, list) and answers and all(map(_is_text, answers))):
                 raise DataError(f"{where}: answers must be a non-empty list of "
-                                "non-blank strings")
+                                f"strings with a word token each, got {answers!r:.60}")
             records.append(obj)
     return records
 

@@ -4,6 +4,7 @@ sum their losses, one optimizer step."""
 from __future__ import annotations
 
 import json
+import math
 import time
 from collections import Counter
 from typing import Callable, Optional
@@ -15,6 +16,7 @@ from . import tensor as T
 from .controller import ActionId, Transition, actor_critic_update, entropy_of
 from .episode import Decision, EpisodeResult, episode_rng, evaluate, run_episode
 from .model import QaModel
+from .params import ParamStore
 from .tensor import Tape, Tensor
 from .text import QAExample
 
@@ -115,6 +117,32 @@ def update_loss(model: QaModel, results: list[EpisodeResult], cfg: RunConfig
     return total, record
 
 
+# the train log's gradient-norm groups, named by parameter-name prefix
+GRAD_GROUPS = ("emb", "enc", "sel", "ans", "state", "actor", "critic")
+
+
+def grad_norms(store: ParamStore) -> dict[str, Optional[float]]:
+    """The L2 norm of the pending gradients of each of ``GRAD_GROUPS``; the
+    span extractor's ``m2`` blocks count as ``ans``. Every group is None
+    when a gradient holds a NaN or Inf, since the optimizer then skips the
+    step."""
+    squares = dict.fromkeys(GRAD_GROUPS, 0.0)
+    for name, p in store.items():
+        if p.grad is not None:
+            group = name.split(".", 1)[0]
+            g = p.grad.ravel()
+            with np.errstate(over="ignore"):
+                sq = float(g @ g)
+            if not math.isfinite(sq):
+                # float32 overflow, or a NaN/Inf entry: only the latter
+                # stays non-finite in float64
+                sq = float(np.einsum("i,i->", g, g, dtype=np.float64))
+            squares["ans" if group == "m2" else group] += sq
+    if not all(map(math.isfinite, squares.values())):
+        return dict.fromkeys(GRAD_GROUPS)
+    return {group: math.sqrt(sq) for group, sq in squares.items()}
+
+
 def train(model: QaModel, train_set: list[QAExample], cfg: RunConfig,
           eval_set: Optional[list[QAExample]] = None,
           log_line: Optional[Callable[[str], None]] = None) -> dict:
@@ -125,9 +153,10 @@ def train(model: QaModel, train_set: list[QAExample], cfg: RunConfig,
     and the critic does not run. Once the episodes have ended,
     ``update_loss`` reads all their states with one recorded actor and one
     recorded critic pass; one backward and one optimizer step follow. Each
-    train-log record adds the wall-clock totals of the three phases:
-    ``rollout_ms`` (episodes and the packed pass), ``backward_ms`` and
-    ``step_ms``.
+    train-log record adds ``grad_norm``, the ``grad_norms`` of the backward
+    pass, and the wall-clock totals of the three phases: ``rollout_ms``
+    (episodes and the packed pass), ``backward_ms`` and ``step_ms`` (the
+    norms and the optimizer step).
     """
     sampler = _ExampleSampler(len(train_set), cfg.seed)
     passes: Counter = Counter()
@@ -147,6 +176,7 @@ def train(model: QaModel, train_set: list[QAExample], cfg: RunConfig,
             rolled_out = time.perf_counter()
             tape.backward(total)
         backward_done = time.perf_counter()
+        record["grad_norm"] = grad_norms(model.store)
         model.store.apply_gradients()
         stepped = time.perf_counter()
         record.update({

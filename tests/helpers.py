@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from cfqa.answer import AnswerOutput, SpanPrediction
-from cfqa.encoder import Encoded
 from cfqa.selector import SentenceDist
 from cfqa.tensor import Tensor
 
@@ -29,9 +28,13 @@ def masked_probs(base: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
 
 
 @dataclass
-class _Tagged(Encoded):
-    """An encoding that names what it encodes: an episode or a context."""
-    tag: object = None
+class _Tagged:
+    """An encoding that names what it encodes: an episode or a context.
+
+    The engine reads only a question's ``matrix``, to check that it stays
+    the same through an episode; the stub's surfaces read the tag."""
+    matrix: Tensor
+    tag: object
 
 
 class ScriptedModel:
@@ -68,11 +71,11 @@ class ScriptedModel:
     def encode_question(self, example):
         rows = np.full((max(1, len(example.question)), self.d_model), 0.25)
         self._episodes += 1
-        return _Tagged(Tensor(rows), Tensor(rows), tag=self._episodes)
+        return _Tagged(Tensor(rows), tag=self._episodes)
 
     def encode_doc(self, ctx):
         rows = np.zeros((ctx.n_tokens, self.d_model))
-        return _Tagged(Tensor(rows), Tensor(rows), tag=ctx)
+        return _Tagged(Tensor(rows), tag=ctx)
 
     def state(self, ctx_enc, q_enc):
         step = self._steps_taken.get(q_enc.tag, 0)

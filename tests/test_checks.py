@@ -1,9 +1,9 @@
-"""Every ``cfqa check`` oracle passes, and planted faults make eight of them fail."""
+"""Every ``cfqa check`` oracle passes, and planted faults make nine of them fail."""
 
 import numpy as np
 import pytest
 
-from cfqa import checks, selector, train
+from cfqa import checks, encoder, selector, train
 from cfqa import tensor as T
 from cfqa.answer import context_query_attention, decode_span, trilinear_similarity
 from cfqa.nn import run_gru
@@ -142,6 +142,23 @@ def test_selector_check_catches_the_encoders_flat_positions(monkeypatch):
     result = checks.check_selector()
     assert result.passed is False
     assert "positions on" in result.detail
+
+
+def test_encoder_rows_check_catches_keys_of_the_requested_rows_only(monkeypatch):
+    # a row subset attends only among itself, as if the rows it does not
+    # read were not in the sequence
+    self_attention = encoder.self_attention
+
+    def keys_of_the_query_rows(x, n_heads, store, prefix, rows=None, keys=None,
+                               **kw):
+        if rows is not None:
+            x, rows, keys = T.embedding(x, rows), None, None
+        return self_attention(x, n_heads, store, prefix, rows=rows, keys=keys, **kw)
+
+    monkeypatch.setattr(encoder, "self_attention", keys_of_the_query_rows)
+    result = checks.check_encoder_rows()
+    assert result.passed is False
+    assert "output off by" in result.detail
 
 
 def test_packed_update_check_catches_next_value_from_the_wrong_row(monkeypatch):

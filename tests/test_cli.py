@@ -60,6 +60,23 @@ def test_eval_refuses_a_change_to_the_model_shape(trained_run, tmp_path, capsys)
     assert "config hash" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("force", [False, True])
+def test_eval_refuses_a_vocab_of_the_same_size_with_other_ids(trained_run, tmp_path,
+                                                              capsys, force):
+    _, run_dir = trained_run
+    payload = json.loads((run_dir / "vocab.json").read_text())
+    payload["words"] = payload["words"][::-1]
+    vocab = tmp_path / "vocab.json"
+    vocab.write_text(json.dumps(payload))
+    code = main(eval_args(trained_run, tmp_path, "--config", str(run_dir / "config.txt"),
+                          "--vocab", str(vocab), *(["--force"] if force else [])))
+    if force:
+        assert code == EXIT_OK
+    else:
+        assert code == EXIT_USAGE
+        assert "vocab digest" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("pair", ["threads=2", "learning_rate=0.1"])
 def test_removed_keys_are_rejected(trained_run, tmp_path, capsys, pair):
     code = main(eval_args(trained_run, tmp_path, *tiny_set_args(), "--set", pair))
@@ -106,6 +123,19 @@ def test_train_on_a_mistyped_record_exits_with_a_data_error(tmp_path, capsys, ba
                  "--out", str(tmp_path / "r")])
     assert code == EXIT_DATA
     assert "line 1" in capsys.readouterr().err
+
+
+def test_train_on_a_document_without_words_names_its_line(tmp_path, capsys):
+    data = tmp_path / "bad.jsonl"
+    good = {"id": "a", "document": "Alpha beta.", "question": "alpha",
+            "answers": ["beta"]}
+    data.write_text(json.dumps(good) + "\n"
+                    + json.dumps({**good, "id": "b", "document": "..."}) + "\n")
+    code = main(["train", *tiny_set_args(), "--train", str(data), "--updates", "1",
+                 "--out", str(tmp_path / "r")])
+    assert code == EXIT_DATA
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and "line 2" in line and "document" in line
 
 
 @pytest.mark.parametrize("text", ["{}", "not json"])

@@ -7,6 +7,7 @@ from cfqa.controller import (ActionId, Answered, Excised, Narrowed, Transition,
                              actor_critic_update, actor_policy, build_state,
                              compute_reward, create_controller_params,
                              critic_value, entropy_of)
+from cfqa.encoder import EncoderConfig, create_encoder_params, encode_tokens
 from cfqa.errors import ContractError
 from cfqa.params import ParamStore
 from cfqa.subcontext import Excision
@@ -14,17 +15,26 @@ from cfqa.tensor import Tape, Tensor, using_dtype
 from cfqa.text import TokenDoc
 
 D_MODEL, GRU = 6, 5
+ENC = EncoderConfig(d1=4, d2=3, d_model=D_MODEL, k_s=3, d_f=D_MODEL, n_heads=2)
 
 
 @pytest.fixture
 def store():
     s = ParamStore()
-    create_controller_params(s, D_MODEL, GRU, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    create_controller_params(s, D_MODEL, GRU, rng)
+    create_encoder_params(s, ENC, 40, 5, rng)
     return s
 
 
 def rows(rng, n):
     return Tensor(rng.normal(0, 1, (n, D_MODEL)))
+
+
+def encoding(store, rng, n):
+    """A context encoding of ``n`` random tokens."""
+    return encode_tokens(rng.integers(3, 40, size=n), rng.integers(1, 5, size=(n, 2)),
+                         ENC, store)
 
 
 def make_doc(sentences):
@@ -40,22 +50,23 @@ def make_doc(sentences):
 
 def test_state_length_is_ctx_plus_sep_plus_question(store):
     rng = np.random.default_rng(1)
-    state = build_state(rows(rng, 7), rows(rng, 3), store)
+    state = build_state(encoding(store, rng, 7), rows(rng, 3), store)
     assert state.data.shape == (7 + 1 + 3, D_MODEL)
 
 
 def test_state_head_tail_truncation(store):
     rng = np.random.default_rng(2)
-    ctx = rows(rng, 20)
+    ctx = encoding(store, rng, 20)
     state = build_state(ctx, rows(rng, 2), store, max_state_tokens=6)
     assert state.data.shape == (6 + 1 + 2, D_MODEL)
-    assert np.array_equal(state.data[:3], ctx.data[:3])     # head
-    assert np.array_equal(state.data[3:6], ctx.data[-3:])   # tail
+    full = ctx.matrix.data
+    assert np.array_equal(state.data[:3], full[:3])     # head
+    assert np.array_equal(state.data[3:6], full[-3:])   # tail
 
 
 def test_separator_row_is_the_learned_parameter(store):
     rng = np.random.default_rng(3)
-    state = build_state(rows(rng, 4), rows(rng, 2), store)
+    state = build_state(encoding(store, rng, 4), rows(rng, 2), store)
     assert np.array_equal(state.data[4], store["state.sep"].data)
 
 

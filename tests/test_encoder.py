@@ -170,3 +170,37 @@ def test_same_params_encode_doc_and_question(store):
     doc_out = encode_tokens([3, 4, 5], [[2, 0, 0, 0]] * 3, cfg, store)
     q_out = encode_tokens([3, 4, 5], [[2, 0, 0, 0]] * 3, cfg, store)
     assert np.array_equal(doc_out.matrix.data, q_out.matrix.data)
+
+
+# ------------------------------------------------------- rows read on demand
+
+TOKENS = [3, 4, 5, 6, 7, 8, 9]
+CHARS = [[2, 1, 0, 0], [3, 0, 0, 0], [4, 5, 0, 0], [2, 0, 0, 0],
+         [6, 7, 8, 0], [1, 0, 0, 0], [3, 3, 0, 0]]
+
+
+def test_rows_come_in_the_order_asked_and_match_the_matrix(store):
+    cfg = small_cfg()
+    enc = encode_tokens(TOKENS, CHARS, cfg, store)
+    picked = enc.rows([5, 2, 2, 0]).data
+    assert np.array_equal(picked, enc.matrix.data[[5, 2, 2, 0]])
+
+
+def test_a_first_read_without_a_tape_stays_on_the_encodings_tape(store):
+    # the answer pre-check reads a context's rows under suspend_tape; the
+    # state then reads the same rows on the tape, and must reach the encoder
+    cfg = small_cfg()
+    grads = []
+    for pre_check in (False, True):
+        with Tape() as tape:
+            enc = encode_tokens(TOKENS, CHARS, cfg, store)
+            if pre_check:
+                with T.suspend_tape():
+                    enc.matrix
+            tape.backward(T.reduce_sum(T.square(enc.rows([0, 1, 5, 6]))))
+        grads.append({name: p.grad for name, p in store.items()})
+        for _, p in store.items():
+            p.grad = None
+    for name, want in grads[0].items():
+        assert want is not None and np.abs(want).sum() > 0, name
+        assert np.allclose(grads[1][name], want, rtol=1e-5, atol=1e-7), name

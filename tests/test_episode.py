@@ -397,3 +397,43 @@ def test_a_select_step_embeds_its_context_once(monkeypatch):
     result = run_episode(model, ex, cfg, "eval")
     assert [s.action for s in result.steps] == ["select", "answer"]
     assert word_lookups == [len(ex.question)] + [s.ctx_tokens for s in result.steps]
+
+
+@pytest.mark.parametrize("mode", ["eval", "train"])
+def test_a_long_context_computes_each_encoder_row_once(monkeypatch, mode):
+    # the state reads the head and tail rows of a context over
+    # max_state_tokens, then the answer reads the whole matrix: the block
+    # computes the rows in between, not every row again
+    import contextlib
+
+    from cfqa import encoder
+    from cfqa.checks import tiny_config, tiny_example, toy_vocab
+    from cfqa.model import QaModel
+    from cfqa.tensor import Tape, Tensor
+
+    vocab = toy_vocab()
+    cfg = tiny_config(seed=4)
+    model = QaModel(cfg, vocab, seed=4)
+    ex = tiny_example(np.random.default_rng(4), vocab, n_sentences=6,
+                      tokens_per_sentence=5)
+    assert ex.doc.n_tokens > cfg.max_state_tokens
+
+    def answers(state, action_mask=None, lengths=None):
+        probs = np.eye(3)[int(ActionId.ANSWER)]
+        return Tensor(probs), Tensor(np.log(probs + 1e-12))
+
+    model.policy = answers
+    query_rows = []
+    self_attention = encoder.self_attention
+
+    def counting_attention(x, n_heads, store, prefix, rows=None, **kw):
+        if prefix == "enc":
+            query_rows.append(x.data.shape[0] if rows is None else len(rows))
+        return self_attention(x, n_heads, store, prefix, rows=rows, **kw)
+
+    monkeypatch.setattr(encoder, "self_attention", counting_attention)
+    with Tape() if mode == "train" else contextlib.nullcontext():
+        result = run_episode(model, ex, cfg, mode, np.random.default_rng(0))
+    assert [s.action for s in result.steps] == ["answer"]
+    n, q = ex.doc.n_tokens, len(ex.question)
+    assert query_rows == [q, cfg.max_state_tokens, n - cfg.max_state_tokens]

@@ -136,6 +136,9 @@ GOOD_RECORD = {"id": "a", "document": "Alpha beta.", "question": "alpha",
     ({"answers": [3]}, "answers"),
     ({"answers": ["beta", ""]}, "answers"),
     ({"answers": "beta"}, "answers"),
+    ({"document": "..."}, "document"),
+    ({"question": "?"}, "question"),
+    ({"answers": ["beta", "..."]}, "answers"),
 ])
 def test_mistyped_field_names_field_and_line(tmp_path, bad, names):
     path = tmp_path / "bad.jsonl"

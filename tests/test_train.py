@@ -1,6 +1,6 @@
 """The train loop: a non-finite update is refused and logged, each update
 reads the controller once on its tape, and the log says how the policy,
-the critic and the time moved."""
+the critic, the gradients and the time moved."""
 
 import itertools
 import json
@@ -41,6 +41,9 @@ def test_nonfinite_loss_skips_the_update_and_is_logged(monkeypatch):
     assert states[0] == before
     assert states[1] != before
     assert [r["skipped_nonfinite"] for r in records] == [1, 1]
+    # the skipped step logs no norm, as null and not NaN
+    assert set(records[0]["grad_norm"].values()) == {None}
+    assert all(math.isfinite(v) for v in records[1]["grad_norm"].values())
 
 
 def _one_update(**overrides):
@@ -91,9 +94,27 @@ def test_one_update_reads_actor_and_critic_once_on_the_tape():
 def test_train_log_records_policy_critic_and_phase_times():
     model, examples, cfg = _one_update(entropy_coef=0.1)
     records = []
+    squares = {}      # group -> summed squares of the gradients the step applies
+    apply_gradients = model.store.apply_gradients
+
+    def apply_and_measure():
+        for name, p in model.store.items():
+            if p.grad is not None:
+                group = {"m2": "ans"}.get(name.split(".")[0], name.split(".")[0])
+                squares[group] = squares.get(group, 0.0) + float(np.sum(
+                    p.grad.astype(np.float64) ** 2))
+        return apply_gradients()
+
+    model.store.apply_gradients = apply_and_measure
     cfqa.train.train(model, examples, cfg,
                      log_line=lambda line: records.append(json.loads(line)))
     (record,) = records
+    norms = record["grad_norm"]
+    assert set(norms) == {"emb", "enc", "sel", "ans", "state", "actor", "critic"}
+    assert set(squares) <= set(norms)
+    for group, norm in norms.items():
+        assert norm == pytest.approx(math.sqrt(squares.get(group, 0.0)), rel=1e-5)
+    assert min(norms[g] for g in ("emb", "enc", "actor", "critic")) > 0.0
     for key in ("policy_entropy", "mean_value", "rollout_ms", "backward_ms",
                 "step_ms"):
         assert math.isfinite(record[key]), key
@@ -103,3 +124,17 @@ def test_train_log_records_policy_critic_and_phase_times():
     assert all(0.0 <= p <= 1.0 for p in probs.values())
     assert sum(probs.values()) == pytest.approx(1.0, abs=1e-5)
     assert min(record[k] for k in ("rollout_ms", "backward_ms", "step_ms")) > 0.0
+
+
+def test_grad_norms_survive_float32_overflow_and_name_no_norm_for_a_nan():
+    model, _, _ = _one_update()
+    store = model.store
+    store["actor.head_b"].grad = np.full(3, 1e20, dtype=np.float32)   # squares overflow
+    store["m2.ff_b1"].grad = np.full(store["m2.ff_b1"].data.shape, 2.0, dtype=np.float32)
+    norms = cfqa.train.grad_norms(store)
+    assert norms["actor"] == pytest.approx(math.sqrt(3) * 1e20, rel=1e-6)
+    assert norms["ans"] == pytest.approx(2.0 * math.sqrt(store["m2.ff_b1"].data.size))
+    assert norms["critic"] == 0.0
+    store["sel.conv_b"].grad = np.full(store["sel.conv_b"].data.shape, np.nan,
+                                       dtype=np.float32)
+    assert set(cfqa.train.grad_norms(store).values()) == {None}
