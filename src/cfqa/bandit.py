@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import (Transition, actor_critic_update, actor_policy,
+from .controller import (actor_critic_update, actor_policy,
                          create_controller_params, critic_value)
 from .params import ParamStore
 from .tensor import Tape, Tensor, add, pick
@@ -41,13 +41,16 @@ def run_bandit_check(seed: int, updates: int = 2000, gamma: float = 0.9,
     target = int(seed) % 3
     probe_states = [rng.normal(0.0, 1.0, size=(ctx_rows, d_model))
                     for _ in range(8)]
+    probe_seq = Tensor(np.concatenate(probe_states))
+    probe_lengths = [ctx_rows] * len(probe_states)
 
-    def probe_prob() -> float:
-        vals = []
-        for s in probe_states:
-            probs, _ = actor_policy(Tensor(s), store, gru_size)
-            vals.append(float(probs.data[target]))
-        return float(np.mean(vals))
+    def probe() -> tuple[np.ndarray, float]:
+        """Mean action probabilities and mean value over the probe states,
+        read by one packed actor and one packed critic call."""
+        probs, _ = actor_policy(probe_seq, store, gru_size, lengths=probe_lengths)
+        values = critic_value(probe_seq, store, gru_size, lengths=probe_lengths)
+        return (probs.data.mean(axis=0, dtype=np.float64),
+                float(values.data.mean(dtype=np.float64)))
 
     history = []
     reached = -1
@@ -55,27 +58,22 @@ def run_bandit_check(seed: int, updates: int = 2000, gamma: float = 0.9,
         state_data = rng.normal(0.0, 1.0, size=(ctx_rows, d_model))
         with Tape() as tape:
             state = Tensor(state_data)
-            probs, logp = actor_policy(state, store, gru_size)
-            value = critic_value(state, store, gru_size)
-            p = probs.data.astype(np.float64)
+            probs, logp = actor_policy(state, store, gru_size, lengths=[ctx_rows])
+            value = critic_value(state, store, gru_size, lengths=[ctx_rows])
+            p = probs.data[0].astype(np.float64)
             action = int(rng.choice(3, p=p / p.sum()))
             reward = 1.0 if (symmetric or action == target) else 0.0
-            traj = [Transition(action, pick(logp, action), value, reward, None)]
-            loss_actor, loss_critic, _ = actor_critic_update(traj, gamma)
+            loss_actor, loss_critic, _ = actor_critic_update(
+                pick(logp, ([0], [action])), value, [reward], [1], gamma)
             tape.backward(add(loss_actor, loss_critic))
         store.apply_gradients()
         if (update + 1) % 50 == 0:
-            prob = probe_prob()
+            prob = float(probe()[0][target])
             history.append(prob)
             if reached < 0 and prob > threshold:
                 reached = update + 1
 
-    final_probs = np.zeros(3)
-    final_value = 0.0
-    for s in probe_states:
-        probs, _ = actor_policy(Tensor(s), store, gru_size)
-        final_probs += probs.data / len(probe_states)
-        final_value += float(critic_value(Tensor(s), store, gru_size).item()) / len(probe_states)
+    final_probs, final_value = probe()
     return BanditReport(
         target_action=target,
         final_target_prob=float(final_probs[target]),

@@ -26,7 +26,7 @@ from . import tensor as T
 from .answer import context_query_attention, decode_span, trilinear_similarity
 from .bandit import run_bandit_check
 from .config import RunConfig
-from .controller import Transition, actor_critic_update, entropy_of
+from .controller import ActionId, actor_critic_update, entropy_of
 from .encoder import (EncoderConfig, add_positions, create_encoder_params,
                       embed_tokens, encode_tokens, encoder_block)
 from .episode import EpisodeResult, episode_rng, run_episode
@@ -537,10 +537,12 @@ def toy_vocab(n_words: int = 30, char_width: int = 6) -> Vocab:
 
 
 def end_to_end_loss(model: QaModel, example: QAExample,
-                    frozen_deltas: Optional[list[float]] = None,
+                    frozen_deltas: Optional[np.ndarray] = None,
                     frozen_kept: Optional[list[int]] = None
-                    ) -> tuple[Tensor, list[float], list[int]]:
-    """One full decision-step loss with a pinned action path.
+                    ) -> tuple[Tensor, np.ndarray, list[int]]:
+    """One full decision-step loss with a pinned action path: SELECT, then
+    ANSWER on the narrowed context, both states read by one packed actor and
+    one packed critic call.
 
     Covers every module: encoder, sentence scorer, span extractor, both
     GRUs, the policy and value heads, and all three loss families. Freeze
@@ -557,8 +559,6 @@ def end_to_end_loss(model: QaModel, example: QAExample,
     ctx = example.doc
     ctx_enc = model.encode_doc(ctx)
     state = model.state(ctx_enc, q_enc)
-    probs, logp = model.policy(state)
-    value = model.value(state)
 
     dist = model.sentence_dist(q_enc, ctx, ctx_enc)
     if frozen_kept is not None:
@@ -567,23 +567,20 @@ def end_to_end_loss(model: QaModel, example: QAExample,
         dist = SentenceDist(probs=pinned, logits=dist.logits)
     narrowed, kept = select_top_k(dist, ctx, 2)
     sel_logp = T.log_softmax(dist.logits, axis=0)
-    log_prob = T.pick(logp, 1)
-    for i in kept:
-        log_prob = T.add(log_prob, T.pick(sel_logp, i))
 
     ctx2_enc = model.encode_doc(narrowed)
     state2 = model.state(ctx2_enc, q_enc)
-    logp2 = model.policy(state2)[1]
-    value2 = model.value(state2)
+    lengths = [state.data.shape[0], state2.data.shape[0]]
+    packed = T.concat([state, state2], axis=0)
+    logp = model.policy(packed, lengths=lengths)[1]
+    values = model.value(packed, lengths)
     out = model.answer(q_enc, ctx2_enc)
 
-    from .controller import ActionId
-    traj = [
-        Transition(ActionId.SELECT, log_prob, value, 0.0, value2),
-        Transition(ActionId.ANSWER, T.pick(logp2, 0), value2, 0.7, None),
-    ]
+    log_probs = T.pick(logp, ([0, 1], [ActionId.SELECT, ActionId.ANSWER]))
+    for i in kept:
+        log_probs = T.add(log_probs, T.mul(T.pick(sel_logp, i), np.array([1.0, 0.0])))
     loss_actor, loss_critic, deltas = actor_critic_update(
-        traj, cfg.gamma, frozen_deltas=frozen_deltas)
+        log_probs, values, [0.0, 0.7], [2], cfg.gamma, frozen_deltas=frozen_deltas)
     loss = T.add(loss_actor, loss_critic)
     gold = _gold_span_in(narrowed, example.gold_answers)
     if gold is None:
@@ -631,29 +628,31 @@ def check_gradient_end_to_end(seed: int = 0, max_coords: int = 6) -> CheckResult
 def serial_update_loss(model: QaModel, results: list[EpisodeResult],
                        cfg: RunConfig) -> Tensor:
     """Oracle for ``train.update_loss``: each decision's state read by its
-    own recorded ``policy`` and ``value`` call, and the entropy bonus added
-    step by step."""
-    total = None
+    own recorded ``policy`` and ``value`` call, each step's TD error, actor
+    and critic terms built on their own, and the entropy bonus added step
+    by step."""
+    terms = []
     for result in results:
-        transitions: list[Transition] = []
-        aux = list(result.aux_losses)
+        terms.extend(result.aux_losses)
+        steps = []      # (taken log-probability, value, reward)
         for decision in result.trajectory:
             probs, log_probs = model.policy(decision.state, action_mask=decision.mask)
-            value = model.value(decision.state)
-            if transitions:
-                transitions[-1].next_value = value
             log_prob = T.pick(log_probs, int(decision.action))
             if decision.sel_log_prob is not None:
                 log_prob = T.add(log_prob, decision.sel_log_prob)
-            transitions.append(Transition(decision.action, log_prob, value,
-                                          decision.reward, None))
+            steps.append((log_prob, model.value(decision.state), decision.reward))
             if cfg.entropy_coef > 0.0:
-                aux.append(T.mul(entropy_of(probs, log_probs), -cfg.entropy_coef))
-        loss_actor, loss_critic, _ = actor_critic_update(transitions, cfg.gamma)
-        loss = T.add(loss_actor, loss_critic)
-        for term in aux:
-            loss = T.add(loss, term)
-        total = loss if total is None else T.add(total, loss)
+                terms.append(T.mul(entropy_of(probs, log_probs), -cfg.entropy_coef))
+        for i, (log_prob, value, reward) in enumerate(steps):
+            # r + gamma * V(s') - V(s); the episode's last state has no s'
+            td = T.sub(reward, value)
+            if i + 1 < len(steps):
+                td = T.add(td, T.mul(steps[i + 1][1], cfg.gamma))
+            terms.append(T.mul(log_prob, -float(td.item())))
+            terms.append(T.square(td))
+    total = terms[0]
+    for term in terms[1:]:
+        total = T.add(total, term)
     return total
 
 

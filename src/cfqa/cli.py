@@ -50,16 +50,24 @@ def _resolve_config(args) -> RunConfig:
     return cfg
 
 
+def _read_records(path) -> list[dict]:
+    """The records of a JSONL dataset; a file with none is a data error."""
+    records = read_jsonl(path)
+    if not records:
+        raise DataError(f"{path}: no records")
+    return records
+
+
 def _load_examples(cfg: RunConfig):
     if not cfg.train_path:
         raise ConfigError("train_path is required")
-    train_records = read_jsonl(cfg.train_path)
+    train_records = _read_records(cfg.train_path)
     vocab = build_vocab(train_records, char_width=cfg.char_width)
     train_set = examples_from_records(train_records, vocab,
                                       max_doc_tokens=cfg.max_doc_tokens)
     eval_set = None
     if cfg.eval_path:
-        eval_records = read_jsonl(cfg.eval_path)
+        eval_records = _read_records(cfg.eval_path)
         eval_set = examples_from_records(eval_records, vocab,
                                          max_doc_tokens=cfg.max_doc_tokens)
     return train_set, eval_set, vocab
@@ -109,7 +117,7 @@ def cmd_eval(args) -> int:
               f"{vocab_path} digests to {vocab.digest()}; every word id would "
               "mean another word; pass --force to evaluate anyway", file=sys.stderr)
         return EXIT_USAGE
-    records = read_jsonl(args.dataset)
+    records = _read_records(args.dataset)
     dataset = examples_from_records(records, vocab,
                                     max_doc_tokens=cfg.max_doc_tokens)
     model = QaModel(cfg, vocab)

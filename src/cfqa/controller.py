@@ -3,9 +3,10 @@
 The actor and critic are two independent GRUs read over the same state
 sequence (encoded context, a separator row, encoded question). The actor
 ends in a 3-way softmax over answer/select/excise; the critic in a scalar.
-Update rule: per-transition temporal-difference error delta = r + gamma *
-v_next - v; the actor loss weights -log pi(a) by delta treated as a
-constant, the critic regresses delta^2.
+Update rule: per-step temporal-difference error delta = r + gamma * v_next
+- v, computed as one vector over the steps of a batch of episodes; the
+actor loss weights -log pi(a) by delta treated as a constant, the critic
+regresses delta^2.
 """
 
 from __future__ import annotations
@@ -52,23 +53,6 @@ class Excised:
 
 
 ActionOutcome = Union[Answered, Narrowed, Excised]
-
-
-@dataclass
-class Transition:
-    """One step of a trajectory as the actor-critic update reads it.
-
-    ``train()`` builds these from the recorded packed actor and critic pass
-    over a batch's states, so every tensor is live on the update's tape:
-    ``log_prob`` is the taken action's log-probability (plus the kept
-    sentences' on a SELECT step), ``value`` the state's critic value and
-    ``next_value`` the next state's.
-    """
-    action: ActionId
-    log_prob: Tensor
-    value: Tensor
-    reward: float
-    next_value: Optional[Tensor]   # None at the terminal step
 
 
 def create_controller_params(store: ParamStore, d_model: int, gru_size: int,
@@ -149,38 +133,45 @@ def compute_reward(action: ActionId, outcome: ActionOutcome,
     return 1.0 if contains_any_answer(post_ctx, gold_answers) else 0.0
 
 
-def actor_critic_update(trajectory: list[Transition], gamma: float,
-                        frozen_deltas: Optional[list[float]] = None
-                        ) -> tuple[Tensor, Tensor, list[float]]:
-    """Summed actor and critic losses over one trajectory.
+def actor_critic_update(log_probs: Tensor, values: Tensor, rewards, lengths,
+                        gamma: float, frozen_deltas: Optional[np.ndarray] = None
+                        ) -> tuple[Tensor, Tensor, np.ndarray]:
+    """Summed actor and critic losses over the steps of one or more episodes.
 
-    The advantage weight in the actor loss is the numeric TD error, so no
-    gradient reaches the critic through the actor term. The critic term is
-    the squared TD error built from live value tensors. ``frozen_deltas``
-    substitutes externally fixed advantage weights, which is how the
-    stop-gradient contract stays testable against finite differences.
+    ``log_probs`` (the taken actions' log-probabilities), ``values`` (the
+    states' critic values) and ``rewards`` hold N steps packed back to back,
+    and ``lengths`` splits them into episodes; the last step of each
+    episode has next value 0. Returns the two losses and the [N] numeric
+    TD errors, in float64. The advantage weight in the actor loss is the
+    numeric TD error, so no gradient reaches the critic through the actor
+    term. The critic term is the squared TD error built from the live
+    values. ``frozen_deltas`` substitutes externally fixed advantage
+    weights, which is how the stop-gradient contract stays testable against
+    finite differences.
     """
-    if not trajectory:
-        raise ContractError("cannot update from an empty trajectory")
-    if trajectory[-1].next_value is not None:
-        raise ContractError("terminal transition must have next_value=None")
-    actor_terms = []
-    critic_terms = []
-    deltas = []
-    for i, tr in enumerate(trajectory):
-        v_next = 0.0 if tr.next_value is None else float(tr.next_value.item())
-        delta = tr.reward + gamma * v_next - float(tr.value.item())
-        if frozen_deltas is not None:
-            delta = frozen_deltas[i]
-        deltas.append(delta)
-        actor_terms.append(T.mul(tr.log_prob, -delta))
-        if tr.next_value is None:
-            td = T.sub(tr.reward, tr.value)
-        else:
-            td = T.sub(T.add(tr.reward, T.mul(tr.next_value, gamma)), tr.value)
-        critic_terms.append(T.square(td))
-    loss_actor = _sum_scalars(actor_terms)
-    loss_critic = _sum_scalars(critic_terms)
+    rewards = np.asarray(rewards, dtype=np.float64)
+    lens = np.asarray(lengths)
+    n = rewards.size
+    if not n or not log_probs.data.shape == values.data.shape == rewards.shape == (n,):
+        raise ContractError(f"log_probs {log_probs.data.shape}, values "
+                            f"{values.data.shape} and rewards {rewards.shape} "
+                            "must be the same non-empty vector shape")
+    if lens.ndim != 1 or not lens.size or lens.min() < 1 or lens.sum() != n:
+        raise ContractError(f"episode lengths {lens.tolist()} must be positive "
+                            f"and sum to the {n} steps")
+    # row i of ``step`` maps the values to gamma * v[i + 1] - v[i], with no
+    # next value at the last row of an episode
+    step = gamma * np.eye(n, k=1)
+    step[np.cumsum(lens) - 1] = 0.0
+    step -= np.eye(n)
+    if frozen_deltas is None:
+        deltas = rewards + step @ values.data.astype(np.float64)
+    else:
+        deltas = np.asarray(frozen_deltas, dtype=np.float64)
+    dtype = values.data.dtype
+    loss_actor = T.matmul(log_probs, Tensor(-deltas, dtype=dtype))
+    td = T.add(Tensor(rewards, dtype=dtype), T.matmul(Tensor(step, dtype=dtype), values))
+    loss_critic = T.reduce_sum(T.square(td))
     return loss_actor, loss_critic, deltas
 
 
@@ -188,10 +179,3 @@ def entropy_of(probs: Tensor, log_probs: Tensor) -> Tensor:
     """Policy entropy, summed over every row given; masked actions
     contribute zero."""
     return T.mul(T.reduce_sum(T.mul(probs, log_probs)), -1.0)
-
-
-def _sum_scalars(terms: list[Tensor]) -> Tensor:
-    out = terms[0]
-    for t in terms[1:]:
-        out = T.add(out, t)
-    return out

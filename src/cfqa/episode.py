@@ -15,7 +15,10 @@ reads all their states with one actor call per round. Acting needs only
 those probabilities, so both drivers read the actor with no tape and never
 run the critic. Each step instead records what learning needs (``Decision``):
 ``train()`` reads every state of a batch again, in one recorded actor and
-one recorded critic pass, and builds the actor-critic transitions from that.
+one recorded critic pass, and computes the actor-critic loss over those
+rows. Every episode checks its invariants as it runs: the context never
+grows, the question encoding stays the same, and the episode answers
+exactly once, at the end, forced only by the step cap.
 """
 
 from __future__ import annotations
@@ -143,8 +146,7 @@ def action_mask(ctx: TokenDoc, forced: bool, cfg: RunConfig,
 
 
 def run_episode(model, example: QAExample, cfg: RunConfig, mode: str,
-                rng: Optional[np.random.Generator] = None,
-                check_invariants: bool = False) -> EpisodeResult:
+                rng: Optional[np.random.Generator] = None) -> EpisodeResult:
     """Play one episode; in train mode the policy samples, in eval it argmaxes.
 
     Drives one ``episode_steps`` generator, reading each state with one
@@ -153,7 +155,7 @@ def run_episode(model, example: QAExample, cfg: RunConfig, mode: str,
     live, so ``train()`` can read them again on the tape and turn them into
     losses; eval runs are pure numpy.
     """
-    steps = episode_steps(model, example, cfg, mode, rng, check_invariants)
+    steps = episode_steps(model, example, cfg, mode, rng)
     state, mask = next(steps)
     while True:
         with suspend_tape():
@@ -165,13 +167,13 @@ def run_episode(model, example: QAExample, cfg: RunConfig, mode: str,
 
 
 def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
-                  rng: Optional[np.random.Generator] = None,
-                  check_invariants: bool = False):
+                  rng: Optional[np.random.Generator] = None):
     """The step loop of one episode, as a generator.
 
     Before each decision it yields ``(state, action_mask)`` and expects the
     actor's [3] action probabilities for that state, as an array, to be sent
-    back. It returns the ``EpisodeResult``.
+    back. It returns the ``EpisodeResult``, and raises ``ContractError``
+    when the episode breaks an invariant.
     """
     if mode not in ("train", "eval"):
         raise ContractError(f"mode must be train or eval, got {mode!r}")
@@ -180,7 +182,7 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
         raise ContractError("train mode needs an rng for action sampling")
 
     q_enc = model.encode_question(example)
-    q_bytes = q_enc.matrix.data.tobytes() if check_invariants else None
+    q_bytes = q_enc.matrix.data.tobytes()
     ctx = example.doc
     k_budget = cfg.k_initial
     trajectory: list[Decision] = []
@@ -192,11 +194,10 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
 
     for step in range(cfg.step_cap + 1):
         forced = step == cfg.step_cap
-        if check_invariants:
-            if ctx.n_tokens > prev_token_count:
-                raise ContractError("context grew between steps")
-            if q_enc.matrix.data.tobytes() != q_bytes:
-                raise ContractError("question encoding changed during episode")
+        if ctx.n_tokens > prev_token_count:
+            raise ContractError("context grew between steps")
+        if q_enc.matrix.data.tobytes() != q_bytes:
+            raise ContractError("question encoding changed during episode")
         prev_token_count = ctx.n_tokens
 
         ctx_enc = model.encode_doc(ctx)
@@ -301,8 +302,7 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
     result = EpisodeResult(answer_tokens=answer_tokens, trajectory=trajectory,
                            steps=steps, n_steps=len(trajectory),
                            forced=forced_answer, em=em, f1=f1, aux_losses=aux)
-    if check_invariants:
-        _check_episode(result, cfg)
+    _check_episode(result, cfg)
     return result
 
 
@@ -372,7 +372,9 @@ def evaluate(model, dataset: list[QAExample], cfg: RunConfig
     Episodes play in lockstep, ``cfg.batch_size`` at a time (``run_lockstep``).
     Each is independent of the others and read-only over the parameters, so
     a record depends neither on where its example sits in the dataset nor on
-    the lockstep width.
+    the lockstep width. Each of a record's ``steps`` holds the step's
+    ``StepRecord`` fields plus what the policy saw: ``probs``, the [3]
+    action probabilities it acted on, and ``mask``, the legal actions.
     """
     if not dataset:
         raise DataError("cannot evaluate an empty dataset")
@@ -394,7 +396,9 @@ def evaluate(model, dataset: list[QAExample], cfg: RunConfig
             "f1": result.f1,
             "n_steps": result.n_steps,
             "actions": "|".join(rec.action for rec in result.steps),
-            "steps": [rec.__dict__ for rec in result.steps],
+            "steps": [{**rec.__dict__, "probs": tr.probs.tolist(),
+                       "mask": tr.mask.tolist()}
+                      for rec, tr in zip(result.steps, result.trajectory)],
         })
     n = len(dataset)
     props = action_counts / max(1, action_counts.sum())

@@ -414,7 +414,8 @@ def narrow(a, axis: int, start: int, stop: int) -> Tensor:
 
 
 def pick(a, index) -> Tensor:
-    """Single element as a scalar tensor; index is an int or tuple of ints."""
+    """Single element as a scalar tensor, for an int or a tuple of ints; a
+    tuple of index arrays picks one distinct element per entry, as a vector."""
     a = _wrap(a)
     out = np.asarray(a.data[index])
 

@@ -13,8 +13,8 @@ import numpy as np
 
 from .config import RunConfig
 from . import tensor as T
-from .controller import ActionId, Transition, actor_critic_update, entropy_of
-from .episode import Decision, EpisodeResult, episode_rng, evaluate, run_episode
+from .controller import ActionId, actor_critic_update, entropy_of
+from .episode import EpisodeResult, episode_rng, evaluate, run_episode
 from .model import QaModel
 from .params import ParamStore
 from .tensor import Tape, Tensor
@@ -39,34 +39,18 @@ class _ExampleSampler:
         return out
 
 
-def episode_transitions(trajectory: list[Decision], log_probs: Tensor,
-                        values: Tensor, start: int) -> list[Transition]:
-    """The ``Transition``s of one episode whose states are rows ``start``
-    onwards of a packed actor and critic pass: each step's log-probability
-    is its row's entry for the taken action plus its selector term, and its
-    next value is the next row's value."""
-    transitions = []
-    for row, decision in enumerate(trajectory, start):
-        log_prob = T.pick(log_probs, (row, int(decision.action)))
-        if decision.sel_log_prob is not None:
-            log_prob = T.add(log_prob, decision.sel_log_prob)
-        transitions.append(Transition(decision.action, log_prob,
-                                      T.pick(values, row), decision.reward, None))
-    for tr, following in zip(transitions, transitions[1:]):
-        tr.next_value = following.value
-    return transitions
-
-
 def update_loss(model: QaModel, results: list[EpisodeResult], cfg: RunConfig
                 ) -> tuple[Tensor, dict]:
     """The summed loss of one update's episodes, and its train-log fields.
 
     Every state of every episode is packed back to back and read once by a
     recorded ``model.policy`` and once by a recorded ``model.value`` call,
-    so each GRU runs forward and backward once per update. Per episode the
-    actor and critic losses come from ``actor_critic_update`` over its
-    ``episode_transitions``, plus its auxiliary losses; the entropy bonus
-    covers all rows at once. Call it under the tape the episodes ran on.
+    so each GRU runs forward and backward once per update. One
+    ``actor_critic_update`` call over all those rows gives the actor and
+    critic losses: a row's log-probability is its entry for the taken action
+    plus, on a SELECT step, the kept sentences' term. The episodes'
+    auxiliary losses and the entropy bonus over all rows are added to them.
+    Call it under the tape the episodes ran on.
     """
     decisions = [d for result in results for d in result.trajectory]
     lengths = [d.state.data.shape[0] for d in decisions]
@@ -75,23 +59,20 @@ def update_loss(model: QaModel, results: list[EpisodeResult], cfg: RunConfig
     probs, log_probs = model.policy(packed, masks, lengths)
     values = model.value(packed, lengths)
 
-    la_sum = lc_sum = aux_sum = 0.0
-    deltas_all: list[float] = []
-    total = None
-    start = 0
+    n_rows = len(decisions)
+    taken = T.pick(log_probs, (np.arange(n_rows), [int(d.action) for d in decisions]))
+    for row, decision in enumerate(decisions):
+        if decision.sel_log_prob is not None:
+            taken = T.add(taken, T.mul(decision.sel_log_prob, np.eye(n_rows)[row]))
+    loss_actor, loss_critic, deltas = actor_critic_update(
+        taken, values, [d.reward for d in decisions],
+        [len(result.trajectory) for result in results], cfg.gamma)
+    total = T.add(loss_actor, loss_critic)
+    aux_sum = 0.0
     for result in results:
-        loss_actor, loss_critic, deltas = actor_critic_update(
-            episode_transitions(result.trajectory, log_probs, values, start),
-            cfg.gamma)
-        start += len(result.trajectory)
-        loss = T.add(loss_actor, loss_critic)
         for aux in result.aux_losses:
-            loss = T.add(loss, aux)
+            total = T.add(total, aux)
             aux_sum += float(aux.item())
-        total = loss if total is None else T.add(total, loss)
-        la_sum += float(loss_actor.item())
-        lc_sum += float(loss_critic.item())
-        deltas_all.extend(deltas)
     # masked actions have probability 0, so they add nothing here
     entropies = -(probs.data * log_probs.data).sum(axis=1)
     if cfg.entropy_coef > 0.0:
@@ -103,10 +84,10 @@ def update_loss(model: QaModel, results: list[EpisodeResult], cfg: RunConfig
     actions = Counter(rec.action for result in results for rec in result.steps)
     mean_probs = probs.data.mean(axis=0)
     record = {
-        "loss_actor": la_sum / n,
-        "loss_critic": lc_sum / n,
+        "loss_actor": float(loss_actor.item()) / n,
+        "loss_critic": float(loss_critic.item()) / n,
         "loss_aux": aux_sum / n,
-        "mean_delta": float(np.mean(deltas_all)),
+        "mean_delta": float(np.mean(deltas)),
         "train_em": sum(result.em for result in results) / n,
         "actions": dict(actions),
         "policy_entropy": float(entropies.mean()),

@@ -162,15 +162,14 @@ def test_encoder_rows_check_catches_keys_of_the_requested_rows_only(monkeypatch)
 
 
 def test_packed_update_check_catches_next_value_from_the_wrong_row(monkeypatch):
-    transitions = train.episode_transitions
+    # the update's episodes read as one, so each episode's last step takes
+    # the next episode's first value as its next value
+    update = train.actor_critic_update
 
-    def next_value_from_its_own_row(trajectory, log_probs, values, start):
-        out = transitions(trajectory, log_probs, values, start)
-        for tr in out[:-1]:
-            tr.next_value = tr.value
-        return out
+    def episodes_run_together(log_probs, values, rewards, lengths, gamma):
+        return update(log_probs, values, rewards, [sum(lengths)], gamma)
 
-    monkeypatch.setattr(train, "episode_transitions", next_value_from_its_own_row)
+    monkeypatch.setattr(train, "actor_critic_update", episodes_run_together)
     result = checks.check_packed_update()
     assert result.passed is False
     assert "loss off by" in result.detail

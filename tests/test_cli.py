@@ -138,6 +138,44 @@ def test_train_on_a_document_without_words_names_its_line(tmp_path, capsys):
     assert line.startswith("error:") and "line 2" in line and "document" in line
 
 
+@pytest.mark.parametrize("flag", ["--train", "--eval", "--dataset"])
+def test_an_empty_dataset_is_a_data_error_naming_its_file(trained_run, tmp_path,
+                                                          capsys, flag):
+    data, run_dir = trained_run
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n")
+    if flag == "--dataset":
+        args = eval_args(trained_run, tmp_path, "--config", str(run_dir / "config.txt"))
+        args[args.index("--dataset") + 1] = str(empty)
+    else:
+        paths = {"--train": str(data), "--eval": str(data), flag: str(empty)}
+        args = ["train", *tiny_set_args(), "--train", paths["--train"],
+                "--eval", paths["--eval"], "--updates", "1",
+                "--out", str(tmp_path / "r")]
+    code = main(args)
+    assert code == EXIT_DATA
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and str(empty) in line
+    assert not (tmp_path / "r" / "model.ckpt").exists()
+
+
+def test_eval_trajectories_record_what_the_policy_saw(trained_run, tmp_path):
+    _, run_dir = trained_run
+    assert main(eval_args(trained_run, tmp_path,
+                          "--config", str(run_dir / "config.txt"))) == EXIT_OK
+    lines = (tmp_path / "eval" / "trajectories.jsonl").read_text().splitlines()
+    steps = [step for line in lines for step in json.loads(line)["steps"]]
+    assert steps
+    for step in steps:
+        probs, mask = step["probs"], step["mask"]
+        assert len(probs) == len(mask) == 3
+        assert sum(probs) == pytest.approx(1.0, abs=1e-5)
+        assert all(p == 0.0 for p, legal in zip(probs, mask) if not legal)
+        # eval is greedy: the action taken is the most probable one
+        actions = ["answer", "select", "excise"]
+        assert probs.index(max(probs)) == actions.index(step["action"])
+
+
 @pytest.mark.parametrize("text", ["{}", "not json"])
 def test_eval_with_a_malformed_vocab_exits_with_a_data_error(trained_run, tmp_path,
                                                              capsys, text):

@@ -3,7 +3,7 @@ import pytest
 
 from cfqa import tensor as T
 from cfqa.checks import finite_diff_grads
-from cfqa.controller import (ActionId, Answered, Excised, Narrowed, Transition,
+from cfqa.controller import (ActionId, Answered, Excised, Narrowed,
                              actor_critic_update, actor_policy, build_state,
                              compute_reward, create_controller_params,
                              critic_value, entropy_of)
@@ -152,48 +152,84 @@ def test_reward_outcome_mismatch_is_contract_error():
 
 # -------------------------------------------------------------------- update
 
-def _transition(log_p, v, reward, v_next):
-    return Transition(ActionId.ANSWER, Tensor(np.asarray(log_p)),
-                      Tensor(np.asarray(v)), reward,
-                      None if v_next is None else Tensor(np.asarray(v_next)))
+def _update(log_probs, values, rewards, lengths, gamma=0.9):
+    return actor_critic_update(Tensor(np.log(log_probs)), Tensor(values),
+                               rewards, lengths, gamma)
 
 
 def test_single_terminal_transition_losses():
-    tr = _transition(np.log(0.4), 0.0, 1.0, None)
-    la, lc, deltas = actor_critic_update([tr], gamma=0.9)
+    la, lc, deltas = _update([0.4], [0.0], [1.0], [1])
     assert la.item() == pytest.approx(-np.log(0.4) * 1.0)
     assert lc.item() == pytest.approx(1.0)
-    assert deltas == [pytest.approx(1.0)]
+    assert deltas.tolist() == [pytest.approx(1.0)]
 
 
 def test_zero_advantage_zeroes_both_losses():
-    tr = _transition(np.log(0.2), 0.7, 0.7, None)
-    la, lc, deltas = actor_critic_update([tr], gamma=0.9)
+    la, lc, deltas = _update([0.2], [0.7], [0.7], [1])
     assert la.item() == pytest.approx(0.0, abs=1e-6)
     assert lc.item() == pytest.approx(0.0, abs=1e-12)
-    assert deltas == [pytest.approx(0.0, abs=1e-6)]
+    assert deltas.tolist() == [pytest.approx(0.0, abs=1e-6)]
 
 
 def test_multi_step_discounting():
-    t0 = Transition(ActionId.SELECT, Tensor(np.asarray(np.log(0.5))),
-                    Tensor(np.asarray(0.2)), 0.0, Tensor(np.asarray(0.6)))
-    t1 = _transition(np.log(0.8), 0.6, 1.0, None)
-    la, lc, deltas = actor_critic_update([t0, t1], gamma=0.9)
+    la, lc, deltas = _update([0.5, 0.8], [0.2, 0.6], [0.0, 1.0], [2])
     assert deltas[0] == pytest.approx(0.0 + 0.9 * 0.6 - 0.2)
     assert deltas[1] == pytest.approx(1.0 - 0.6)
     assert lc.item() == pytest.approx(deltas[0] ** 2 + deltas[1] ** 2)
+    assert la.item() == pytest.approx(-np.log(0.5) * deltas[0]
+                                      - np.log(0.8) * deltas[1])
+
+
+def test_gradients_keep_the_tensors_dtype_and_stop_at_the_advantage():
+    log_probs = Tensor(np.log([0.5, 0.8]), requires_grad=True)
+    values = Tensor([0.2, 0.6], requires_grad=True)
+    with Tape() as tape:
+        la, lc, deltas = actor_critic_update(log_probs, values, [0.0, 1.0], [2], 0.9)
+        tape.backward(T.add(la, lc))
+    # the TD errors are float64; the float32 tensors' gradients stay float32
+    assert deltas.dtype == np.float64
+    assert log_probs.grad.dtype == values.grad.dtype == np.float32
+    np.testing.assert_allclose(log_probs.grad, -deltas, rtol=1e-6)
+    # only the critic term reaches the values: d(td0^2 + td1^2)/dv
+    np.testing.assert_allclose(values.grad, [-2 * deltas[0],
+                                             2 * (0.9 * deltas[0] - deltas[1])],
+                               rtol=1e-6)
+
+
+def test_packed_episodes_sum_their_own_losses():
+    # the first episode's last step must not read the second's first value
+    first = ([0.5, 0.8], [0.2, 0.6], [0.0, 1.0])
+    second = ([0.3, 0.6, 0.9], [0.4, 0.1, 0.5], [0.0, 0.0, 0.25])
+    both = [a + b for a, b in zip(first, second)]
+    alone = [_update(*episode, [len(episode[0])]) for episode in (first, second)]
+    la, lc, deltas = _update(*both, [2, 3])
+    assert la.item() == pytest.approx(alone[0][0].item() + alone[1][0].item())
+    assert lc.item() == pytest.approx(alone[0][1].item() + alone[1][1].item())
+    assert deltas.tolist() == pytest.approx(alone[0][2].tolist() + alone[1][2].tolist())
+    # read as one episode, the first's last step sees a next value
+    assert _update(*both, [5])[1].item() != pytest.approx(lc.item())
 
 
 def test_empty_trajectory_rejected():
     with pytest.raises(ContractError):
-        actor_critic_update([], gamma=0.9)
+        _update([], [], [], [])
 
 
-def test_nonterminal_tail_rejected():
-    tr = Transition(ActionId.ANSWER, Tensor(np.asarray(0.0)),
-                    Tensor(np.asarray(0.0)), 1.0, Tensor(np.asarray(0.0)))
+@pytest.mark.parametrize("lengths", [[], [1], [2, 2], [0, 3], [3, 0], [-1, 4]])
+def test_lengths_that_do_not_split_the_rows_are_rejected(lengths):
     with pytest.raises(ContractError):
-        actor_critic_update([tr], gamma=0.9)
+        _update([0.5, 0.8, 0.4], [0.2, 0.6, 0.1], [0.0, 0.0, 1.0], lengths)
+
+
+@pytest.mark.parametrize("log_probs, values, rewards", [
+    ([0.5, 0.8], [0.2, 0.6, 0.1], [0.0, 0.0, 1.0]),
+    ([0.5, 0.8, 0.4], [0.2, 0.6], [0.0, 0.0, 1.0]),
+    ([0.5, 0.8, 0.4], [0.2, 0.6, 0.1], [0.0, 1.0]),
+    ([[0.5, 0.8, 0.4]], [[0.2, 0.6, 0.1]], [[0.0, 0.0, 1.0]]),
+])
+def test_mismatched_shapes_are_rejected(log_probs, values, rewards):
+    with pytest.raises(ContractError):
+        _update(log_probs, values, rewards, [len(rewards)])
 
 
 def test_actor_gradient_matches_fd_with_frozen_delta(store):
@@ -204,10 +240,11 @@ def test_actor_gradient_matches_fd_with_frozen_delta(store):
         frozen = [0.37]
 
         def loss():
-            probs, logp = actor_policy(Tensor(state_data), s, GRU)
-            v = critic_value(Tensor(state_data), s, GRU)
-            tr = Transition(ActionId.ANSWER, T.pick(logp, 1), v, 1.0, None)
-            la, _, _ = actor_critic_update([tr], 0.9, frozen_deltas=frozen)
+            lengths = [state_data.shape[0]]
+            probs, logp = actor_policy(Tensor(state_data), s, GRU, lengths=lengths)
+            v = critic_value(Tensor(state_data), s, GRU, lengths=lengths)
+            la, _, _ = actor_critic_update(T.pick(logp, ([0], [1])), v, [1.0],
+                                           [1], 0.9, frozen_deltas=frozen)
             return la
 
         # every coordinate of every actor parameter
@@ -226,10 +263,11 @@ def test_critic_perturbation_changes_actor_loss_value_not_direction(store):
             for n in s.names():
                 s[n].grad = None
             with Tape() as tape:
-                probs, logp = actor_policy(Tensor(state_data), s, GRU)
-                v = critic_value(Tensor(state_data), s, GRU)
-                tr = Transition(ActionId.ANSWER, T.pick(logp, 0), v, 1.0, None)
-                la, _, deltas = actor_critic_update([tr], 0.9, frozen_deltas=frozen)
+                lengths = [state_data.shape[0]]
+                probs, logp = actor_policy(Tensor(state_data), s, GRU, lengths=lengths)
+                v = critic_value(Tensor(state_data), s, GRU, lengths=lengths)
+                la, _, deltas = actor_critic_update(T.pick(logp, ([0], [0])), v, [1.0],
+                                                    [1], 0.9, frozen_deltas=frozen)
                 tape.backward(la)
             return ({n: s[n].grad.copy() for n in s.names()
                      if n.startswith("actor.") and s[n].grad is not None},
@@ -244,7 +282,7 @@ def test_critic_perturbation_changes_actor_loss_value_not_direction(store):
         _, live_before, d0 = actor_grads(None)
         s["critic.head_w"].data += 0.3
         _, live_after, d1 = actor_grads(None)
-        assert d0 != d1 and live_before != live_after
+        assert d0[0] != d1[0] and live_before != live_after
 
 
 def test_entropy_handles_masked_actions():

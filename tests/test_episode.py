@@ -22,7 +22,7 @@ def test_pinned_answer_policy_terminates_in_one_step():
     rng = np.random.default_rng(0)
     ex = make_example(rng, n_sentences=6)
     model = ScriptedModel(seed=1, policy_fn=pinned_policy(ActionId.ANSWER))
-    result = run_episode(model, ex, engine_cfg(), "eval", check_invariants=True)
+    result = run_episode(model, ex, engine_cfg(), "eval")
     assert result.n_steps == 1
     assert result.steps[0].action == "answer"
     assert not result.forced
@@ -32,7 +32,7 @@ def test_pinned_select_policy_hits_cap_then_forced_answer():
     rng = np.random.default_rng(1)
     ex = make_example(rng, n_sentences=10)
     model = ScriptedModel(seed=2, policy_fn=pinned_policy(ActionId.SELECT))
-    result = run_episode(model, ex, engine_cfg(), "eval", check_invariants=True)
+    result = run_episode(model, ex, engine_cfg(), "eval")
     assert result.n_steps == 6
     assert [s.action for s in result.steps[:-1]] == ["select"] * 5
     assert result.steps[-1].action == "answer"
@@ -48,7 +48,7 @@ def test_oracle_policy_reaches_exact_match():
         return pinned_policy(ActionId.SELECT if step == 0 else ActionId.ANSWER)(ctx, step)
 
     model = ScriptedModel(seed=3, policy_fn=policy, dist_fn=dist_fn, span_fn=span_fn)
-    result = run_episode(model, ex, engine_cfg(), "eval", check_invariants=True)
+    result = run_episode(model, ex, engine_cfg(), "eval")
     assert result.n_steps == 2
     assert result.em == 1
     assert result.f1 == 1.0
@@ -63,7 +63,7 @@ def test_excise_shrinks_context_and_continues():
 
     model = ScriptedModel(seed=4, policy_fn=policy,
                           span_fn=lambda ctx, rng: (0, 1))
-    result = run_episode(model, ex, engine_cfg(), "eval", check_invariants=True)
+    result = run_episode(model, ex, engine_cfg(), "eval")
     assert result.steps[0].action == "excise"
     assert result.steps[1].ctx_tokens == result.steps[0].ctx_tokens - 2
 
@@ -76,7 +76,7 @@ def test_full_cover_span_converts_excise_to_answer():
     # max_span_len >= doc tokens would pre-mask excise; shrink it so the
     # pre-check cannot see the full cover and the refusal path must fire
     cfg = engine_cfg(max_span_len=3)
-    result = run_episode(model, ex, cfg, "eval", check_invariants=True)
+    result = run_episode(model, ex, cfg, "eval")
     assert result.n_steps == 1
     # the sampled excise stays on record; the executed outcome is the answer
     assert result.trajectory[-1].action is ActionId.EXCISE
@@ -102,8 +102,7 @@ def test_disable_excise_masks_it_everywhere():
     cfg = engine_cfg(disable_excise=True)
     for pass_idx in range(20):
         result = run_episode(model, ex, cfg, "train",
-                             rng=episode_rng(0, ex.id, pass_idx),
-                             check_invariants=True)
+                             rng=episode_rng(0, ex.id, pass_idx))
         assert all(s.action != "excise" for s in result.steps)
 
 
@@ -138,8 +137,7 @@ def test_invariants_over_random_policies_and_examples():
                           example_id=f"case-{case}")
         model = ScriptedModel(seed=case)
         result = run_episode(model, ex, cfg, "train",
-                             rng=episode_rng(11, ex.id, case),
-                             check_invariants=True)
+                             rng=episode_rng(11, ex.id, case))
         assert result.n_steps <= cfg.step_cap + 1
         # the trajectory keeps the sampled actions; an excise that would
         # empty the context is executed as the answer that ends the episode
@@ -163,7 +161,7 @@ def test_question_encoding_changed_mid_episode_breaks_the_invariants():
     ex = make_example(np.random.default_rng(19), n_sentences=6)
     model = MutatesQuestion(seed=19, policy_fn=pinned_policy(ActionId.SELECT))
     with pytest.raises(ContractError, match="question encoding"):
-        run_episode(model, ex, engine_cfg(), "eval", check_invariants=True)
+        run_episode(model, ex, engine_cfg(), "eval")
 
 
 def test_episode_rng_is_deterministic_per_example():
@@ -277,7 +275,8 @@ def test_lockstep_evaluation_matches_one_episode_at_a_time():
             assert row["id"] == ex.id
             assert row["actions"] == "|".join(s.action for s in want.steps)
             # spans, outcomes, rewards and context sizes, step by step
-            assert row["steps"] == [s.__dict__ for s in want.steps]
+            assert [{k: v for k, v in step.items() if k not in ("probs", "mask")}
+                    for step in row["steps"]] == [s.__dict__ for s in want.steps]
             assert (row["em"], row["f1"]) == (want.em, want.f1)
         for got, want in zip(run_lockstep(model, dataset, wide), serial):
             assert [tr.action for tr in got.trajectory] == \

@@ -23,9 +23,9 @@ def test_nonfinite_loss_skips_the_update_and_is_logged(monkeypatch):
     original = cfqa.train.actor_critic_update
     calls = itertools.count()
 
-    def nan_in_first_update(trajectory, gamma):
-        loss_actor, loss_critic, deltas = original(trajectory, gamma)
-        if next(calls) == 0:  # one episode per update: this is update 0
+    def nan_in_first_update(*args):
+        loss_actor, loss_critic, deltas = original(*args)
+        if next(calls) == 0:  # one call per update: this is update 0
             loss_actor = T.mul(loss_actor, math.nan)
         return loss_actor, loss_critic, deltas
 
