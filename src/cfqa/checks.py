@@ -292,7 +292,10 @@ def check_gru_sequence(seed: int = 0, max_len: int = 8, max_pack: int = 5
     then packs of 1..``max_pack`` sequences (mixed lengths with an empty one
     and a tie, in no sorted order) against the oracle run on each sequence
     alone. In float32 at paper width (128 -> 512): one sequence of 80 rows
-    and a pack of 8 sequences of 20-80 rows.
+    and a pack of 8 sequences of 20-80 rows. Last, a float32 pack of 4
+    sequences of 6 rows at 16 -> 700, where every step's product splits
+    into column panels, forward and backward, and no panel width divides
+    the product's width, so each last panel is narrower.
     """
     rng = np.random.default_rng(seed)
 
@@ -306,6 +309,7 @@ def check_gru_sequence(seed: int = 0, max_len: int = 8, max_pack: int = 5
     cases.append((np.float32, None, 80, 128, 512, 1e-5))
     cases.append((np.float32, [int(n) for n in rng.integers(20, 81, size=8)], None,
                   128, 512, 1e-5))
+    cases.append((np.float32, [6] * 4, None, 16, 700, 1e-5))
     for dtype, lengths, length, d_x, d_h, tol in cases:
         n_rows = length if lengths is None else sum(lengths)
         with using_dtype(dtype):
@@ -339,8 +343,9 @@ def check_gru_sequence(seed: int = 0, max_len: int = 8, max_pack: int = 5
                        f"80 rows at 128->512 in float32) and {len(packs)} packs "
                        f"of {sum(map(len, packs))} sequences (1..{max_pack} per pack "
                        f"with empty and tied lengths in float64, 8 of 20-80 rows "
-                       f"at 128->512 in float32) matched the per-step oracle in "
-                       f"value and all 7 gradients")
+                       f"at 128->512 and 4 of 6 rows at 16->700 in float32, the "
+                       f"last split into column panels at every step) matched the "
+                       f"per-step oracle in value and all 7 gradients")
 
 
 def embed_tokens_per_token(tokens, char_ids, store: ParamStore) -> Tensor:

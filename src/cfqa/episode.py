@@ -49,12 +49,15 @@ class StepRecord:
     ``action`` is what the policy picked and ``outcome`` what the step did.
     They differ only when an excision would empty the context: the step then
     answers from the intact context, and records ``excise`` / ``answer``.
+    ``span`` is the answered or excised span and, on a SELECT step,
+    ``kept`` the sorted indices of the sentences it kept.
     """
     action: str
     ctx_tokens: int
     reward: float
     span: Optional[tuple[int, int]] = None
     outcome: Optional[str] = None
+    kept: Optional[list[int]] = None
 
     def __post_init__(self):
         if self.outcome is None:
@@ -261,6 +264,7 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
             trajectory.append(Decision(action, state, mask, probs, sel_log_prob,
                                        reward))
             steps.append(StepRecord("select", ctx.n_tokens, reward))
+            steps[-1].kept = kept
             if train and cfg.selector_loss:
                 gold_sent = _gold_sentence_in(ctx, example.gold_answers)
                 if gold_sent is not None:

@@ -70,6 +70,7 @@ class Vocab:
                 self.char_to_id[c] = len(self.chars)
                 self.chars.append(c)
         self.char_width = char_width
+        self._char_rows: dict[str, tuple[int, ...]] = {}
 
     @classmethod
     def build(cls, token_lists: Iterable[list[str]], char_width: int = 16) -> "Vocab":
@@ -92,9 +93,14 @@ class Vocab:
         return self.words[i]
 
     def char_ids(self, w: str) -> list[int]:
-        ids = [self.char_to_id.get(c, UNK_ID) for c in w[: self.char_width]]
-        ids.extend([PAD_ID] * (self.char_width - len(ids)))
-        return ids
+        """``w``'s char ids, cut or PAD-filled to ``char_width``: a new list
+        on every call, copied from a memo per distinct word."""
+        row = self._char_rows.get(w)
+        if row is None:
+            ids = [self.char_to_id.get(c, UNK_ID) for c in w[: self.char_width]]
+            ids.extend([PAD_ID] * (self.char_width - len(ids)))
+            row = self._char_rows[w] = tuple(ids)
+        return list(row)
 
     def encode_words(self, words: list[str]) -> tuple[list[int], list[list[int]]]:
         return [self.word_id(w) for w in words], [self.char_ids(w) for w in words]

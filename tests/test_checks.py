@@ -122,6 +122,25 @@ def test_gru_sequence_check_catches_a_finished_sequence_that_keeps_stepping(monk
     assert "pack of lengths" in result.detail
 
 
+def test_gru_sequence_check_catches_a_dropped_narrow_last_panel(monkeypatch):
+    def whole_panels_only(a, b, b_t):
+        n, k = a.shape
+        if n not in T._PANEL_ROWS:
+            return a @ b
+        width = min(T._SMALL_NWK // (n * k), T._SMALL_NW // n)
+        out = np.zeros((n, b_t.shape[0]), dtype=a.dtype)
+        # panels counted by floor division: a narrower last panel is never
+        # written, while a product that does not split comes out right
+        for j in range(0, max(1, b_t.shape[0] // width) * width, width):
+            out[:, j:j + width] = a @ b_t[j:j + width].T
+        return out
+
+    monkeypatch.setattr(T, "_matmul_rows", whole_panels_only)
+    result = checks.check_gru_sequence()
+    assert result.passed is False
+    assert "float32 pack" in result.detail
+
+
 def test_selector_check_catches_sentences_bleeding_into_each_other(monkeypatch):
     # no zero rows between segments: the convolution at a sentence's last
     # token reads the next segment's question rows

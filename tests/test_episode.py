@@ -39,6 +39,31 @@ def test_pinned_select_policy_hits_cap_then_forced_answer():
     assert result.forced
 
 
+def test_select_steps_record_the_sentences_they_kept():
+    from cfqa.text import QAExample, TokenDoc
+
+    rng = np.random.default_rng(4)
+    # sentences of 1..10 tokens, so the kept set shows in the next step's size
+    sentences = [[int(t) for t in rng.integers(10, 200, size=n)]
+                 for n in rng.permutation(np.arange(1, 11))]
+    doc = TokenDoc(sentences, [[[1, 2]] * len(s) for s in sentences],
+                   [[(si, ti) for ti in range(len(s))] for si, s in enumerate(sentences)])
+    ex = QAExample("ex-0", doc, [11, 12, 13], [[1, 2]] * 3, [sentences[3][:1]])
+    model = ScriptedModel(seed=2, policy_fn=pinned_policy(ActionId.SELECT))
+    cfg = engine_cfg()
+    _, rows = evaluate(model, [ex], cfg)
+    steps = rows[0]["steps"]
+    assert [s["action"] for s in steps] == ["select"] * 5 + ["answer"]
+    budget = cfg.k_initial
+    for step, after in zip(steps, steps[1:]):
+        kept = step["kept"]
+        assert kept == sorted(kept) and 1 <= len(kept) <= budget
+        assert after["ctx_tokens"] == sum(len(sentences[i]) for i in kept)
+        sentences = [sentences[i] for i in kept]
+        budget = max(1, budget - 1)
+    assert steps[-1]["kept"] is None
+
+
 def test_oracle_policy_reaches_exact_match():
     rng = np.random.default_rng(2)
     ex = make_example(rng, n_sentences=10, gold_sentence=7)

@@ -186,6 +186,16 @@ def test_backward_scalar_value_reused_in_two_terms(f64):
     assert_fd_match(loss, [w])
 
 
+def test_a_wider_constant_leaves_the_gradient_in_the_parents_dtype():
+    x = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+    c = Tensor(np.full((3, 1), 0.5), dtype=np.float64)
+    with Tape() as tape:
+        loss = T.reduce_sum(T.matmul(x, c))
+        tape.backward(loss)
+    assert loss.data.dtype == x.grad.dtype == np.float32
+    assert np.array_equal(x.grad, np.full((2, 3), 0.5))
+
+
 def test_leaf_off_the_loss_path_gets_no_gradient():
     used = Tensor([1.0], requires_grad=True)
     unused = Tensor([1.0], requires_grad=True)
@@ -287,6 +297,29 @@ def test_gru_packed_states_match_each_sequence_alone(f64):
         alone = run_gru(Tensor(seq.data[start:start + n]), params, 4)
         np.testing.assert_allclose(row, alone.data, rtol=1e-12, atol=1e-15)
     assert not packed.data[0].any() and not packed.data[4].any()
+
+
+def test_one_sequence_runs_the_one_product_loop_bit_for_bit():
+    # every step of a single sequence has one row, so none splits into panels
+    rng = np.random.default_rng(7)
+    d_x, d_h, n = 128, 512, 12
+    weights = [rng.normal(0, 0.05, shape).astype(np.float32)
+               for shape in ((d_x, 2 * d_h), (d_h, 2 * d_h), (2 * d_h,),
+                             (d_x, d_h), (d_h, d_h), (d_h,))]
+    wg, ug, bg, wc, uc, bc = weights
+    seq = rng.normal(0, 1, (n, d_x)).astype(np.float32)
+    x_gates = seq @ wg
+    x_gates += bg
+    x_cand = seq @ wc
+    x_cand += bc
+    h = np.zeros((1, d_h), dtype=np.float32)
+    for t in range(n):
+        gates = 1.0 / (1.0 + np.exp(-(x_gates[t:t + 1] + h @ ug)))
+        z, r = gates[:, :d_h], gates[:, d_h:]
+        c = np.tanh(x_cand[t:t + 1] + (r * h) @ uc)
+        h = (1.0 - z) * h + z * c
+    out = T.gru_sequence(Tensor(seq), [n], *(Tensor(w) for w in weights))
+    assert np.array_equal(out.data, h)
 
 
 def test_gru_keeps_bptt_buffers_only_for_a_tape():

@@ -79,6 +79,28 @@ def test_char_ids_pad_and_truncate(vocab):
     assert PAD_ID not in long_ids
 
 
+def test_memoized_char_ids_give_the_same_examples_in_fresh_lists(monkeypatch):
+    cfg = SyntheticConfig(n_docs=40, sentences_per_doc=(2, 5),
+                          tokens_per_sentence=(4, 7), vocab_size=60,
+                          distractor_rate=0.3)
+    records = gen_synthetic(cfg, seed=5)
+    vocab = build_vocab(records[:20], char_width=4)   # some later words are unknown
+    memoized = examples_from_records(records, vocab)
+
+    def char_ids_unmemoized(self, w):
+        ids = [self.char_to_id.get(c, UNK_ID) for c in w[:self.char_width]]
+        return ids + [PAD_ID] * (self.char_width - len(ids))
+
+    monkeypatch.setattr(Vocab, "char_ids", char_ids_unmemoized)
+    assert memoized == examples_from_records(records, vocab)
+    monkeypatch.undo()
+    first, again = vocab.char_ids("hello"), vocab.char_ids("hello")
+    first[0] = -1
+    assert again[0] != -1 and vocab.char_ids("hello")[0] != -1
+    rows = [row for sent in memoized[0].doc.char_ids for row in sent]
+    assert len({id(row) for row in rows}) == len(rows)
+
+
 def test_load_dataset_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
