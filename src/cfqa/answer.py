@@ -16,7 +16,6 @@ import numpy as np
 
 from . import tensor as T
 from .encoder import EncoderConfig, encoder_block, _create_block
-from .errors import ContractError
 from .params import ParamStore
 from .tensor import Tensor
 
@@ -88,20 +87,11 @@ def model_encode(d: Tensor, pair: AttentionPair, cfg: EncoderConfig,
     return e0, e1, e2
 
 
-def decode_span(p_start: np.ndarray, p_end: np.ndarray, max_span_len: int,
-                mode: str = "constrained") -> tuple[int, int]:
-    """Pick (start, end) from the two position distributions.
-
-    constrained: argmax of p_start[i]*p_end[j] over i <= j < i+max_span_len.
-    paper_literal: independent argmaxes; a start past the end collapses the
-    span to the start token.
-    """
-    if mode == "paper_literal":
-        s = int(np.argmax(p_start))
-        e = int(np.argmax(p_end))
-        return (s, s) if s > e else (s, e)
-    if mode != "constrained":
-        raise ContractError(f"unknown decode mode {mode!r}")
+def decode_span(p_start: np.ndarray, p_end: np.ndarray,
+                max_span_len: int) -> tuple[int, int]:
+    """Pick (start, end) from the two position distributions: the argmax of
+    p_start[i]*p_end[j] over i <= j < i+max_span_len, as QANet decodes. A
+    span is never inverted and never longer than ``max_span_len`` tokens."""
     n = len(p_start)
     best = (-1.0, 0, 0)
     for j in range(n):
@@ -113,11 +103,11 @@ def decode_span(p_start: np.ndarray, p_end: np.ndarray, max_span_len: int,
     return best[1], best[2]
 
 
-def predict_span(start_logits: Tensor, end_logits: Tensor, max_span_len: int,
-                 mode: str = "constrained") -> SpanPrediction:
+def predict_span(start_logits: Tensor, end_logits: Tensor,
+                 max_span_len: int) -> SpanPrediction:
     p_start = _probs(start_logits.data)
     p_end = _probs(end_logits.data)
-    s, e = decode_span(p_start, p_end, max_span_len, mode=mode)
+    s, e = decode_span(p_start, p_end, max_span_len)
     return SpanPrediction(start=s, end=e, p_start=p_start, p_end=p_end,
                           score=float(p_start[s] * p_end[e]))
 
@@ -128,14 +118,14 @@ def _probs(logits: np.ndarray) -> np.ndarray:
 
 
 def answer_forward(q: Tensor, d: Tensor, cfg: EncoderConfig, store: ParamStore,
-                   max_span_len: int, mode: str = "constrained") -> AnswerOutput:
+                   max_span_len: int) -> AnswerOutput:
     """Full extractor forward on one (question, context) pair."""
     sim = trilinear_similarity(q, d, store["ans.w_sim"])
     pair = context_query_attention(sim, q, d)
     e0, e1, e2 = model_encode(d, pair, cfg, store)
     start_logits = T.matmul(T.concat([e0, e1], axis=1), store["ans.w_start"])
     end_logits = T.matmul(T.concat([e0, e2], axis=1), store["ans.w_end"])
-    span = predict_span(start_logits, end_logits, max_span_len, mode=mode)
+    span = predict_span(start_logits, end_logits, max_span_len)
     return AnswerOutput(start_logits=start_logits, end_logits=end_logits, span=span)
 
 

@@ -385,22 +385,20 @@ def check_selector(seed: int = 0, cases: int = 200) -> CheckResult:
     rows.
 
     Float64 docs of 1..12 sentences of 1..9 tokens drawn from 8 words (so
-    words and char rows repeat), questions of 1..6 rows, positions on and
-    off, selector kernels 3 and 5; bound 1e-9 relative.
+    words and char rows repeat), questions of 1..6 rows, selector kernels 3
+    and 5; bound 1e-9 relative.
     """
     rng = np.random.default_rng(seed)
     vocab = toy_vocab(n_words=11, char_width=4)
     for case in range(cases):
-        use_positional = case % 2 == 0
-        kernel = (3, 5)[case // 2 % 2]
+        kernel = (3, 5)[case % 2]
         n_sent = int(rng.integers(1, 13))
         sentences = [[int(t) for t in rng.integers(3, 11, size=rng.integers(1, 10))]
                      for _ in range(n_sent)]
         doc = toy_doc(sentences, vocab)
         m = int(rng.integers(1, 7))
         with using_dtype(np.float64):
-            cfg = EncoderConfig(d1=5, d2=4, d_model=6, k_s=3, d_f=6, n_heads=2,
-                                use_positional=use_positional)
+            cfg = EncoderConfig(d1=5, d2=4, d_model=6, k_s=3, d_f=6, n_heads=2)
             store = ParamStore()
             create_encoder_params(store, cfg, vocab.n_words, vocab.n_chars, rng)
             create_selector_params(store, cfg, kernel, 4, rng)
@@ -426,11 +424,10 @@ def check_selector(seed: int = 0, cases: int = 200) -> CheckResult:
                 "selector", False,
                 f"case {case} ({n_sent} sentences of lengths "
                 f"{[len(s) for s in sentences]}, {m} question rows, kernel "
-                f"{kernel}, positions {'on' if use_positional else 'off'}): "
-                f"{mismatch}")
+                f"{kernel}): {mismatch}")
     return CheckResult("selector", True,
                        f"{cases} docs (1..12 sentences of 1..9 tokens, questions "
-                       f"of 1..6 rows, kernels 3 and 5, positions on and off) "
+                       f"of 1..6 rows, kernels 3 and 5) "
                        f"scored from the encoder's projected rows matched the "
                        f"one-sentence-at-a-time oracle in logits and all gradients")
 
@@ -442,7 +439,7 @@ def check_encoder_rows(seed: int = 0, cases: int = 200) -> CheckResult:
     after ``rows(index)`` against the full block. Both in the output and
     the gradients of every encoder parameter, within 1e-9 relative.
 
-    Float64 docs of 1..40 tokens drawn from 8 words, positions on and off.
+    Float64 docs of 1..40 tokens drawn from 8 words.
     The row subsets are random and ascending; in every other case of a doc
     over the tiny config's ``max_state_tokens`` rows, the head and tail rows
     the controller state reads.
@@ -452,7 +449,6 @@ def check_encoder_rows(seed: int = 0, cases: int = 200) -> CheckResult:
     vocab = toy_vocab(n_words=11, char_width=4)
     head_tail = 0
     for case in range(cases):
-        use_positional = case % 2 == 0
         n = int(rng.integers(1, 41))
         tokens = [int(t) for t in rng.integers(3, 11, size=n)]
         chars = [vocab.char_ids(vocab.word(t)) for t in tokens]
@@ -464,8 +460,7 @@ def check_encoder_rows(seed: int = 0, cases: int = 200) -> CheckResult:
             index = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)),
                                        replace=False))
         with using_dtype(np.float64):
-            cfg = EncoderConfig(d1=5, d2=4, d_model=6, k_s=3, d_f=6, n_heads=2,
-                                use_positional=use_positional)
+            cfg = EncoderConfig(d1=5, d2=4, d_model=6, k_s=3, d_f=6, n_heads=2)
             store = ParamStore()
             create_encoder_params(store, cfg, vocab.n_words, vocab.n_chars, rng)
             # the biases start at zero; perturb everything so that no
@@ -496,10 +491,9 @@ def check_encoder_rows(seed: int = 0, cases: int = 200) -> CheckResult:
                 if mismatch:
                     return CheckResult(
                         "encoder_rows", False,
-                        f"case {case} ({what} {index.tolist()} of {n}, positions "
-                        f"{'on' if use_positional else 'off'}): {mismatch}")
+                        f"case {case} ({what} {index.tolist()} of {n}): {mismatch}")
     return CheckResult("encoder_rows", True,
-                       f"{cases} docs (1..40 tokens, positions on and off; "
+                       f"{cases} docs (1..40 tokens; "
                        f"{head_tail} read by their head and tail rows, the rest by "
                        f"random row subsets) matched the full block in rows read "
                        f"alone and in the matrix read after them, value and all "

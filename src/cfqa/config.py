@@ -16,7 +16,6 @@ from .encoder import EncoderConfig
 from .errors import ConfigError
 
 REWARD_MODES = ("single_final", "shaped")
-DECODE_MODES = ("constrained", "paper_literal")
 RUN_PLUMBING = ("seed", "train_path", "eval_path", "out_dir", "updates",
                 "batch_size", "eval_every")
 
@@ -38,8 +37,6 @@ class RunConfig:
     k_s: int = 7
     d_f: int = 128
     n_heads: int = 4
-    use_positional: bool = True
-    use_residual: bool = True
     char_width: int = 16
     # sentence selector
     sel_kernel: int = 5
@@ -57,7 +54,6 @@ class RunConfig:
     disable_excise: bool = False
     # answer generation
     max_span_len: int = 20
-    decode_mode: str = "constrained"
     span_loss: bool = True
     selector_loss: bool = False
     # data handling
@@ -68,8 +64,6 @@ class RunConfig:
     def validate(self) -> None:
         if self.reward_mode not in REWARD_MODES:
             raise ConfigError(f"reward_mode must be one of {REWARD_MODES}")
-        if self.decode_mode not in DECODE_MODES:
-            raise ConfigError(f"decode_mode must be one of {DECODE_MODES}")
         for name in ("updates", "max_doc_tokens", "entropy_coef"):
             if not getattr(self, name) >= 0:
                 raise ConfigError(f"{name} must be >= 0")
@@ -87,13 +81,14 @@ class RunConfig:
             raise ConfigError("rho must lie in (0, 1)")
         if not self.eps > 0.0:
             raise ConfigError("eps must be > 0")
+        if self.freeze_word_emb and not self.glove_path:
+            raise ConfigError("freeze_word_emb needs glove_path: it freezes "
+                              "pretrained word vectors")
         self.encoder_config().validate()
 
     def encoder_config(self) -> EncoderConfig:
         return EncoderConfig(d1=self.d1, d2=self.d2, d_model=self.d_model,
-                             k_s=self.k_s, d_f=self.d_f, n_heads=self.n_heads,
-                             use_positional=self.use_positional,
-                             use_residual=self.use_residual)
+                             k_s=self.k_s, d_f=self.d_f, n_heads=self.n_heads)
 
     def to_text(self) -> str:
         lines = []

@@ -1,7 +1,7 @@
 """Shared representation stack for documents and questions.
 
 Two layers: an input embedding layer (word embedding concatenated with a
-max-pooled character embedding) and an encoder block (projection, optional
+max-pooled character embedding) and an encoder block (projection,
 sinusoidal positions, one convolution, multi-head self-attention, a
 position-wise feed-forward), all through one parameter set regardless of
 whether the input is a document or the question. Only this module embeds
@@ -38,8 +38,6 @@ class EncoderConfig:
     k_s: int = 7
     d_f: int = 128
     n_heads: int = 4
-    use_positional: bool = True
-    use_residual: bool = True
 
     def validate(self) -> None:
         if self.d_model % self.n_heads != 0:
@@ -160,13 +158,12 @@ def self_attention(x: Tensor, n_heads: int, store: ParamStore, prefix: str,
     return out
 
 
-def conv_sublayer(x: Tensor, cfg: EncoderConfig, store: ParamStore,
-                  prefix: str) -> Tensor:
+def conv_sublayer(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
     """The block's convolution, with its residual: every row of the block
     input, which every attention query reads."""
     conv = T.relu(T.add(T.conv1d(x, store[f"{prefix}.conv_w"]),
                         store[f"{prefix}.conv_b"]))
-    return T.add(x, conv) if cfg.use_residual else conv
+    return T.add(x, conv)
 
 
 def block_rows(x: Tensor, cfg: EncoderConfig, store: ParamStore, prefix: str,
@@ -177,24 +174,22 @@ def block_rows(x: Tensor, cfg: EncoderConfig, store: ParamStore, prefix: str,
     attn = self_attention(x, cfg.n_heads, store, prefix, rows=rows, keys=keys)
     if rows is not None:
         x = T.embedding(x, rows)
-    x = T.add(x, attn) if cfg.use_residual else attn
+    x = T.add(x, attn)
     ff = feed_forward(x, store[f"{prefix}.ff_w1"], store[f"{prefix}.ff_b1"],
                       store[f"{prefix}.ff_w2"], store[f"{prefix}.ff_b2"])
-    return T.add(x, ff) if cfg.use_residual else ff
+    return T.add(x, ff)
 
 
 def encoder_block(x: Tensor, cfg: EncoderConfig, store: ParamStore,
                   prefix: str) -> Tensor:
     """conv -> self-attention -> feed-forward, residual around each sublayer."""
-    return block_rows(conv_sublayer(x, cfg, store, prefix), cfg, store, prefix)
+    return block_rows(conv_sublayer(x, store, prefix), cfg, store, prefix)
 
 
 def add_positions(x: Tensor, cfg: EncoderConfig,
                   positions: Optional[np.ndarray] = None) -> Tensor:
-    """Add sinusoidal positions, if enabled: row i gets ``positions[i]``, by
-    default i; the selector passes each token's place in its sentence."""
-    if not cfg.use_positional:
-        return x
+    """Add sinusoidal positions: row i gets ``positions[i]``, by default i;
+    the selector passes each token's place in its sentence."""
     if positions is None:
         pos = sinusoidal_positions(x.data.shape[0], cfg.d_model, x.data.dtype)
     else:
@@ -221,7 +216,7 @@ class Encoded:
         self.projected = projected
         self._cfg, self._store = cfg, store
         self._tape = active_tape()
-        self._x = conv_sublayer(block_in, cfg, store, "enc")
+        self._x = conv_sublayer(block_in, store, "enc")
         self._keys = attention_keys(self._x, store, "enc")
         self._have = np.zeros(self._x.data.shape[0], dtype=bool)   # rows computed
         self._done: Optional[Tensor] = None   # the output of those rows, in row order

@@ -33,7 +33,7 @@ import numpy as np
 from .config import RunConfig
 from .controller import ActionId, Answered, Excised, Narrowed, compute_reward
 from .answer import span_nll
-from .errors import ContractError, DataError, ExcisionEmptyError
+from .errors import ContractError, DataError
 from .metrics import best_f1, exact_match
 from .selector import select_top_k
 from .subcontext import excise_span
@@ -46,9 +46,8 @@ from .text import QAExample, TokenDoc, find_subsequence
 class StepRecord:
     """One line of the trajectory log.
 
-    ``action`` is what the policy picked and ``outcome`` what the step did.
-    They differ only when an excision would empty the context: the step then
-    answers from the intact context, and records ``excise`` / ``answer``.
+    ``action`` is what the policy picked, and the step did just that: an
+    answer ends the episode, a select or an excise shrinks the context.
     ``span`` is the answered or excised span and, on a SELECT step,
     ``kept`` the sorted indices of the sentences it kept.
     """
@@ -56,12 +55,7 @@ class StepRecord:
     ctx_tokens: int
     reward: float
     span: Optional[tuple[int, int]] = None
-    outcome: Optional[str] = None
     kept: Optional[list[int]] = None
-
-    def __post_init__(self):
-        if self.outcome is None:
-            self.outcome = self.action
 
 
 @dataclass
@@ -272,26 +266,14 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
             ctx = new_ctx
             continue
 
-        # excise: produce a span on the current context and cut it out
+        # excise: produce a span on the current context and cut it out.
+        # Spans are at most max_span_len tokens, so only a context that
+        # short can be covered whole, and the pre-check masked that case
         if cached is None:
             with suspend_tape():
                 cached = model.answer(q_enc, ctx_enc)
         span = (cached.span.start, cached.span.end)
-        try:
-            new_ctx, excision = excise_span(ctx, *span)
-        except ExcisionEmptyError:
-            # refusal: answer from the intact context instead. The sampled
-            # excise stays on record, with its log-probability, and the step
-            # ends the episode without being a step-cap force
-            flat = ctx.flat_tokens()
-            answer_tokens = flat[span[0]:span[1] + 1]
-            outcome = Answered(answer_tokens, *span)
-            reward = compute_reward(ActionId.ANSWER, outcome,
-                                    example.gold_answers, ctx, None)
-            trajectory.append(Decision(action, state, mask, probs, None, reward))
-            steps.append(StepRecord("excise", ctx.n_tokens, reward, span,
-                                    outcome="answer"))
-            break
+        new_ctx, excision = excise_span(ctx, *span)
         outcome = Excised(excision)
         reward = compute_reward(action, outcome, example.gold_answers, ctx, new_ctx)
         trajectory.append(Decision(action, state, mask, probs, None, reward))
@@ -328,8 +310,8 @@ def _place_rewards(trajectory: list[Decision], mode: str) -> None:
 def _check_episode(result: EpisodeResult, cfg: RunConfig) -> None:
     if result.n_steps > cfg.step_cap + 1:
         raise ContractError(f"episode ran {result.n_steps} steps")
-    outcomes = [rec.outcome for rec in result.steps]
-    if outcomes.count("answer") != 1 or outcomes[-1] != "answer":
+    actions = [rec.action for rec in result.steps]
+    if actions.count("answer") != 1 or actions[-1] != "answer":
         raise ContractError("episodes must answer exactly once, at the end")
     if result.forced != (result.n_steps == cfg.step_cap + 1):
         raise ContractError("only the step cap may force an answer")

@@ -37,7 +37,7 @@ class QaModel:
             word_init = load_glove(cfg.glove_path, vocab, dim=cfg.d1)
         create_encoder_params(self.store, self.enc_cfg, vocab.n_words,
                               vocab.n_chars, rng, word_init=word_init)
-        if cfg.glove_path and cfg.freeze_word_emb:
+        if cfg.freeze_word_emb:
             self.store["emb.word"].requires_grad = False
         create_selector_params(self.store, self.enc_cfg, cfg.sel_kernel,
                                cfg.sel_filters, rng)
@@ -62,7 +62,7 @@ class QaModel:
 
     def answer(self, q_enc: Encoded, ctx_enc: Encoded) -> AnswerOutput:
         return answer_forward(q_enc.matrix, ctx_enc.matrix, self.enc_cfg, self.store,
-                              self.cfg.max_span_len, mode=self.cfg.decode_mode)
+                              self.cfg.max_span_len)
 
     # ---- controller -------------------------------------------------------
     def state(self, ctx_enc: Encoded, q_enc: Encoded) -> Tensor:

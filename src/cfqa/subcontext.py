@@ -32,8 +32,9 @@ class Excision:
 def excise_span(ctx: TokenDoc, start: int, end: int) -> tuple[TokenDoc, Excision]:
     """Remove flattened token positions [start, end] from the context.
 
-    Raises ExcisionEmptyError when the span covers every token; the episode
-    engine turns that refusal into a direct answer on the intact context.
+    Raises ExcisionEmptyError when the span covers every token. The episode
+    engine never asks for that: it masks EXCISE wherever the answer span
+    covers the whole context.
     """
     total = ctx.n_tokens
     if not 0 <= start <= end < total:

@@ -7,8 +7,9 @@ already topologically sorted and ``backward`` is a single reverse sweep.
 With no active tape, ops run as plain numpy (fast inference path).
 
 Float width is float32 by default; gradient checks switch to float64 via
-``using_dtype``. ``set_debug_checks(True)`` asserts finiteness after every
-forward op.
+``using_dtype``. Ops do not check their outputs for NaN or Inf: a
+non-finite gradient is caught where it would do harm, when
+``ParamStore.apply_gradients`` skips and counts the step.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .errors import ContractError, ShapeError
 _tls = threading.local()
 
 _DEFAULT_DTYPE = np.float32
-_DEBUG_CHECKS = False
 
 _uid_counter = itertools.count()
 
@@ -56,12 +56,6 @@ class using_dtype:
     def __exit__(self, *exc):
         set_default_dtype(self._saved)
         return False
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Toggle NaN/Inf assertions after every forward op."""
-    global _DEBUG_CHECKS
-    _DEBUG_CHECKS = bool(enabled)
 
 
 def active_tape() -> Optional["Tape"]:
@@ -208,8 +202,6 @@ def _records(parents: Sequence[Tensor]) -> bool:
 
 
 def _finish(out_data: np.ndarray, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
-    if _DEBUG_CHECKS and not np.all(np.isfinite(out_data)):
-        raise FloatingPointError("non-finite value produced by a forward op")
     out = Tensor(out_data)
     if _records(parents):
         out.requires_grad = True
@@ -718,7 +710,6 @@ def gru_sequence(seq, lengths, w_gates, u_gates, b_gates, w_cand, u_cand,
 __all__ = [
     "Tensor", "Tape", "active_tape",
     "set_default_dtype", "default_dtype", "using_dtype",
-    "set_debug_checks",
     "add", "sub", "mul", "matmul", "tanh", "sigmoid", "relu", "log",
     "square", "reduce_sum", "reduce_max", "reshape", "transpose",
     "concat", "narrow", "pick", "embedding", "softmax", "log_softmax",

@@ -309,17 +309,23 @@ def load_glove(path, vocab: Vocab, dim: int = 300) -> np.ndarray:
     """Read word vectors in the common text format (token then floats).
 
     Returns a [n_words x dim] matrix; words absent from the file keep
-    zero rows. Reserved ids stay zero.
+    zero rows. Reserved ids stay zero. Lines of another width are skipped;
+    a file with no line of ``dim`` values raises ``DataError``, since its
+    vectors have another width and the table would be all zeros.
     """
     table = np.zeros((vocab.n_words, dim), dtype=np.float32)
+    matched = False
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             parts = line.rstrip("\n").split(" ")
             if len(parts) != dim + 1:
                 continue
+            matched = True
             idx = vocab.word_to_id.get(parts[0])
             if idx is not None and idx >= len(Vocab.WORD_RESERVED):
                 table[idx] = np.asarray(parts[1:], dtype=np.float32)
+    if not matched:
+        raise DataError(f"{path}: no line holds a word and dim={dim} values")
     return table
 
 

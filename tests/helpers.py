@@ -42,6 +42,9 @@ class ScriptedModel:
 
     policy_fn(ctx, step) -> base probabilities over (answer, select, excise);
     span_fn(ctx, rng) -> (start, end); dist_fn(ctx, rng) -> sentence probs.
+    Without a span_fn, spans are random and at most ``max_span_len`` tokens
+    long, as ``QaModel`` decodes them, so such a stub must be given the
+    episode config's cap.
 
     Lockstep evaluation interleaves episodes, so nothing about the current
     episode lives on the stub: a question encoding is tagged with its
@@ -52,9 +55,12 @@ class ScriptedModel:
     """
 
     def __init__(self, seed: int = 0, d_model: int = 4, policy_fn=None,
-                 span_fn=None, dist_fn=None):
+                 span_fn=None, dist_fn=None, max_span_len: int | None = None):
+        if span_fn is None and max_span_len is None:
+            raise TypeError("a random-span ScriptedModel needs max_span_len")
         self.rng = np.random.default_rng(seed)
         self.d_model = d_model
+        self.max_span_len = max_span_len
         self.policy_fn = policy_fn or (lambda ctx, step: self.rng.dirichlet(np.ones(3)))
         self.span_fn = span_fn or self._random_span
         self.dist_fn = dist_fn or (lambda ctx, rng: rng.dirichlet(np.ones(ctx.n_sentences)))
@@ -65,8 +71,8 @@ class ScriptedModel:
     def _random_span(self, ctx, rng):
         n = ctx.n_tokens
         start = int(rng.integers(0, n))
-        end = int(rng.integers(start, n))
-        return start, min(end, n - 1)
+        end = int(rng.integers(start, min(n, start + self.max_span_len)))
+        return start, end
 
     def encode_question(self, example):
         rows = np.full((max(1, len(example.question)), self.d_model), 0.25)

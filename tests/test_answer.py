@@ -120,14 +120,6 @@ def test_unimodal_distributions_pick_their_peaks():
     assert decode_span(p_start, p_end, max_span_len=10) == (2, 5)
 
 
-def test_paper_literal_mode_clips_inverted_spans():
-    p_start = np.array([0.1, 0.1, 0.8])
-    p_end = np.array([0.8, 0.1, 0.1])
-    assert decode_span(p_start, p_end, 10, mode="paper_literal") == (2, 2)
-    p_end2 = np.array([0.1, 0.1, 0.8])
-    assert decode_span(p_start, p_end2, 10, mode="paper_literal") == (2, 2)
-
-
 def test_forward_produces_valid_span_and_distributions(store):
     cfg = small_cfg()
     rng = np.random.default_rng(11)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -96,7 +97,7 @@ def test_hash_ignores_run_plumbing_only():
 def test_save_then_load_round_trips_a_non_default_config(tmp_path):
     cfg = tiny_config(seed=5, train_path="data/train set.jsonl", gamma=0.8,
                       entropy_coef=0.01, reward_mode="shaped",
-                      disable_excise=True, use_residual=False)
+                      disable_excise=True, selector_loss=True)
     path = tmp_path / "config.txt"
     save_config(path, cfg)
     assert load_config(path) == cfg
@@ -195,6 +196,22 @@ def test_out_of_range_values_are_config_errors(pair):
     key, value = pair.split("=")
     with pytest.raises(ConfigError, match=key):
         apply_overrides(RunConfig(), [pair]).validate()
+
+
+def test_freezing_word_vectors_without_a_glove_file_is_a_config_error():
+    with pytest.raises(ConfigError, match="freeze_word_emb"):
+        RunConfig(freeze_word_emb=True).validate()
+    RunConfig(freeze_word_emb=True, glove_path="vectors.txt").validate()
+
+
+def test_every_config_key_is_read_outside_config_py():
+    # a key that no module reads is a switch that does nothing
+    src = Path(__file__).resolve().parent.parent / "src" / "cfqa"
+    code = "".join(path.read_text(encoding="utf-8") for path in sorted(src.glob("*.py"))
+                   if path.name != "config.py")
+    unread = [f.name for f in fields(RunConfig)
+              if not re.search(rf"\.{f.name}\b", code)]
+    assert unread == []
 
 
 def test_train_with_an_out_of_range_value_prints_one_error_line(tmp_path, capsys):

@@ -3,7 +3,8 @@ import pytest
 
 from cfqa import tensor as T
 from cfqa.encoder import (EncoderConfig, create_encoder_params, embed_tokens,
-                          encode_tokens, self_attention, sinusoidal_positions)
+                          encode_tokens, encoder_block, self_attention,
+                          sinusoidal_positions)
 from cfqa.errors import ConfigError
 from cfqa.params import ParamStore
 from cfqa.tensor import Tape, Tensor
@@ -82,18 +83,17 @@ def test_single_position_sequence_shape(store):
         assert np.allclose(w, [[1.0]])
 
 
-def test_permutation_equivariance_without_positions():
-    cfg = small_cfg(k_s=1, use_positional=False)
+def test_block_with_a_one_wide_kernel_is_permutation_equivariant():
+    # positions are added before the block; with k_s=1 the convolution
+    # reads one row, so nothing inside the block sees a row's place
+    cfg = small_cfg(k_s=1)
     store = ParamStore()
     create_encoder_params(store, cfg, n_words=12, n_chars=9,
                           rng=np.random.default_rng(3))
-    tokens = [3, 4, 5, 6, 7]
-    chars = [[2, 1, 0, 0]] * 5
-    base = encode_tokens(tokens, chars, cfg, store).matrix.data
-    swapped = list(tokens)
-    swapped[0], swapped[3] = swapped[3], swapped[0]
-    out = encode_tokens(swapped, chars, cfg, store).matrix.data
+    x = np.random.default_rng(4).normal(0, 1, (5, cfg.d_model))
+    base = encoder_block(Tensor(x), cfg, store, "enc").data
     perm = [3, 1, 2, 0, 4]
+    out = encoder_block(Tensor(x[perm]), cfg, store, "enc").data
     assert np.allclose(out, base[perm], atol=1e-5)
 
 

@@ -5,7 +5,7 @@ from cfqa.config import RunConfig
 from cfqa.controller import ActionId
 from cfqa.episode import (EpisodeResult, RunMetrics, action_mask, episode_rng,
                           evaluate, run_episode, run_lockstep)
-from cfqa.errors import ContractError, DataError
+from cfqa.errors import ContractError, DataError, ExcisionEmptyError
 from helpers import (ScriptedModel, make_example, oracle_components,
                      pinned_policy)
 
@@ -21,8 +21,10 @@ def engine_cfg(**kw):
 def test_pinned_answer_policy_terminates_in_one_step():
     rng = np.random.default_rng(0)
     ex = make_example(rng, n_sentences=6)
-    model = ScriptedModel(seed=1, policy_fn=pinned_policy(ActionId.ANSWER))
-    result = run_episode(model, ex, engine_cfg(), "eval")
+    cfg = engine_cfg()
+    model = ScriptedModel(seed=1, policy_fn=pinned_policy(ActionId.ANSWER),
+                          max_span_len=cfg.max_span_len)
+    result = run_episode(model, ex, cfg, "eval")
     assert result.n_steps == 1
     assert result.steps[0].action == "answer"
     assert not result.forced
@@ -31,8 +33,10 @@ def test_pinned_answer_policy_terminates_in_one_step():
 def test_pinned_select_policy_hits_cap_then_forced_answer():
     rng = np.random.default_rng(1)
     ex = make_example(rng, n_sentences=10)
-    model = ScriptedModel(seed=2, policy_fn=pinned_policy(ActionId.SELECT))
-    result = run_episode(model, ex, engine_cfg(), "eval")
+    cfg = engine_cfg()
+    model = ScriptedModel(seed=2, policy_fn=pinned_policy(ActionId.SELECT),
+                          max_span_len=cfg.max_span_len)
+    result = run_episode(model, ex, cfg, "eval")
     assert result.n_steps == 6
     assert [s.action for s in result.steps[:-1]] == ["select"] * 5
     assert result.steps[-1].action == "answer"
@@ -49,8 +53,9 @@ def test_select_steps_record_the_sentences_they_kept():
     doc = TokenDoc(sentences, [[[1, 2]] * len(s) for s in sentences],
                    [[(si, ti) for ti in range(len(s))] for si, s in enumerate(sentences)])
     ex = QAExample("ex-0", doc, [11, 12, 13], [[1, 2]] * 3, [sentences[3][:1]])
-    model = ScriptedModel(seed=2, policy_fn=pinned_policy(ActionId.SELECT))
     cfg = engine_cfg()
+    model = ScriptedModel(seed=2, policy_fn=pinned_policy(ActionId.SELECT),
+                          max_span_len=cfg.max_span_len)
     _, rows = evaluate(model, [ex], cfg)
     steps = rows[0]["steps"]
     assert [s["action"] for s in steps] == ["select"] * 5 + ["answer"]
@@ -93,24 +98,53 @@ def test_excise_shrinks_context_and_continues():
     assert result.steps[1].ctx_tokens == result.steps[0].ctx_tokens - 2
 
 
-def test_full_cover_span_converts_excise_to_answer():
+def test_full_cover_excise_span_raises_a_named_error():
     rng = np.random.default_rng(4)
     ex = make_example(rng, n_sentences=2, tokens_per_sentence=4)
+    # a span longer than max_span_len, which QaModel never decodes: the
+    # pre-check runs only on contexts of at most max_span_len tokens, so it
+    # cannot mask excise here, and the excision itself refuses
     model = ScriptedModel(seed=5, policy_fn=pinned_policy(ActionId.EXCISE),
                           span_fn=lambda ctx, rng: (0, ctx.n_tokens - 1))
-    # max_span_len >= doc tokens would pre-mask excise; shrink it so the
-    # pre-check cannot see the full cover and the refusal path must fire
-    cfg = engine_cfg(max_span_len=3)
-    result = run_episode(model, ex, cfg, "eval")
-    assert result.n_steps == 1
-    # the sampled excise stays on record; the executed outcome is the answer
-    assert result.trajectory[-1].action is ActionId.EXCISE
-    step = result.steps[-1]
-    assert (step.action, step.outcome) == ("excise", "answer")
-    assert step.span == (0, ex.doc.n_tokens - 1)
-    assert result.answer_tokens == ex.doc.flat_tokens()
-    # a refusal is not a step-cap force
-    assert not result.forced
+    with pytest.raises(ExcisionEmptyError):
+        run_episode(model, ex, engine_cfg(max_span_len=3), "eval")
+
+
+def test_a_full_cover_span_masks_excise_on_a_short_context():
+    rng = np.random.default_rng(4)
+    ex = make_example(rng, n_sentences=2, tokens_per_sentence=2)
+    model = ScriptedModel(seed=5, policy_fn=pinned_policy(ActionId.EXCISE),
+                          span_fn=lambda ctx, rng: (0, ctx.n_tokens - 1))
+    result = run_episode(model, ex, engine_cfg(max_span_len=4), "eval")
+    assert not result.trajectory[0].mask[ActionId.EXCISE]
+    assert "excise" not in [s.action for s in result.steps]
+
+
+def test_selector_loss_adds_the_gold_sentence_nll_of_each_select_that_holds_it():
+    # the first SELECT sees the gold in sentence 0 and drops it, so the
+    # second SELECT's context holds no gold and adds nothing
+    ex = make_example(np.random.default_rng(8), n_sentences=6, gold_sentence=0)
+
+    def dist_fn(ctx, rng):
+        probs = np.arange(1.0, ctx.n_sentences + 1)
+        return probs / probs.sum()
+
+    def policy(ctx, step):
+        return pinned_policy(ActionId.SELECT if step < 2 else ActionId.ANSWER)(ctx, step)
+
+    for selector_loss in (True, False):
+        cfg = engine_cfg(k_initial=3, selector_loss=selector_loss)
+        model = ScriptedModel(seed=8, policy_fn=policy, dist_fn=dist_fn,
+                              max_span_len=cfg.max_span_len)
+        result = run_episode(model, ex, cfg, "train", rng=np.random.default_rng(0))
+        assert [s.action for s in result.steps] == ["select", "select", "answer"]
+        assert result.steps[0].kept == [3, 4, 5]
+        if selector_loss:
+            # p(sentence 0) = 1 / (1 + 2 + ... + 6)
+            (loss,) = result.aux_losses
+            assert loss.item() == pytest.approx(np.log(21.0), rel=1e-6)
+        else:
+            assert result.aux_losses == []
 
 
 def test_single_sentence_masks_select():
@@ -123,8 +157,8 @@ def test_single_sentence_masks_select():
 def test_disable_excise_masks_it_everywhere():
     rng = np.random.default_rng(6)
     ex = make_example(rng, n_sentences=5)
-    model = ScriptedModel(seed=7)
     cfg = engine_cfg(disable_excise=True)
+    model = ScriptedModel(seed=7, max_span_len=cfg.max_span_len)
     for pass_idx in range(20):
         result = run_episode(model, ex, cfg, "train",
                              rng=episode_rng(0, ex.id, pass_idx))
@@ -155,26 +189,24 @@ def test_reward_modes_place_rewards_differently():
 def test_invariants_over_random_policies_and_examples():
     cfg = engine_cfg()
     rng = np.random.default_rng(9)
-    refusals = 0
+    excisions = 0
     for case in range(300):
         ex = make_example(rng, n_sentences=int(rng.integers(1, 8)),
                           tokens_per_sentence=int(rng.integers(2, 6)),
                           example_id=f"case-{case}")
-        model = ScriptedModel(seed=case)
+        model = ScriptedModel(seed=case, max_span_len=cfg.max_span_len)
         result = run_episode(model, ex, cfg, "train",
                              rng=episode_rng(11, ex.id, case))
         assert result.n_steps <= cfg.step_cap + 1
-        # the trajectory keeps the sampled actions; an excise that would
-        # empty the context is executed as the answer that ends the episode
         assert [tr.action.name.lower() for tr in result.trajectory] == \
             [s.action for s in result.steps]
-        outcomes = [s.outcome for s in result.steps]
-        assert outcomes.count("answer") == 1
-        assert outcomes[-1] == "answer"
-        refusals += result.steps[-1].action == "excise"
+        actions = [s.action for s in result.steps]
+        assert actions.count("answer") == 1
+        assert actions[-1] == "answer"
+        excisions += actions.count("excise")
         sizes = [s.ctx_tokens for s in result.steps]
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
-    assert refusals > 0
+    assert excisions > 0
 
 
 def test_question_encoding_changed_mid_episode_breaks_the_invariants():
@@ -184,9 +216,11 @@ def test_question_encoding_changed_mid_episode_breaks_the_invariants():
             return super().state(ctx_enc, q_enc)
 
     ex = make_example(np.random.default_rng(19), n_sentences=6)
-    model = MutatesQuestion(seed=19, policy_fn=pinned_policy(ActionId.SELECT))
+    cfg = engine_cfg()
+    model = MutatesQuestion(seed=19, policy_fn=pinned_policy(ActionId.SELECT),
+                            max_span_len=cfg.max_span_len)
     with pytest.raises(ContractError, match="question encoding"):
-        run_episode(model, ex, engine_cfg(), "eval")
+        run_episode(model, ex, cfg, "eval")
 
 
 def test_episode_rng_is_deterministic_per_example():
@@ -202,8 +236,10 @@ def test_episode_rng_is_deterministic_per_example():
 def test_evaluate_all_answer_policy_props():
     rng = np.random.default_rng(10)
     dataset = [make_example(rng, example_id=f"e{i}") for i in range(5)]
-    model = ScriptedModel(seed=11, policy_fn=pinned_policy(ActionId.ANSWER))
-    metrics, rows = evaluate(model, dataset, engine_cfg())
+    cfg = engine_cfg()
+    model = ScriptedModel(seed=11, policy_fn=pinned_policy(ActionId.ANSWER),
+                          max_span_len=cfg.max_span_len)
+    metrics, rows = evaluate(model, dataset, cfg)
     assert metrics.action_props == (1.0, 0.0, 0.0)
     assert metrics.avg_steps == 1.0
     assert len(rows) == len(dataset)
@@ -230,8 +266,9 @@ def test_evaluate_action_props_match_recount_from_rows():
     rng = np.random.default_rng(15)
     dataset = [make_example(rng, n_sentences=6, example_id=f"r{i}")
                for i in range(20)]
-    model = ScriptedModel(seed=16)
-    metrics, rows = evaluate(model, dataset, engine_cfg())
+    cfg = engine_cfg()
+    model = ScriptedModel(seed=16, max_span_len=cfg.max_span_len)
+    metrics, rows = evaluate(model, dataset, cfg)
     counts = {"answer": 0, "select": 0, "excise": 0}
     steps_total = 0
     for row in rows:
@@ -248,7 +285,8 @@ def test_evaluate_action_props_match_recount_from_rows():
 
 def test_evaluate_empty_dataset_rejected():
     with pytest.raises(DataError):
-        evaluate(ScriptedModel(seed=17), [], engine_cfg())
+        evaluate(ScriptedModel(seed=17, span_fn=lambda ctx, rng: (0, 0)), [],
+                 engine_cfg())
 
 
 def test_evaluation_is_independent_of_dataset_order():
@@ -299,7 +337,7 @@ def test_lockstep_evaluation_matches_one_episode_at_a_time():
         for ex, row, want in zip(dataset, rows, serial):
             assert row["id"] == ex.id
             assert row["actions"] == "|".join(s.action for s in want.steps)
-            # spans, outcomes, rewards and context sizes, step by step
+            # spans, kept sentences, rewards and context sizes, step by step
             assert [{k: v for k, v in step.items() if k not in ("probs", "mask")}
                     for step in row["steps"]] == [s.__dict__ for s in want.steps]
             assert (row["em"], row["f1"]) == (want.em, want.f1)
@@ -366,7 +404,7 @@ def test_greedy_eval_calls_answer_at_most_once_per_step():
     assert (metrics, rows) == (want_metrics, want_rows)
     assert len(calls) <= sum(row["n_steps"] for row in rows)
     # some unforced answer came after a pre-check: one call where there were two
-    assert any(step["outcome"] == "answer" and step["ctx_tokens"] > 1
+    assert any(step["action"] == "answer" and step["ctx_tokens"] > 1
                for row in rows for step in row["steps"][:cfg.step_cap])
 
 

@@ -220,6 +220,14 @@ def test_glove_loader_reads_text_format(tmp_path, vocab):
     assert np.array_equal(table[vocab.word_id("a")], np.zeros(dim))
 
 
+def test_glove_file_of_another_width_is_a_data_error(tmp_path, vocab):
+    # 8-wide vectors read at dim=6 would otherwise give an all-zero table
+    path = tmp_path / "vectors.txt"
+    path.write_text("".join(f"{w} {' '.join(['0.5'] * 8)}\n" for w in ("hello", "a")))
+    with pytest.raises(DataError, match=r"vectors\.txt.*dim=6"):
+        load_glove(path, vocab, dim=6)
+
+
 def test_token_doc_rejects_empty():
     with pytest.raises(DataError):
         TokenDoc([], [], [])

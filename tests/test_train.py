@@ -138,3 +138,34 @@ def test_grad_norms_survive_float32_overflow_and_name_no_norm_for_a_nan():
     store["sel.conv_b"].grad = np.full(store["sel.conv_b"].data.shape, np.nan,
                                        dtype=np.float32)
     assert set(cfqa.train.grad_norms(store).values()) == {None}
+
+
+def _write_glove(path, vocab, dim):
+    """Vectors for half the vocabulary's words, a header line of another
+    width, which the loader skips, and rows that differ per word."""
+    words = vocab.words[len(vocab.WORD_RESERVED)::2]
+    rows = {w: np.round(np.random.default_rng(i).normal(0, 1, dim), 4)
+            for i, w in enumerate(words)}
+    lines = [f"{len(words)} {dim}"]
+    lines += [" ".join([w, *map(str, row)]) for w, row in rows.items()]
+    path.write_text("\n".join(lines) + "\n")
+    return rows
+
+
+@pytest.mark.parametrize("freeze", [False, True])
+def test_glove_vectors_seed_the_word_table_and_can_be_frozen(tmp_path, freeze):
+    path = tmp_path / "vectors.txt"
+    rows = _write_glove(path, toy_vocab(), tiny_config().d1)
+    model, examples, cfg = _one_update(glove_path=str(path), freeze_word_emb=freeze)
+    word = model.store["emb.word"]
+    for w in model.vocab.words:
+        want = rows.get(w, np.zeros(cfg.d1))
+        assert np.array_equal(word.data[model.vocab.word_id(w)],
+                              want.astype(np.float32)), w
+    before = {name: p.data.copy() for name, p in model.store.items()}
+    cfqa.train.train(model, examples, cfg)
+    assert model.store.skipped_nonfinite == 0
+    moved = {name for name, p in model.store.items()
+             if not np.array_equal(p.data, before[name])}
+    assert {"emb.char", "enc.proj_w", "actor.head_w"} <= moved
+    assert ("emb.word" in moved) is not freeze
