@@ -34,8 +34,8 @@ from .errors import ContractError
 from .model import QaModel
 from .nn import create_gru, gru_params, linear, run_gru
 from .params import ParamStore
-from .selector import (SentenceDist, create_selector_params, score_sentences,
-                       top_k_indices)
+from .selector import (SentenceDist, create_selector_params, kept_dist,
+                       score_sentences, top_k_indices)
 from .subcontext import excise_span
 from .tensor import Tape, Tensor, using_dtype
 from .text import QAExample, TokenDoc, Vocab
@@ -382,7 +382,9 @@ def check_selector(seed: int = 0, cases: int = 200) -> CheckResult:
     """The packed sentence scorer, fed the encoder's projected rows, against
     the one-sentence-at-a-time oracle that embeds and projects each sentence
     itself: logits and the gradients of every parameter and of the question
-    rows.
+    rows. Then, in the same terms, ``kept_dist``'s logits for a random
+    subset of the sentences against the oracle's scoring of the document
+    narrowed to them.
 
     Float64 docs of 1..12 sentences of 1..9 tokens drawn from 8 words (so
     words and char rows repeat), questions of 1..6 rows, selector kernels 3
@@ -407,47 +409,63 @@ def check_selector(seed: int = 0, cases: int = 200) -> CheckResult:
             for _, p in store.items():
                 p.data += rng.normal(0, 0.1, p.data.shape)
             q = Tensor(rng.normal(0, 1, (m, cfg.d_model)), requires_grad=True)
-            w_out = Tensor(rng.normal(0, 1, n_sent))
+            kept = sorted(int(i) for i in rng.choice(
+                n_sent, size=int(rng.integers(1, n_sent + 1)), replace=False))
+            narrowed = toy_doc([sentences[i] for i in kept], vocab)
             leaves = {"question": q, **dict(store.items())}
 
             def packed_scores():
                 ctx = encode_tokens(doc.flat_tokens(), doc.flat_char_ids(), cfg, store)
                 return score_sentences(q, doc, ctx.projected, cfg, store)
 
-            packed, oracle = (
-                _output_and_grads(lambda: score().logits, "logits", leaves, w_out)
-                for score in (packed_scores,
-                              lambda: score_sentences_loop(q, doc, cfg, store)))
-        mismatch = _worst_mismatch(packed, oracle, 1e-9)
-        if mismatch:
-            return CheckResult(
-                "selector", False,
-                f"case {case} ({n_sent} sentences of lengths "
-                f"{[len(s) for s in sentences]}, {m} question rows, kernel "
-                f"{kernel}): {mismatch}")
+            for what, fast, oracle_doc in (
+                    ("scores", lambda: packed_scores().logits, doc),
+                    (f"kept {kept}", lambda: kept_dist(packed_scores(), kept).logits,
+                     narrowed)):
+                w_out = Tensor(rng.normal(0, 1, oracle_doc.n_sentences))
+                got, want = (
+                    _output_and_grads(forward, "logits", leaves, w_out)
+                    for forward in (fast, lambda: score_sentences_loop(
+                        q, oracle_doc, cfg, store).logits))
+                mismatch = _worst_mismatch(got, want, 1e-9)
+                if mismatch:
+                    return CheckResult(
+                        "selector", False,
+                        f"case {case} ({n_sent} sentences of lengths "
+                        f"{[len(s) for s in sentences]}, {m} question rows, kernel "
+                        f"{kernel}; {what}): {mismatch}")
     return CheckResult("selector", True,
                        f"{cases} docs (1..12 sentences of 1..9 tokens, questions "
                        f"of 1..6 rows, kernels 3 and 5) "
-                       f"scored from the encoder's projected rows matched the "
-                       f"one-sentence-at-a-time oracle in logits and all gradients")
+                       f"scored from the encoder's projected rows, and their "
+                       f"kept entries for a random subset of the sentences, "
+                       f"matched the one-sentence-at-a-time oracle in logits and "
+                       f"all gradients")
 
 
 def check_encoder_rows(seed: int = 0, cases: int = 200) -> CheckResult:
     """``Encoded``, which computes the block's output rows as they are
     read, against rows of the whole block: ``rows(index)`` against those
     rows of ``encoder_block`` over the full sequence, and ``matrix`` read
-    after ``rows(index)`` against the full block. Both in the output and
-    the gradients of every encoder parameter, within 1e-9 relative.
+    after ``rows(index)`` against the full block. Then ``gather``, which
+    builds a narrowed context's encoding from the projected rows of the
+    document's, against a fresh encoding of the narrowed tokens, in
+    ``matrix``. All in the output and the gradients of every encoder
+    parameter, within 1e-9 relative.
 
     Float64 docs of 1..40 tokens drawn from 8 words.
     The row subsets are random and ascending; in every other case of a doc
     over the tiny config's ``max_state_tokens`` rows, the head and tail rows
-    the controller state reads.
+    the controller state reads. The gathers alternate between what a SELECT
+    keeps (whole sentences, the doc cut into random ones) and what an
+    EXCISE keeps (all tokens outside a random span); a one-token doc is
+    always narrowed as by a SELECT.
     """
     max_state_tokens = tiny_config().max_state_tokens
     rng = np.random.default_rng(seed)
     vocab = toy_vocab(n_words=11, char_width=4)
     head_tail = 0
+    narrowed = {"select": 0, "excise": 0}
     for case in range(cases):
         n = int(rng.integers(1, 41))
         tokens = [int(t) for t in rng.integers(3, 11, size=n)]
@@ -459,6 +477,20 @@ def check_encoder_rows(seed: int = 0, cases: int = 200) -> CheckResult:
         else:
             index = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)),
                                        replace=False))
+        if case % 2 and n > 1:
+            action = "excise"
+            start = int(rng.integers(0, n))
+            end = int(rng.integers(start, min(n, start + n - 1)))
+            kept = np.r_[0:start, end + 1:n]
+        else:
+            action = "select"
+            cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(0, n)),
+                                      replace=False))
+            sentences = np.split(np.arange(n), cuts)
+            chosen = np.sort(rng.choice(len(sentences), replace=False,
+                                        size=int(rng.integers(1, len(sentences) + 1))))
+            kept = np.concatenate([sentences[i] for i in chosen])
+        narrowed[action] += 1
         with using_dtype(np.float64):
             cfg = EncoderConfig(d1=5, d2=4, d_model=6, k_s=3, d_f=6, n_heads=2)
             store = ParamStore()
@@ -483,7 +515,12 @@ def check_encoder_rows(seed: int = 0, cases: int = 200) -> CheckResult:
                     ("rows", lambda: encode_tokens(tokens, chars, cfg, store).rows(index),
                      lambda: T.embedding(full_block(), index), (index.size, cfg.d_model)),
                     ("matrix after rows", matrix_after_rows, full_block,
-                     (n, cfg.d_model))):
+                     (n, cfg.d_model)),
+                    (f"{action} gather of {kept.tolist()}",
+                     lambda: encode_tokens(tokens, chars, cfg, store).gather(kept).matrix,
+                     lambda: encode_tokens([tokens[i] for i in kept],
+                                           [chars[i] for i in kept], cfg, store).matrix,
+                     (kept.size, cfg.d_model))):
                 w_out = Tensor(rng.normal(0, 1, shape))
                 got, want = (_output_and_grads(forward, "output", leaves, w_out)
                              for forward in (lazy, oracle))
@@ -491,13 +528,16 @@ def check_encoder_rows(seed: int = 0, cases: int = 200) -> CheckResult:
                 if mismatch:
                     return CheckResult(
                         "encoder_rows", False,
-                        f"case {case} ({what} {index.tolist()} of {n}): {mismatch}")
+                        f"case {case} ({what}, rows {index.tolist()} of {n}): "
+                        f"{mismatch}")
     return CheckResult("encoder_rows", True,
                        f"{cases} docs (1..40 tokens; "
                        f"{head_tail} read by their head and tail rows, the rest by "
                        f"random row subsets) matched the full block in rows read "
-                       f"alone and in the matrix read after them, value and all "
-                       f"encoder gradients")
+                       f"alone and in the matrix read after them, and "
+                       f"{narrowed['select']} SELECT and {narrowed['excise']} "
+                       f"EXCISE gathers matched a fresh encoding of the narrowed "
+                       f"tokens, value and all encoder gradients")
 
 
 def tiny_config(**overrides) -> RunConfig:
@@ -541,7 +581,8 @@ def end_to_end_loss(model: QaModel, example: QAExample,
                     ) -> tuple[Tensor, np.ndarray, list[int]]:
     """One full decision-step loss with a pinned action path: SELECT, then
     ANSWER on the narrowed context, both states read by one packed actor and
-    one packed critic call.
+    one packed critic call. The narrowed context's encoding is gathered from
+    the document's, as an episode gathers it.
 
     Covers every module: encoder, sentence scorer, span extractor, both
     GRUs, the policy and value heads, and all three loss families. Freeze
@@ -567,7 +608,7 @@ def end_to_end_loss(model: QaModel, example: QAExample,
     narrowed, kept = select_top_k(dist, ctx, 2)
     sel_logp = T.log_softmax(dist.logits, axis=0)
 
-    ctx2_enc = model.encode_doc(narrowed)
+    ctx2_enc = model.encode_doc(narrowed, ctx_enc, ctx.token_positions(kept))
     state2 = model.state(ctx2_enc, q_enc)
     lengths = [state.data.shape[0], state2.data.shape[0]]
     packed = T.concat([state, state2], axis=0)

@@ -5,12 +5,16 @@ max-pooled character embedding) and an encoder block (projection,
 sinusoidal positions, one convolution, multi-head self-attention, a
 position-wise feed-forward), all through one parameter set regardless of
 whether the input is a document or the question. Only this module embeds
-tokens: the selector reads the projected rows an ``Encoded`` keeps. Every
-sequence is encoded alone, so nothing is padded or masked.
+tokens: the selector reads the projected rows an ``Encoded`` keeps. Nothing
+is padded or masked: each sequence gets its own block pass.
 
-``encode_tokens`` runs the embedding, the projection, the positions, the
-convolution and the attention key/value projections over every row, since
-every query reads them. The rest of the block, from the queries to the
+A token's projected row (embedding, then projection) does not depend on the
+tokens around it. ``encode_tokens`` embeds and projects a sequence, and
+``Encoded.gather`` builds the encoding of a sequence made of some of those
+tokens from their projected rows, so a narrowed context is never embedded
+again. Either way, the positions, the convolution and the attention
+key/value projections then run over every row of the sequence, since every
+query reads them. The rest of the block, from the queries to the
 feed-forward, runs per output row, and only when a row is first read: the
 controller state of a long context reads its head and tail rows, the span
 extractor reads them all, and the selector reads none.
@@ -202,21 +206,20 @@ class Encoded:
     """One sequence's encoder output, computed a row at a time as it is read.
 
     ``projected`` holds the token rows after the input projection, before
-    positions are added; the selector reads those. Making an encoding runs
-    the block's convolution and its attention keys and values over every
-    row. The block output rows are computed on first read, each row once:
-    ``rows(index)`` computes the rows of ``index`` not computed before, and
-    ``matrix`` the rest. Rows read late are recorded on the tape that was
+    positions are added; the selector reads those. Making an encoding from
+    them adds the positions and runs the block's convolution and its
+    attention keys and values over every row. The block output rows are
+    computed on first read, each row once: ``rows(index)`` computes the rows
+    of ``index`` not computed before, and ``matrix`` the rest. Rows read late are recorded on the tape that was
     active when the encoding was made, so a read under ``suspend_tape``
     still keeps the gradient path of a recorded encoding.
     """
 
-    def __init__(self, block_in: Tensor, projected: Tensor, cfg: EncoderConfig,
-                 store: ParamStore):
+    def __init__(self, projected: Tensor, cfg: EncoderConfig, store: ParamStore):
         self.projected = projected
         self._cfg, self._store = cfg, store
         self._tape = active_tape()
-        self._x = conv_sublayer(block_in, store, "enc")
+        self._x = conv_sublayer(add_positions(projected, cfg), store, "enc")
         self._keys = attention_keys(self._x, store, "enc")
         self._have = np.zeros(self._x.data.shape[0], dtype=bool)   # rows computed
         self._done: Optional[Tensor] = None   # the output of those rows, in row order
@@ -224,6 +227,12 @@ class Encoded:
     @property
     def n_rows(self) -> int:
         return self._have.size
+
+    def gather(self, index) -> "Encoded":
+        """The encoding of the sequence made of this one's tokens ``index``,
+        in its order, built from their projected rows. Under a tape the
+        gather carries the gradient back to the rows it read."""
+        return Encoded(T.embedding(self.projected, index), self._cfg, self._store)
 
     def rows(self, index) -> Tensor:
         """Output rows ``index``, in its order, as [len(index) x d_model]."""
@@ -266,4 +275,4 @@ def encode_tokens(tokens, char_ids, cfg: EncoderConfig, store: ParamStore) -> En
     rest of the block runs as the output rows are read."""
     projected = linear(embed_tokens(tokens, char_ids, store),
                        store["enc.proj_w"], store["enc.proj_b"])
-    return Encoded(add_positions(projected, cfg), projected, cfg, store)
+    return Encoded(projected, cfg, store)

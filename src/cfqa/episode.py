@@ -13,12 +13,22 @@ step logic serves both drivers: ``run_episode`` plays one episode at a
 time, and ``run_lockstep`` plays a batch of greedy episodes together and
 reads all their states with one actor call per round. Acting needs only
 those probabilities, so both drivers read the actor with no tape and never
-run the critic. Each step instead records what learning needs (``Decision``):
+run the critic; a state with one legal action is not read at all, since the
+masked softmax is exactly that action. Each step instead records what
+learning needs (``Decision``):
 ``train()`` reads every state of a batch again, in one recorded actor and
 one recorded critic pass, and computes the actor-critic loss over those
 rows. Every episode checks its invariants as it runs: the context never
 grows, the question encoding stays the same, and the episode answers
 exactly once, at the end, forced only by the step cap.
+
+The document is embedded and projected once per episode. A narrowed
+context is a subset of the document's tokens, so its encoding gathers
+their projected rows from the first step's encoding; only the positions,
+the convolution and the rows read from the block run per step. Likewise,
+after a SELECT the narrowed context's sentence scores are the kept entries
+of the scores that SELECT read; after an EXCISE, whose merged sentence is
+new, the context is scored again.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ from .controller import ActionId, Answered, Excised, Narrowed, compute_reward
 from .answer import span_nll
 from .errors import ContractError, DataError
 from .metrics import best_f1, exact_match
-from .selector import select_top_k
+from .selector import kept_dist, select_top_k
 from .subcontext import excise_span
 from .tensor import Tensor, active_tape, pick, log_softmax, suspend_tape
 from . import tensor as T
@@ -155,12 +165,21 @@ def run_episode(model, example: QAExample, cfg: RunConfig, mode: str,
     steps = episode_steps(model, example, cfg, mode, rng)
     state, mask = next(steps)
     while True:
-        with suspend_tape():
-            probs, _ = model.policy(state, action_mask=mask)
+        probs = _one_legal_action(mask)
+        if probs is None:
+            with suspend_tape():
+                probs = model.policy(state, action_mask=mask)[0].data
         try:
-            state, mask = steps.send(probs.data)
+            state, mask = steps.send(probs)
         except StopIteration as done:
             return done.value
+
+
+def _one_legal_action(mask: np.ndarray) -> Optional[np.ndarray]:
+    """The action probabilities of a state with one legal action, one-hot as
+    the masked softmax gives them, so the actor need not read it; None when
+    the state has a choice."""
+    return mask.astype(T.default_dtype()) if mask.sum() == 1 else None
 
 
 def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
@@ -170,7 +189,8 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
     Before each decision it yields ``(state, action_mask)`` and expects the
     actor's [3] action probabilities for that state, as an array, to be sent
     back. It returns the ``EpisodeResult``, and raises ``ContractError``
-    when the episode breaks an invariant.
+    when the episode breaks an invariant, a gather of the wrong tokens
+    included.
     """
     if mode not in ("train", "eval"):
         raise ContractError(f"mode must be train or eval, got {mode!r}")
@@ -181,6 +201,10 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
     q_enc = model.encode_question(example)
     q_bytes = q_enc.matrix.data.tobytes()
     ctx = example.doc
+    doc_enc = None      # the first step's encoding, which later steps gather from
+    doc_tokens = np.asarray(ctx.flat_tokens(), dtype=np.int64)
+    rows = np.arange(ctx.n_tokens)     # where each context token sits in the doc
+    narrowed_from = None   # after a SELECT: its distribution and kept sentences
     k_budget = cfg.k_initial
     trajectory: list[Decision] = []
     steps: list[StepRecord] = []
@@ -197,7 +221,13 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
             raise ContractError("question encoding changed during episode")
         prev_token_count = ctx.n_tokens
 
-        ctx_enc = model.encode_doc(ctx)
+        if doc_enc is None:
+            ctx_enc = doc_enc = model.encode_doc(ctx)
+        else:
+            if not np.array_equal(doc_tokens[rows], ctx.flat_tokens()):
+                raise ContractError("the rows gathered for the context hold "
+                                    "other tokens than the context")
+            ctx_enc = model.encode_doc(ctx, doc_enc, rows)
 
         # cheap pre-check: a span that would cover the whole context makes
         # excision illegal, so mask it before the policy decides
@@ -244,8 +274,11 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
             break
 
         if action is ActionId.SELECT:
-            dist = model.sentence_dist(q_enc, ctx, ctx_enc)
+            dist = (model.sentence_dist(q_enc, ctx, ctx_enc) if narrowed_from is None
+                    else kept_dist(*narrowed_from))
             new_ctx, kept = select_top_k(dist, ctx, k_budget)
+            rows = rows[ctx.token_positions(kept)]
+            narrowed_from = dist, kept
             k_budget = max(1, k_budget - 1)
             outcome = Narrowed(kept)
             reward = compute_reward(action, outcome, example.gold_answers, ctx, new_ctx)
@@ -278,6 +311,8 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
         reward = compute_reward(action, outcome, example.gold_answers, ctx, new_ctx)
         trajectory.append(Decision(action, state, mask, probs, None, reward))
         steps.append(StepRecord("excise", ctx.n_tokens, reward, span))
+        rows = np.delete(rows, np.s_[span[0]:span[1] + 1])
+        narrowed_from = None
         ctx = new_ctx
 
     _place_rewards(trajectory, cfg.reward_mode)
@@ -324,9 +359,10 @@ def run_lockstep(model, dataset: list[QAExample], cfg: RunConfig
     Each round packs the pending states of the episodes in flight back to
     back and reads them with one ``model.policy`` call under
     ``suspend_tape``, so the actor GRU steps all of them together; the
-    critic does not run. An episode that finishes frees its slot for the
-    next example. Each episode gets its own row of the probabilities as a
-    plain array. Results come back in dataset order.
+    critic does not run, and a state with one legal action is not read. An
+    episode that finishes frees its slot for the next example. Each episode
+    gets its own row of the probabilities as a plain array. Results come
+    back in dataset order.
     """
     results: list[Optional[EpisodeResult]] = [None] * len(dataset)
     queue = iter(enumerate(dataset))
@@ -337,15 +373,20 @@ def run_lockstep(model, dataset: list[QAExample], cfg: RunConfig
             in_flight.append((index, steps, next(steps)))
         if not in_flight:
             return results
-        states = [pending[0] for _, _, pending in in_flight]
-        lengths = [state.data.shape[0] for state in states]
-        masks = np.stack([pending[1] for _, _, pending in in_flight])
-        with suspend_tape():
-            probs, _ = model.policy(T.concat(states, axis=0), masks, lengths)
+        probs = [_one_legal_action(pending[1]) for _, _, pending in in_flight]
+        read = [row for row, p in enumerate(probs) if p is None]
+        if read:
+            states = [in_flight[row][2][0] for row in read]
+            masks = np.stack([in_flight[row][2][1] for row in read])
+            with suspend_tape():
+                out, _ = model.policy(T.concat(states, axis=0), masks,
+                                      [state.data.shape[0] for state in states])
+            for row, p in zip(read, out.data):
+                probs[row] = p
         still = []
         for row, (index, steps, _) in enumerate(in_flight):
             try:
-                still.append((index, steps, steps.send(probs.data[row])))
+                still.append((index, steps, steps.send(probs[row])))
             except StopIteration as done:
                 results[index] = done.value
         in_flight = still

@@ -45,7 +45,13 @@ class QaModel:
         create_controller_params(self.store, cfg.d_model, cfg.gru_size, rng)
 
     # ---- representation -------------------------------------------------
-    def encode_doc(self, doc: TokenDoc) -> Encoded:
+    def encode_doc(self, doc: TokenDoc, source: Optional[Encoded] = None,
+                   index: Optional[np.ndarray] = None) -> Encoded:
+        """The encoding of ``doc``: embedded afresh, or, given a ``source``
+        encoding and the positions ``index`` of ``doc``'s tokens in it,
+        gathered from its projected rows."""
+        if source is not None:
+            return source.gather(index)
         return encode_tokens(doc.flat_tokens(), doc.flat_char_ids(),
                              self.enc_cfg, self.store)
 

@@ -5,7 +5,10 @@ concatenated with the sentence's projected token embeddings (positions
 counted within the sentence); a softmax over the per-sentence scores gives
 the selection distribution. The projected rows are the encoder's, so the
 selector embeds nothing itself, and one convolution runs over every
-(question, sentence) sequence packed back to back.
+(question, sentence) sequence packed back to back. A sentence's score
+depends only on the question and that sentence's rows, so the scores of a
+context narrowed to some sentences are those sentences' entries of the
+scores of the context it came from (``kept_dist``).
 """
 
 from __future__ import annotations
@@ -94,6 +97,13 @@ def score_sentences(q: Tensor, ctx: TokenDoc, projected: Tensor,
     logits = T.matmul(pooled, store["sel.score_w"])
     probs = T.softmax(logits, axis=0)
     return SentenceDist(probs=probs.data.copy(), logits=logits)
+
+
+def kept_dist(dist: SentenceDist, kept: list[int]) -> SentenceDist:
+    """The distribution over the sentences ``kept`` of the context ``dist``
+    scored, in that order: their logits, and a softmax over them."""
+    logits = T.pick(dist.logits, (np.asarray(kept, dtype=np.int64),))
+    return SentenceDist(probs=T.softmax(logits, axis=0).data.copy(), logits=logits)
 
 
 def top_k_indices(probs: np.ndarray, k: int) -> list[int]:

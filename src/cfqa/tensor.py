@@ -432,8 +432,16 @@ def embedding(table, ids) -> Tensor:
     out = table.data[ids]
 
     def vjp(g):
+        # each distinct id's row is the sum of its gradient rows: sort the
+        # ids, then add up each run of equal ids with one reduceat
         gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
+        flat = ids.reshape(-1)
+        if flat.size:
+            order = np.argsort(flat, kind="stable")
+            flat = flat[order]
+            starts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
+            rows = g.reshape(order.size, *table.data.shape[1:])[order]
+            gt[flat[starts]] = np.add.reduceat(rows, starts, axis=0)
         return (gt,)
 
     return _finish(out, (table,), vjp)

@@ -155,6 +155,11 @@ class TokenDoc:
             pos += len(s)
         return bounds
 
+    def token_positions(self, sentences) -> np.ndarray:
+        """Flat positions of the tokens of ``sentences``, in the given order."""
+        bounds = self.sentence_bounds()
+        return np.concatenate([np.arange(*bounds[i]) for i in sentences])
+
     @classmethod
     def from_words(cls, sentences: list[list[str]], vocab: Vocab) -> "TokenDoc":
         ids, chars, spans = [], [], []

@@ -79,7 +79,7 @@ class ScriptedModel:
         self._episodes += 1
         return _Tagged(Tensor(rows), tag=self._episodes)
 
-    def encode_doc(self, ctx):
+    def encode_doc(self, ctx, source=None, index=None):
         rows = np.zeros((ctx.n_tokens, self.d_model))
         return _Tagged(Tensor(rows), tag=ctx)
 

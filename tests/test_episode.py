@@ -428,25 +428,20 @@ def test_train_recomputes_the_answer_under_its_tape():
     assert span_loss.requires_grad
 
 
-def test_a_select_step_embeds_its_context_once(monkeypatch):
-    # the selector reads the step's context encoding, so the word table is
-    # looked up once for the question and once per step, SELECT included
+def test_an_episode_embeds_its_document_once(monkeypatch):
+    # a narrowed context gathers its projected rows from the first step's
+    # encoding, so the word table is looked up once for the question and
+    # once for the document, whether the context was narrowed by SELECT or
+    # cut by EXCISE
     from cfqa import tensor as T
     from cfqa.checks import tiny_config, tiny_example, toy_vocab
     from cfqa.model import QaModel
     from cfqa.tensor import Tensor
 
     vocab = toy_vocab()
-    cfg = tiny_config(seed=3, max_span_len=40, k_initial=2)
+    cfg = tiny_config(seed=3, k_initial=2)
     model = QaModel(cfg, vocab, seed=3)
     ex = tiny_example(np.random.default_rng(3), vocab, n_sentences=4)
-    picks = iter([ActionId.SELECT, ActionId.ANSWER])
-
-    def select_then_answer(state, action_mask=None, lengths=None):
-        probs = np.eye(3)[int(next(picks))]
-        return Tensor(probs), Tensor(np.log(probs + 1e-12))
-
-    model.policy = select_then_answer
     word_lookups = []
     embedding = T.embedding
 
@@ -456,9 +451,19 @@ def test_a_select_step_embeds_its_context_once(monkeypatch):
         return embedding(table, ids)
 
     monkeypatch.setattr(T, "embedding", counting_embedding)
-    result = run_episode(model, ex, cfg, "eval")
-    assert [s.action for s in result.steps] == ["select", "answer"]
-    assert word_lookups == [len(ex.question)] + [s.ctx_tokens for s in result.steps]
+    for first in (ActionId.SELECT, ActionId.EXCISE):
+        picks = iter([first, ActionId.ANSWER])
+
+        def scripted(state, action_mask=None, lengths=None):
+            probs = np.eye(3)[int(next(picks))]
+            return Tensor(probs), Tensor(np.log(probs + 1e-12))
+
+        model.policy = scripted
+        word_lookups.clear()
+        result = run_episode(model, ex, cfg, "eval")
+        assert [s.action for s in result.steps] == [first.name.lower(), "answer"]
+        assert result.steps[1].ctx_tokens < ex.doc.n_tokens
+        assert word_lookups == [len(ex.question), ex.doc.n_tokens]
 
 
 @pytest.mark.parametrize("mode", ["eval", "train"])
@@ -499,3 +504,89 @@ def test_a_long_context_computes_each_encoder_row_once(monkeypatch, mode):
     assert [s.action for s in result.steps] == ["answer"]
     n, q = ex.doc.n_tokens, len(ex.question)
     assert query_rows == [q, cfg.max_state_tokens, n - cfg.max_state_tokens]
+
+
+def test_narrowed_steps_act_as_on_a_fresh_encoding_of_their_context():
+    # replay every step on its context encoded afresh and scored afresh: the
+    # policy sees the same probabilities, a SELECT keeps the same sentences
+    # and a span is the same span, so gathering the document's rows and
+    # keeping its sentence scores change only the work done
+    from cfqa.checks import tiny_config, tiny_example, toy_vocab
+    from cfqa.model import QaModel
+    from cfqa.selector import select_top_k
+    from cfqa.subcontext import excise_span
+
+    vocab = toy_vocab()
+    rng = np.random.default_rng(31)
+    cfg = tiny_config(seed=31, k_initial=4)
+    model = QaModel(cfg, vocab, seed=31)
+    paths = []
+    for i in range(16):
+        ex = tiny_example(rng, vocab, n_sentences=int(rng.integers(2, 7)),
+                          tokens_per_sentence=int(rng.integers(2, 6)),
+                          q_len=int(rng.integers(1, 4)))
+        ex.id = f"r{i}"
+        for mode in ("eval", "train"):
+            result = run_episode(model, ex, cfg, mode, episode_rng(cfg.seed, ex.id))
+            q_enc = model.encode_question(ex)
+            ctx, k = ex.doc, cfg.k_initial
+            for step, tr in zip(result.steps, result.trajectory):
+                assert step.ctx_tokens == ctx.n_tokens
+                ctx_enc = model.encode_doc(ctx)
+                probs = model.policy(model.state(ctx_enc, q_enc), tr.mask)[0].data
+                np.testing.assert_allclose(tr.probs, probs, rtol=1e-5, atol=1e-6)
+                if mode == "eval":
+                    assert tr.action == int(np.argmax(probs))
+                if step.action == "select":
+                    ctx, kept = select_top_k(model.sentence_dist(q_enc, ctx, ctx_enc),
+                                             ctx, k)
+                    assert kept == step.kept
+                    k = max(1, k - 1)
+                    continue
+                span = model.answer(q_enc, ctx_enc).span
+                assert (span.start, span.end) == step.span
+                if step.action == "excise":
+                    ctx, _ = excise_span(ctx, *step.span)
+            paths.append("|".join(s.action for s in result.steps))
+    # a SELECT after a SELECT reads kept scores; one after an EXCISE, fresh ones
+    assert any("select|select" in p for p in paths)
+    assert any("excise|select" in p for p in paths)
+
+
+def test_a_gather_of_other_tokens_breaks_the_invariants(monkeypatch):
+    from cfqa.text import TokenDoc
+
+    ex = make_example(np.random.default_rng(32), n_sentences=6)
+    cfg = engine_cfg()
+    model = ScriptedModel(seed=32, policy_fn=pinned_policy(ActionId.SELECT),
+                          max_span_len=cfg.max_span_len)
+    positions = TokenDoc.token_positions
+    monkeypatch.setattr(TokenDoc, "token_positions",
+                        lambda self, sentences: positions(self, sentences)[::-1])
+    with pytest.raises(ContractError, match="gathered"):
+        run_episode(model, ex, cfg, "eval")
+
+
+def test_a_state_with_one_legal_action_is_not_read():
+    # the step cap forces the last answer, so that state's probabilities are
+    # the one-hot the masked softmax would give, and no actor reads it
+    rng = np.random.default_rng(33)
+    dataset = [make_example(rng, n_sentences=8, example_id=f"s{i}") for i in range(5)]
+    cfg = engine_cfg(batch_size=2)
+    model = ScriptedModel(seed=33, policy_fn=pinned_policy(ActionId.SELECT),
+                          max_span_len=cfg.max_span_len)
+    reads = []
+    real_policy = model.policy
+
+    def counting_policy(state, action_mask=None, lengths=None):
+        reads.append(1 if lengths is None else len(lengths))
+        return real_policy(state, action_mask, lengths)
+
+    model.policy = counting_policy
+    results = [run_episode(model, ex, cfg, "eval") for ex in dataset]
+    lockstep = run_lockstep(model, dataset, cfg)
+    for result in results + lockstep:
+        assert [s.action for s in result.steps] == ["select"] * 5 + ["answer"]
+        assert result.forced
+        assert result.trajectory[-1].probs.tolist() == [1.0, 0.0, 0.0]
+    assert sum(reads) == 2 * 5 * len(dataset)

@@ -57,6 +57,41 @@ def test_matmul_gradient_matches_closed_form_and_fd(f64):
     assert_fd_match(loss, [a, b])
 
 
+# -------------------------------------------------------------------- embedding
+
+def _embedding_grad(table, ids, g):
+    with Tape() as tape:
+        out = T.embedding(table, ids)
+        tape.backward(T.reduce_sum(T.mul(out, Tensor(g))))
+    return table.grad
+
+
+@pytest.mark.parametrize("shape", [(12,), (4, 6), (0,)])
+def test_embedding_gradient_sums_rows_per_id_as_add_at_does(shape):
+    # integer-valued gradients sum exactly in any order, so the per-id sums
+    # must equal np.add.at's bit for bit; repeated and absent ids included
+    rng = np.random.default_rng(0)
+    table = Tensor(rng.normal(0, 1, (7, 3)), requires_grad=True)
+    ids = rng.integers(0, 5, size=shape)
+    g = rng.integers(-50, 50, size=(*shape, 3)).astype(np.float32)
+    want = np.zeros((7, 3), dtype=np.float32)
+    np.add.at(want, ids.reshape(-1), g.reshape(-1, 3))
+    got = _embedding_grad(table, ids, g)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_embedding_gradient_matches_add_at_within_float32_rounding():
+    rng = np.random.default_rng(1)
+    table = Tensor(rng.normal(0, 1, (40, 16)), requires_grad=True)
+    ids = rng.integers(0, 40, size=(30, 9))
+    g = rng.normal(0, 1, (30, 9, 16)).astype(np.float32)
+    want = np.zeros((40, 16), dtype=np.float32)
+    np.add.at(want, ids.reshape(-1), g.reshape(-1, 16))
+    np.testing.assert_allclose(_embedding_grad(table, ids, g), want,
+                               rtol=1e-5, atol=1e-5)
+
+
 # ---------------------------------------------------------------------- conv1d
 
 def conv1d_oracle(x, f):
