@@ -47,7 +47,7 @@ def run_bandit_check(seed: int, updates: int = 2000, gamma: float = 0.9,
     def probe() -> tuple[np.ndarray, float]:
         """Mean action probabilities and mean value over the probe states,
         read by one packed actor and one packed critic call."""
-        probs, _ = actor_policy(probe_seq, store, gru_size, lengths=probe_lengths)
+        probs, _ = actor_policy(probe_seq, store, gru_size, None, probe_lengths)
         values = critic_value(probe_seq, store, gru_size, lengths=probe_lengths)
         return (probs.data.mean(axis=0, dtype=np.float64),
                 float(values.data.mean(dtype=np.float64)))
@@ -58,7 +58,7 @@ def run_bandit_check(seed: int, updates: int = 2000, gamma: float = 0.9,
         state_data = rng.normal(0.0, 1.0, size=(ctx_rows, d_model))
         with Tape() as tape:
             state = Tensor(state_data)
-            probs, logp = actor_policy(state, store, gru_size, lengths=[ctx_rows])
+            probs, logp = actor_policy(state, store, gru_size, None, [ctx_rows])
             value = critic_value(state, store, gru_size, lengths=[ctx_rows])
             p = probs.data[0].astype(np.float64)
             action = int(rng.choice(3, p=p / p.sum()))

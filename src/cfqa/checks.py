@@ -176,7 +176,7 @@ def _op_cases(rng: np.random.Generator):
         seq = Tensor(grurng.normal(0, 1, (4, 3)), requires_grad=True)
         pair = Tensor(grurng.normal(0, 1, (5, 3)), requires_grad=True)
         w_pair = Tensor(grurng.normal(0, 1, (2, 4)))
-        return (_gradcheck(lambda: T.reduce_sum(run_gru(seq, params, 4)),
+        return (_gradcheck(lambda: T.reduce_sum(run_gru(seq, params, 4, [4])),
                            {**params, "seq": seq})
                 and _gradcheck(lambda: T.reduce_sum(T.mul(
                     run_gru(pair, params, 4, lengths=[2, 3]), w_pair)),
@@ -223,22 +223,18 @@ def gru_step(h: Tensor, x: Tensor, params: dict[str, Tensor]) -> Tensor:
     return T.add(T.mul(T.sub(1.0, z), h), T.mul(z, cand))
 
 
-def gru_steps(seq: Tensor, params: dict[str, Tensor], d_h: int,
-              lengths=None) -> Tensor:
-    """Oracle for ``run_gru``: ``gru_step`` over the rows of ``seq``, or over
-    each of the sequences ``lengths`` packs in it, one after another."""
-    if lengths is not None:
-        finals, start = [], 0
-        for n in lengths:
-            h = gru_steps(T.narrow(seq, 0, start, start + n), params, d_h)
-            finals.append(T.reshape(h, (1, d_h)))
-            start += n
-        return T.concat(finals, axis=0)
-    h = Tensor(np.zeros(d_h, dtype=seq.data.dtype))
-    for t in range(seq.data.shape[0]):
-        row = T.reshape(T.narrow(seq, 0, t, t + 1), (seq.data.shape[1],))
-        h = gru_step(h, row, params)
-    return h
+def gru_steps(seq: Tensor, params: dict[str, Tensor], d_h: int, lengths) -> Tensor:
+    """Oracle for ``run_gru``: ``gru_step`` over the rows of each of the
+    sequences ``lengths`` packs in ``seq``, one sequence after another."""
+    finals, start = [], 0
+    for n in lengths:
+        h = Tensor(np.zeros(d_h, dtype=seq.data.dtype))
+        for t in range(start, start + n):
+            row = T.reshape(T.narrow(seq, 0, t, t + 1), (seq.data.shape[1],))
+            h = gru_step(h, row, params)
+        finals.append(T.reshape(h, (1, d_h)))
+        start += n
+    return T.concat(finals, axis=0)
 
 
 def _pack_lengths(rng: np.random.Generator, n_seqs: int) -> list[int]:
@@ -311,7 +307,8 @@ def check_gru_sequence(seed: int = 0, max_len: int = 8, max_pack: int = 5
                   128, 512, 1e-5))
     cases.append((np.float32, [6] * 4, None, 16, 700, 1e-5))
     for dtype, lengths, length, d_x, d_h, tol in cases:
-        n_rows = length if lengths is None else sum(lengths)
+        seqs = [length] if lengths is None else lengths
+        n_rows = sum(seqs)
         with using_dtype(dtype):
             store = ParamStore()
             create_gru(store, "g", d_x, d_h, rng)
@@ -321,14 +318,11 @@ def check_gru_sequence(seed: int = 0, max_len: int = 8, max_pack: int = 5
             for p in params.values():
                 p.data += rng.normal(0, 0.1, p.data.shape).astype(dtype)
             seq = Tensor(rng.normal(0, 1, (n_rows, d_x)), requires_grad=True)
-            out_shape = (d_h,) if lengths is None else (len(lengths), d_h)
-            w_out = Tensor(rng.normal(0, 1, out_shape))
+            w_out = Tensor(rng.normal(0, 1, (len(seqs), d_h)))
             leaves = {"seq": seq, **params}
             fused, oracle = (
-                _output_and_grads(
-                    lambda: (run(seq, params, d_h) if lengths is None
-                             else run(seq, params, d_h, lengths)),
-                    "output", leaves, w_out)
+                _output_and_grads(lambda: run(seq, params, d_h, seqs),
+                                  "output", leaves, w_out)
                 for run in (run_gru, gru_steps))
         mismatch = _worst_mismatch(fused, oracle, tol)
         if mismatch:
@@ -608,17 +602,17 @@ def end_to_end_loss(model: QaModel, example: QAExample,
     narrowed, kept = select_top_k(dist, ctx, 2)
     sel_logp = T.log_softmax(dist.logits, axis=0)
 
-    ctx2_enc = model.encode_doc(narrowed, ctx_enc, ctx.token_positions(kept))
+    ctx2_enc = model.encode_doc(narrowed, ctx_enc)
     state2 = model.state(ctx2_enc, q_enc)
     lengths = [state.data.shape[0], state2.data.shape[0]]
     packed = T.concat([state, state2], axis=0)
-    logp = model.policy(packed, lengths=lengths)[1]
+    logp = model.policy(packed, None, lengths)[1]
     values = model.value(packed, lengths)
     out = model.answer(q_enc, ctx2_enc)
 
     log_probs = T.pick(logp, ([0, 1], [ActionId.SELECT, ActionId.ANSWER]))
-    for i in kept:
-        log_probs = T.add(log_probs, T.mul(T.pick(sel_logp, i), np.array([1.0, 0.0])))
+    sel_log_prob = T.reduce_sum(T.pick(sel_logp, (np.asarray(kept),)))
+    log_probs = T.add(log_probs, T.mul(sel_log_prob, np.array([1.0, 0.0])))
     loss_actor, loss_critic, deltas = actor_critic_update(
         log_probs, values, [0.0, 0.7], [2], cfg.gamma, frozen_deltas=frozen_deltas)
     loss = T.add(loss_actor, loss_critic)
@@ -667,20 +661,22 @@ def check_gradient_end_to_end(seed: int = 0, max_coords: int = 6) -> CheckResult
 
 def serial_update_loss(model: QaModel, results: list[EpisodeResult],
                        cfg: RunConfig) -> Tensor:
-    """Oracle for ``train.update_loss``: each decision's state read by its
-    own recorded ``policy`` and ``value`` call, each step's TD error, actor
-    and critic terms built on their own, and the entropy bonus added step
-    by step."""
+    """Oracle for ``train.update_loss``: each decision's state read alone, as
+    a pack of one, by its own recorded ``policy`` and ``value`` call, each
+    step's TD error, actor and critic terms built on their own, and the
+    entropy bonus added step by step."""
     terms = []
     for result in results:
         terms.extend(result.aux_losses)
         steps = []      # (taken log-probability, value, reward)
         for decision in result.trajectory:
-            probs, log_probs = model.policy(decision.state, action_mask=decision.mask)
-            log_prob = T.pick(log_probs, int(decision.action))
+            alone = [decision.state.data.shape[0]]
+            probs, log_probs = model.policy(decision.state, decision.mask[None], alone)
+            log_prob = T.pick(log_probs, (0, int(decision.action)))
             if decision.sel_log_prob is not None:
                 log_prob = T.add(log_prob, decision.sel_log_prob)
-            steps.append((log_prob, model.value(decision.state), decision.reward))
+            value = T.pick(model.value(decision.state, alone), 0)
+            steps.append((log_prob, value, decision.reward))
             if cfg.entropy_coef > 0.0:
                 terms.append(T.mul(entropy_of(probs, log_probs), -cfg.entropy_coef))
         for i, (log_prob, value, reward) in enumerate(steps):
@@ -788,7 +784,9 @@ def check_excision(seed: int = 0, cases: int = 1000) -> CheckResult:
     """Draw random docs and spans until ``cases`` splices have been compared.
 
     Draws that cannot be excised (a one-token doc, or a span covering the
-    whole doc) are redrawn, not counted.
+    whole doc) are redrawn, not counted. Each doc's ``positions`` are a
+    random permutation, so a cut that renumbers them, or rebuilds them from
+    the doc's own offsets, fails.
     """
     rng = np.random.default_rng(seed)
     case = 0
@@ -804,17 +802,13 @@ def check_excision(seed: int = 0, cases: int = 1000) -> CheckResult:
         for ln in lens:
             sentences.append(tokens[pos:pos + ln])
             pos += ln
-        doc = TokenDoc(
-            sentences=sentences,
-            char_ids=[[[1]] * ln for ln in lens],
-            source_spans=[[(si, ti) for ti in range(ln)]
-                          for si, ln in enumerate(lens)],
-        )
+        doc = TokenDoc(sentences, [[[1]] * ln for ln in lens],
+                       rng.permutation(total).tolist())
         start = int(rng.integers(0, total))
         end = int(rng.integers(start, total))
         if end - start + 1 >= total:
             continue
-        got, _ = excise_span(doc, start, end)
+        got = excise_span(doc, start, end)
         want = tokens[:start] + tokens[end + 1:]
         if got.flat_tokens() != want:
             return CheckResult("excision", False,
@@ -823,8 +817,7 @@ def check_excision(seed: int = 0, cases: int = 1000) -> CheckResult:
             return CheckResult("excision", False,
                                f"case {case}: n_tokens {got.n_tokens} != {len(want)}")
         # surviving tokens keep their provenance
-        spans = doc.flat_spans()
-        if got.flat_spans() != spans[:start] + spans[end + 1:]:
+        if got.positions != doc.positions[:start] + doc.positions[end + 1:]:
             return CheckResult("excision", False,
                                f"case {case}: provenance of surviving tokens changed")
         case += 1

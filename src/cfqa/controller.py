@@ -1,31 +1,29 @@
-"""Action selection: state building, policy/value heads, rewards, losses.
+"""Action selection: state building, policy/value heads, losses.
 
 The actor and critic are two independent GRUs read over the same state
-sequence (encoded context, a separator row, encoded question). The actor
-ends in a 3-way softmax over answer/select/excise; the critic in a scalar.
-Update rule: per-step temporal-difference error delta = r + gamma * v_next
-- v, computed as one vector over the steps of a batch of episodes; the
-actor loss weights -log pi(a) by delta treated as a constant, the critic
-regresses delta^2.
+sequence (encoded context, a separator row, encoded question). Every read
+packs B states back to back, B = 1 included. The actor ends in a 3-way
+softmax over answer/select/excise per state; the critic in a scalar per
+state. Update rule: per-step temporal-difference error delta = r +
+gamma * v_next - v, computed as one vector over the steps of a batch of
+episodes; the actor loss weights -log pi(a) by delta treated as a
+constant, the critic regresses delta^2. The episode computes each step's
+reward where it runs the step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from . import tensor as T
 from .encoder import Encoded
 from .errors import ContractError
-from .metrics import best_f1
 from .nn import create_gru, gru_params, run_gru
 from .params import ParamStore
-from .subcontext import Excision
 from .tensor import Tensor
-from .text import TokenDoc, contains_any_answer
 
 
 class ActionId(IntEnum):
@@ -33,26 +31,6 @@ class ActionId(IntEnum):
     ANSWER = 0
     SELECT = 1
     EXCISE = 2
-
-
-@dataclass
-class Answered:
-    tokens: list[int]
-    start: int
-    end: int
-
-
-@dataclass
-class Narrowed:
-    kept_sentences: list[int]
-
-
-@dataclass
-class Excised:
-    excision: Excision
-
-
-ActionOutcome = Union[Answered, Narrowed, Excised]
 
 
 def create_controller_params(store: ParamStore, d_model: int, gru_size: int,
@@ -87,20 +65,18 @@ def build_state(ctx_enc: Encoded, question_rows: Tensor, store: ParamStore,
 
 
 def actor_logits(state_seq: Tensor, store: ParamStore, gru_size: int,
-                 lengths=None) -> Tensor:
+                 lengths) -> Tensor:
     h = run_gru(state_seq, gru_params(store, "actor.gru"), gru_size, lengths)
     return T.add(T.matmul(h, store["actor.head_w"]), store["actor.head_b"])
 
 
 def actor_policy(state_seq: Tensor, store: ParamStore, gru_size: int,
-                 action_mask: Optional[np.ndarray] = None,
-                 lengths=None) -> tuple[Tensor, Tensor]:
-    """(probabilities, log-probabilities) over the three actions.
+                 action_mask: Optional[np.ndarray], lengths) -> tuple[Tensor, Tensor]:
+    """(probabilities, log-probabilities) over the three actions, [B x 3]
+    each for the B states ``state_seq`` packs back to back (see
+    ``run_gru``) and their [B x 3] ``action_mask``.
 
-    Masked actions get probability exactly zero; the rest renormalize. With
-    ``lengths``, ``state_seq`` packs that many states back to back (see
-    ``run_gru``), ``action_mask`` is [B x 3] and both outputs are [B x 3];
-    without, one state gives [3] outputs for a [3] mask.
+    Masked actions get probability exactly zero; the rest renormalize.
     """
     logits = actor_logits(state_seq, store, gru_size, lengths)
     probs = T.softmax(logits, axis=-1, mask=action_mask)
@@ -109,28 +85,11 @@ def actor_policy(state_seq: Tensor, store: ParamStore, gru_size: int,
 
 
 def critic_value(state_seq: Tensor, store: ParamStore, gru_size: int,
-                 lengths=None) -> Tensor:
-    """State value: a scalar for one state, [B] for packed ``lengths``."""
+                 lengths) -> Tensor:
+    """State values, [B] for the B states ``state_seq`` packs."""
     h = run_gru(state_seq, gru_params(store, "critic.gru"), gru_size, lengths)
     return T.add(T.matmul(h, store["critic.head_w"]),
                  T.pick(store["critic.head_b"], 0))
-
-
-def compute_reward(action: ActionId, outcome: ActionOutcome,
-                   gold_answers: list[list[int]],
-                   pre_ctx: TokenDoc, post_ctx: Optional[TokenDoc]) -> float:
-    """Raw step reward: answer F1, or gold containment after narrowing/excision."""
-    if action is ActionId.ANSWER:
-        if not isinstance(outcome, Answered):
-            raise ContractError("answer action requires an Answered outcome")
-        return float(best_f1(outcome.tokens, gold_answers))
-    if action is ActionId.SELECT and not isinstance(outcome, Narrowed):
-        raise ContractError("select action requires a Narrowed outcome")
-    if action is ActionId.EXCISE and not isinstance(outcome, Excised):
-        raise ContractError("excise action requires an Excised outcome")
-    if post_ctx is None:
-        raise ContractError("narrowing and excision need the resulting context")
-    return 1.0 if contains_any_answer(post_ctx, gold_answers) else 0.0
 
 
 def actor_critic_update(log_probs: Tensor, values: Tensor, rewards, lengths,

@@ -8,24 +8,26 @@ the configured mode (one final reward by default, per-step shaped rewards
 behind a flag).
 
 The step loop is a generator (``episode_steps``) that hands out each state
-and waits for the actor's action probabilities for it, so one copy of the
-step logic serves both drivers: ``run_episode`` plays one episode at a
-time, and ``run_lockstep`` plays a batch of greedy episodes together and
-reads all their states with one actor call per round. Acting needs only
-those probabilities, so both drivers read the actor with no tape and never
-run the critic; a state with one legal action is not read at all, since the
-masked softmax is exactly that action. Each step instead records what
-learning needs (``Decision``):
-``train()`` reads every state of a batch again, in one recorded actor and
-one recorded critic pass, and computes the actor-critic loss over those
-rows. Every episode checks its invariants as it runs: the context never
-grows, the question encoding stays the same, and the episode answers
-exactly once, at the end, forced only by the step cap.
+and waits for the actor's action probabilities for it. One driver plays it:
+``run_lockstep`` keeps up to ``batch_size`` episodes in flight and reads all
+their pending states with one packed actor call per round; ``run_episode``
+is that driver over one example. Acting needs only those probabilities, so
+the driver reads the actor with no tape and never runs the critic; a state
+with one legal action is not read at all, since the masked softmax is
+exactly that action. Each step computes its reward where it runs (the
+answer's F1, or whether a narrowed or cut context still holds a gold
+answer) and records what learning needs (``Decision``): ``train()`` reads
+every state of a batch again, in one recorded actor and one recorded critic
+pass, and computes the actor-critic loss over those rows. Every episode
+checks its invariants as it runs: the context never grows, the question
+encoding stays the same, and the episode answers exactly once, at the end,
+forced only by the step cap.
 
 The document is embedded and projected once per episode. A narrowed
-context is a subset of the document's tokens, so its encoding gathers
-their projected rows from the first step's encoding; only the positions,
-the convolution and the rows read from the block run per step. Likewise,
+context is a subset of the document's tokens and carries their
+``positions`` in it, so its encoding gathers those projected rows from the
+first step's encoding; only the positional encodings, the convolution and
+the rows read from the block run per step. Likewise,
 after a SELECT the narrowed context's sentence scores are the kept entries
 of the scores that SELECT read; after an EXCISE, whose merged sentence is
 new, the context is scored again.
@@ -35,13 +37,13 @@ from __future__ import annotations
 
 import itertools
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .config import RunConfig
-from .controller import ActionId, Answered, Excised, Narrowed, compute_reward
+from .controller import ActionId
 from .answer import span_nll
 from .errors import ContractError, DataError
 from .metrics import best_f1, exact_match
@@ -49,7 +51,7 @@ from .selector import kept_dist, select_top_k
 from .subcontext import excise_span
 from .tensor import Tensor, active_tape, pick, log_softmax, suspend_tape
 from . import tensor as T
-from .text import QAExample, TokenDoc, find_subsequence
+from .text import QAExample, TokenDoc, contains_any_answer, find_subsequence
 
 
 @dataclass
@@ -154,25 +156,9 @@ def action_mask(ctx: TokenDoc, forced: bool, cfg: RunConfig,
 
 def run_episode(model, example: QAExample, cfg: RunConfig, mode: str,
                 rng: Optional[np.random.Generator] = None) -> EpisodeResult:
-    """Play one episode; in train mode the policy samples, in eval it argmaxes.
-
-    Drives one ``episode_steps`` generator, reading each state with one
-    ``model.policy`` call under ``suspend_tape``; the critic does not run.
-    When a tape is active, the trajectory's states and selector terms are
-    live, so ``train()`` can read them again on the tape and turn them into
-    losses; eval runs are pure numpy.
-    """
-    steps = episode_steps(model, example, cfg, mode, rng)
-    state, mask = next(steps)
-    while True:
-        probs = _one_legal_action(mask)
-        if probs is None:
-            with suspend_tape():
-                probs = model.policy(state, action_mask=mask)[0].data
-        try:
-            state, mask = steps.send(probs)
-        except StopIteration as done:
-            return done.value
+    """Play one episode (``run_lockstep`` over ``[example]``); in train mode
+    the policy samples from ``rng``, in eval it argmaxes."""
+    return run_lockstep(model, [example], cfg, mode, [rng])[0]
 
 
 def _one_legal_action(mask: np.ndarray) -> Optional[np.ndarray]:
@@ -200,10 +186,11 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
 
     q_enc = model.encode_question(example)
     q_bytes = q_enc.matrix.data.tobytes()
-    ctx = example.doc
+    # positions count from the episode's document, whatever the given one
+    # carries
+    ctx = replace(example.doc, positions=None)
     doc_enc = None      # the first step's encoding, which later steps gather from
     doc_tokens = np.asarray(ctx.flat_tokens(), dtype=np.int64)
-    rows = np.arange(ctx.n_tokens)     # where each context token sits in the doc
     narrowed_from = None   # after a SELECT: its distribution and kept sentences
     k_budget = cfg.k_initial
     trajectory: list[Decision] = []
@@ -224,10 +211,10 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
         if doc_enc is None:
             ctx_enc = doc_enc = model.encode_doc(ctx)
         else:
-            if not np.array_equal(doc_tokens[rows], ctx.flat_tokens()):
+            if not np.array_equal(doc_tokens[ctx.positions], ctx.flat_tokens()):
                 raise ContractError("the rows gathered for the context hold "
                                     "other tokens than the context")
-            ctx_enc = model.encode_doc(ctx, doc_enc, rows)
+            ctx_enc = model.encode_doc(ctx, doc_enc)
 
         # cheap pre-check: a span that would cover the whole context makes
         # excision illegal, so mask it before the policy decides
@@ -261,8 +248,7 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
                 out = cached
             flat = ctx.flat_tokens()
             answer_tokens = flat[out.span.start:out.span.end + 1]
-            outcome = Answered(answer_tokens, out.span.start, out.span.end)
-            reward = compute_reward(action, outcome, example.gold_answers, ctx, None)
+            reward = float(best_f1(answer_tokens, example.gold_answers))
             trajectory.append(Decision(action, state, mask, probs, None, reward))
             steps.append(StepRecord("answer", ctx.n_tokens, reward,
                                     (out.span.start, out.span.end)))
@@ -277,17 +263,13 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
             dist = (model.sentence_dist(q_enc, ctx, ctx_enc) if narrowed_from is None
                     else kept_dist(*narrowed_from))
             new_ctx, kept = select_top_k(dist, ctx, k_budget)
-            rows = rows[ctx.token_positions(kept)]
             narrowed_from = dist, kept
             k_budget = max(1, k_budget - 1)
-            outcome = Narrowed(kept)
-            reward = compute_reward(action, outcome, example.gold_answers, ctx, new_ctx)
+            reward = float(contains_any_answer(new_ctx, example.gold_answers))
             # selection trains through the policy loss: credit the chosen
             # sentences alongside the action choice itself
             sel_logp = log_softmax(dist.logits, axis=0)
-            sel_log_prob = pick(sel_logp, kept[0])
-            for i in kept[1:]:
-                sel_log_prob = T.add(sel_log_prob, pick(sel_logp, i))
+            sel_log_prob = T.reduce_sum(pick(sel_logp, (np.asarray(kept),)))
             trajectory.append(Decision(action, state, mask, probs, sel_log_prob,
                                        reward))
             steps.append(StepRecord("select", ctx.n_tokens, reward))
@@ -306,12 +288,10 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
             with suspend_tape():
                 cached = model.answer(q_enc, ctx_enc)
         span = (cached.span.start, cached.span.end)
-        new_ctx, excision = excise_span(ctx, *span)
-        outcome = Excised(excision)
-        reward = compute_reward(action, outcome, example.gold_answers, ctx, new_ctx)
+        new_ctx = excise_span(ctx, *span)
+        reward = float(contains_any_answer(new_ctx, example.gold_answers))
         trajectory.append(Decision(action, state, mask, probs, None, reward))
         steps.append(StepRecord("excise", ctx.n_tokens, reward, span))
-        rows = np.delete(rows, np.s_[span[0]:span[1] + 1])
         narrowed_from = None
         ctx = new_ctx
 
@@ -352,9 +332,11 @@ def _check_episode(result: EpisodeResult, cfg: RunConfig) -> None:
         raise ContractError("only the step cap may force an answer")
 
 
-def run_lockstep(model, dataset: list[QAExample], cfg: RunConfig
-                 ) -> list[EpisodeResult]:
-    """Greedy episodes over ``dataset``, up to ``cfg.batch_size`` in flight.
+def run_lockstep(model, dataset: list[QAExample], cfg: RunConfig, mode: str,
+                 rngs: Optional[list] = None) -> list[EpisodeResult]:
+    """Episodes over ``dataset``, up to ``cfg.batch_size`` in flight. In
+    train mode episode i samples its actions from ``rngs[i]``; in eval each
+    argmaxes and ``rngs`` may be left out.
 
     Each round packs the pending states of the episodes in flight back to
     back and reads them with one ``model.policy`` call under
@@ -364,12 +346,17 @@ def run_lockstep(model, dataset: list[QAExample], cfg: RunConfig
     gets its own row of the probabilities as a plain array. Results come
     back in dataset order.
     """
+    if rngs is None:
+        rngs = [None] * len(dataset)
+    if len(rngs) != len(dataset):
+        raise ContractError(f"{len(rngs)} rngs for {len(dataset)} episodes")
     results: list[Optional[EpisodeResult]] = [None] * len(dataset)
-    queue = iter(enumerate(dataset))
+    queue = iter(enumerate(zip(dataset, rngs)))
     in_flight = []     # (dataset index, generator, its pending (state, mask))
     while True:
-        for index, example in itertools.islice(queue, cfg.batch_size - len(in_flight)):
-            steps = episode_steps(model, example, cfg, "eval")
+        for index, (example, rng) in itertools.islice(
+                queue, cfg.batch_size - len(in_flight)):
+            steps = episode_steps(model, example, cfg, mode, rng)
             in_flight.append((index, steps, next(steps)))
         if not in_flight:
             return results
@@ -405,7 +392,7 @@ def evaluate(model, dataset: list[QAExample], cfg: RunConfig
     """
     if not dataset:
         raise DataError("cannot evaluate an empty dataset")
-    results = run_lockstep(model, dataset, cfg)
+    results = run_lockstep(model, dataset, cfg, "eval")
     rows = []
     action_counts = np.zeros(3, dtype=np.int64)
     total_steps = 0

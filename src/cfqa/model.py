@@ -45,13 +45,12 @@ class QaModel:
         create_controller_params(self.store, cfg.d_model, cfg.gru_size, rng)
 
     # ---- representation -------------------------------------------------
-    def encode_doc(self, doc: TokenDoc, source: Optional[Encoded] = None,
-                   index: Optional[np.ndarray] = None) -> Encoded:
-        """The encoding of ``doc``: embedded afresh, or, given a ``source``
-        encoding and the positions ``index`` of ``doc``'s tokens in it,
-        gathered from its projected rows."""
+    def encode_doc(self, doc: TokenDoc, source: Optional[Encoded] = None) -> Encoded:
+        """The encoding of ``doc``: embedded afresh, or, given ``source``, the
+        encoding of the document ``doc`` was narrowed from, gathered from its
+        projected rows at ``doc.positions``."""
         if source is not None:
-            return source.gather(index)
+            return source.gather(doc.positions)
         return encode_tokens(doc.flat_tokens(), doc.flat_char_ids(),
                              self.enc_cfg, self.store)
 
@@ -75,14 +74,12 @@ class QaModel:
         return build_state(ctx_enc, q_enc.matrix, self.store,
                            max_state_tokens=self.cfg.max_state_tokens)
 
-    def policy(self, state_seq: Tensor, action_mask: Optional[np.ndarray] = None,
-               lengths=None):
-        """Action (probabilities, log-probabilities): [3] each for one state,
-        [B x 3] for B states packed back to back with ``lengths``."""
+    def policy(self, state_seq: Tensor, action_mask: Optional[np.ndarray], lengths):
+        """Action (probabilities, log-probabilities), [B x 3] each for the B
+        states ``state_seq`` packs back to back, of row counts ``lengths``."""
         return actor_policy(state_seq, self.store, self.cfg.gru_size,
-                            action_mask=action_mask, lengths=lengths)
+                            action_mask, lengths)
 
-    def value(self, state_seq: Tensor, lengths=None) -> Tensor:
-        """Critic value: a scalar for one state, [B] for packed ``lengths``."""
-        return critic_value(state_seq, self.store, self.cfg.gru_size,
-                            lengths=lengths)
+    def value(self, state_seq: Tensor, lengths) -> Tensor:
+        """Critic values, [B] for the B states ``state_seq`` packs."""
+        return critic_value(state_seq, self.store, self.cfg.gru_size, lengths)

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .params import ParamStore
-from .tensor import Tensor, add, gru_sequence, matmul, relu, reshape
+from .tensor import Tensor, add, gru_sequence, matmul, relu
 
 
 def create_gru(store: ParamStore, prefix: str, d_x: int, d_h: int,
@@ -37,22 +37,15 @@ def gru_params(store: ParamStore, prefix: str) -> dict[str, Tensor]:
     return {k: store[f"{prefix}.{k}"] for k in GRU_KEYS}
 
 
-def run_gru(seq: Tensor, params: dict[str, Tensor], d_h: int,
-            lengths=None) -> Tensor:
-    """Final GRU state of a [length x d_x] sequence, as a [d_h] vector.
-
-    With ``lengths``, ``seq`` packs that many sequences back to back and the
-    result is their final states, [len(lengths) x d_h]. Either way it is one
-    fused ``gru_sequence`` op: a single tape node for all rows.
-    """
+def run_gru(seq: Tensor, params: dict[str, Tensor], d_h: int, lengths) -> Tensor:
+    """Final GRU states of the sequences ``seq`` packs back to back, whose
+    row counts are ``lengths``, as [len(lengths) x d_h]: one fused
+    ``gru_sequence`` op, a single tape node for all rows."""
     if params["u_cand"].data.shape[0] != d_h:
         raise ShapeError(
             f"state width {d_h} does not match cell size "
             f"{params['u_cand'].data.shape[0]}")
-    weights = [params[k] for k in GRU_KEYS]
-    if lengths is None:
-        return reshape(gru_sequence(seq, [seq.data.shape[0]], *weights), (d_h,))
-    return gru_sequence(seq, lengths, *weights)
+    return gru_sequence(seq, lengths, *(params[k] for k in GRU_KEYS))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

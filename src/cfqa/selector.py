@@ -115,8 +115,9 @@ def top_k_indices(probs: np.ndarray, k: int) -> list[int]:
 def select_top_k(dist: SentenceDist, ctx: TokenDoc, k: int) -> tuple[TokenDoc, list[int]]:
     """Keep the top-k sentences in original document order.
 
-    k is clamped to the sentence count; provenance rides along unchanged.
-    Returns the narrowed document and the kept sentence indices.
+    k is clamped to the sentence count; the kept tokens keep their
+    ``positions``. Returns the narrowed document and the kept sentence
+    indices.
     """
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
@@ -125,9 +126,10 @@ def select_top_k(dist: SentenceDist, ctx: TokenDoc, k: int) -> tuple[TokenDoc, l
             f"distribution over {len(dist.probs)} sentences does not match "
             f"context with {ctx.n_sentences}")
     keep = top_k_indices(dist.probs, k)
+    bounds = ctx.sentence_bounds()
     narrowed = TokenDoc(
         sentences=[list(ctx.sentences[i]) for i in keep],
         char_ids=[[list(c) for c in ctx.char_ids[i]] for i in keep],
-        source_spans=[list(ctx.source_spans[i]) for i in keep],
+        positions=[p for i in keep for p in ctx.positions[slice(*bounds[i])]],
     )
     return narrowed, keep

@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ContractError, DataError
 
 PAD_ID = 0
 UNK_ID = 1
@@ -116,18 +116,24 @@ class Vocab:
 class TokenDoc:
     """A document as sentences of token ids, with provenance.
 
-    ``source_spans`` maps every surviving token back to its
-    (sentence, token) position in the original document, which narrowing
-    and excision preserve.
+    ``positions`` holds each token's flat position in the document an
+    episode started from, 0..n-1 unless given; narrowing and excision carry
+    it, so a narrowed context's encoding gathers those rows of the
+    document's.
     """
 
     sentences: list[list[int]]
     char_ids: list[list[list[int]]]
-    source_spans: list[list[tuple[int, int]]]
+    positions: Optional[list[int]] = None
 
     def __post_init__(self):
         if not self.sentences or any(not s for s in self.sentences):
             raise DataError("a document needs at least one non-empty sentence")
+        if self.positions is None:
+            self.positions = list(range(self.n_tokens))
+        elif len(self.positions) != self.n_tokens:
+            raise ContractError(f"{len(self.positions)} positions for a "
+                                f"document of {self.n_tokens} tokens")
 
     @property
     def n_sentences(self) -> int:
@@ -143,9 +149,6 @@ class TokenDoc:
     def flat_char_ids(self) -> list[list[int]]:
         return [c for s in self.char_ids for c in s]
 
-    def flat_spans(self) -> list[tuple[int, int]]:
-        return [p for s in self.source_spans for p in s]
-
     def sentence_bounds(self) -> list[tuple[int, int]]:
         """Half-open [start, stop) token offsets of each sentence."""
         bounds = []
@@ -155,20 +158,14 @@ class TokenDoc:
             pos += len(s)
         return bounds
 
-    def token_positions(self, sentences) -> np.ndarray:
-        """Flat positions of the tokens of ``sentences``, in the given order."""
-        bounds = self.sentence_bounds()
-        return np.concatenate([np.arange(*bounds[i]) for i in sentences])
-
     @classmethod
     def from_words(cls, sentences: list[list[str]], vocab: Vocab) -> "TokenDoc":
-        ids, chars, spans = [], [], []
-        for si, words in enumerate(sentences):
+        ids, chars = [], []
+        for words in sentences:
             w_ids, c_ids = vocab.encode_words(words)
             ids.append(w_ids)
             chars.append(c_ids)
-            spans.append([(si, ti) for ti in range(len(words))])
-        return cls(ids, chars, spans)
+        return cls(ids, chars)
 
 
 def tokenize(text: str, vocab: Vocab) -> TokenDoc:
@@ -183,17 +180,16 @@ def truncate_doc(doc: TokenDoc, max_tokens: int) -> TokenDoc:
     """Drop trailing tokens past ``max_tokens``, keeping sentence structure."""
     if max_tokens <= 0 or doc.n_tokens <= max_tokens:
         return doc
-    sentences, chars, spans = [], [], []
+    sentences, chars = [], []
     left = max_tokens
-    for s, c, p in zip(doc.sentences, doc.char_ids, doc.source_spans):
+    for s, c in zip(doc.sentences, doc.char_ids):
         if left <= 0:
             break
         take = min(left, len(s))
         sentences.append(s[:take])
         chars.append(c[:take])
-        spans.append(p[:take])
         left -= take
-    return TokenDoc(sentences, chars, spans)
+    return TokenDoc(sentences, chars, doc.positions[:max_tokens])
 
 
 @dataclass

@@ -59,11 +59,12 @@ def update_loss(model: QaModel, results: list[EpisodeResult], cfg: RunConfig
     probs, log_probs = model.policy(packed, masks, lengths)
     values = model.value(packed, lengths)
 
-    n_rows = len(decisions)
-    taken = T.pick(log_probs, (np.arange(n_rows), [int(d.action) for d in decisions]))
-    for row, decision in enumerate(decisions):
-        if decision.sel_log_prob is not None:
-            taken = T.add(taken, T.mul(decision.sel_log_prob, np.eye(n_rows)[row]))
+    taken = T.pick(log_probs, (np.arange(len(decisions)),
+                               [int(d.action) for d in decisions]))
+    no_selection = Tensor(np.zeros(1))
+    taken = T.add(taken, T.concat(
+        [no_selection if d.sel_log_prob is None else T.reshape(d.sel_log_prob, (1,))
+         for d in decisions], axis=0))
     loss_actor, loss_critic, deltas = actor_critic_update(
         taken, values, [d.reward for d in decisions],
         [len(result.trajectory) for result in results], cfg.gamma)

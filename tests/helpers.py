@@ -49,9 +49,9 @@ class ScriptedModel:
     Lockstep evaluation interleaves episodes, so nothing about the current
     episode lives on the stub: a question encoding is tagged with its
     episode, a context encoding with its context, and each state's rows hold
-    a key to the (context, step) it was built for. ``policy`` accepts
-    states packed back to back with ``lengths``, like ``QaModel``; acting
-    never reads the critic, so the stub has no ``value``.
+    a key to the (context, step) it was built for. ``policy`` reads states
+    packed back to back with ``lengths``, like ``QaModel``; acting never
+    reads the critic, so the stub has no ``value``.
     """
 
     def __init__(self, seed: int = 0, d_model: int = 4, policy_fn=None,
@@ -79,7 +79,7 @@ class ScriptedModel:
         self._episodes += 1
         return _Tagged(Tensor(rows), tag=self._episodes)
 
-    def encode_doc(self, ctx, source=None, index=None):
+    def encode_doc(self, ctx, source=None):
         rows = np.zeros((ctx.n_tokens, self.d_model))
         return _Tagged(Tensor(rows), tag=ctx)
 
@@ -91,17 +91,11 @@ class ScriptedModel:
         rows = 2 + len(self._states) % 3
         return Tensor(np.full((rows, self.d_model), float(len(self._states) - 1)))
 
-    def _unpack(self, state, lengths):
-        starts = [0] if lengths is None else np.cumsum([0, *lengths[:-1]])
-        return [self._states[int(state.data[start, 0])] for start in starts]
-
-    def policy(self, state, action_mask=None, lengths=None):
-        pairs = self._unpack(state, lengths)
-        masks = [action_mask] if lengths is None else action_mask
+    def policy(self, state, action_mask, lengths):
+        starts = np.cumsum([0, *lengths[:-1]])
+        pairs = [self._states[int(state.data[start, 0])] for start in starts]
         probs = np.stack([masked_probs(self.policy_fn(ctx, step), mask)
-                          for (ctx, step), mask in zip(pairs, masks)])
-        if lengths is None:
-            probs = probs[0]
+                          for (ctx, step), mask in zip(pairs, action_mask)])
         return Tensor(probs), Tensor(np.log(np.maximum(probs, 1e-12)))
 
     def sentence_dist(self, q_enc, ctx, ctx_enc):
@@ -157,11 +151,6 @@ def make_example(rng, n_sentences=5, tokens_per_sentence=4, gold_sentence=None,
     if gold_sentence is None:
         gold_sentence = int(rng.integers(0, n_sentences))
     gold = sentences[gold_sentence][1:3]
-    doc = TokenDoc(
-        sentences=sentences,
-        char_ids=[[[1, 2]] * len(s) for s in sentences],
-        source_spans=[[(si, ti) for ti in range(len(s))]
-                      for si, s in enumerate(sentences)],
-    )
+    doc = TokenDoc(sentences, [[[1, 2]] * len(s) for s in sentences])
     question = [int(t) for t in rng.integers(10, 200, size=3)]
     return QAExample(example_id, doc, question, [[1, 2]] * 3, [list(gold)])

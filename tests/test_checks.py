@@ -40,13 +40,14 @@ def test_excision_check_catches_one_extra_token(monkeypatch):
 
 
 def test_excision_check_catches_lost_provenance(monkeypatch):
-    def renumbers_sources(ctx, start, end):
-        out, excision = excise_span(ctx, start, end)
-        out.source_spans = [[(si, ti) for ti in range(len(s))]
-                            for si, s in enumerate(out.sentences)]
-        return out, excision
+    # the surviving tokens' offsets in the cut context, not the positions
+    # they carried in
+    def renumbers_positions(ctx, start, end):
+        out = excise_span(ctx, start, end)
+        out.positions = [p for p in range(ctx.n_tokens) if not start <= p <= end]
+        return out
 
-    monkeypatch.setattr(checks, "excise_span", renumbers_sources)
+    monkeypatch.setattr(checks, "excise_span", renumbers_positions)
     result = checks.check_excision()
     assert result.passed is False
     assert "provenance" in result.detail
@@ -81,7 +82,7 @@ def test_attention_b_check_catches_row_softmax_twice(monkeypatch):
 
 
 def test_gru_sequence_check_catches_u_gates_gradient_off_by_one_percent(monkeypatch):
-    def scales_u_gates_gradient(seq, params, d_h, lengths=None):
+    def scales_u_gates_gradient(seq, params, d_h, lengths):
         u = params["u_gates"]
         # same forward value, 1.01x the gradient
         same_u = T.sub(T.mul(u, 1.01), Tensor(0.01 * u.data))
@@ -94,10 +95,8 @@ def test_gru_sequence_check_catches_u_gates_gradient_off_by_one_percent(monkeypa
 
 
 def test_gru_sequence_check_catches_skipped_last_row(monkeypatch):
-    def skips_last_row(seq, params, d_h, lengths=None):
+    def skips_last_row(seq, params, d_h, lengths):
         short = T.narrow(seq, 0, 0, seq.data.shape[0] - 1)
-        if lengths is None:
-            return run_gru(short, params, d_h)
         return run_gru(short, params, d_h, [*lengths[:-1], lengths[-1] - 1])
 
     monkeypatch.setattr(checks, "run_gru", skips_last_row)
@@ -105,11 +104,9 @@ def test_gru_sequence_check_catches_skipped_last_row(monkeypatch):
 
 
 def test_gru_sequence_check_catches_a_finished_sequence_that_keeps_stepping(monkeypatch):
-    def pads_to_the_longest(seq, params, d_h, lengths=None):
+    def pads_to_the_longest(seq, params, d_h, lengths):
         # every packed sequence runs on through zero rows up to the longest,
         # as a padded batch without per-sequence lengths would
-        if lengths is None:
-            return run_gru(seq, params, d_h)
         longest = max(lengths)
         parts, start = [], 0
         for n in lengths:

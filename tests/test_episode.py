@@ -50,8 +50,7 @@ def test_select_steps_record_the_sentences_they_kept():
     # sentences of 1..10 tokens, so the kept set shows in the next step's size
     sentences = [[int(t) for t in rng.integers(10, 200, size=n)]
                  for n in rng.permutation(np.arange(1, 11))]
-    doc = TokenDoc(sentences, [[[1, 2]] * len(s) for s in sentences],
-                   [[(si, ti) for ti in range(len(s))] for si, s in enumerate(sentences)])
+    doc = TokenDoc(sentences, [[[1, 2]] * len(s) for s in sentences])
     ex = QAExample("ex-0", doc, [11, 12, 13], [[1, 2]] * 3, [sentences[3][:1]])
     cfg = engine_cfg()
     model = ScriptedModel(seed=2, policy_fn=pinned_policy(ActionId.SELECT),
@@ -341,7 +340,7 @@ def test_lockstep_evaluation_matches_one_episode_at_a_time():
             assert [{k: v for k, v in step.items() if k not in ("probs", "mask")}
                     for step in row["steps"]] == [s.__dict__ for s in want.steps]
             assert (row["em"], row["f1"]) == (want.em, want.f1)
-        for got, want in zip(run_lockstep(model, dataset, wide), serial):
+        for got, want in zip(run_lockstep(model, dataset, wide, "eval"), serial):
             assert [tr.action for tr in got.trajectory] == \
                 [tr.action for tr in want.trajectory]
             # the probabilities each action was taken from
@@ -349,6 +348,42 @@ def test_lockstep_evaluation_matches_one_episode_at_a_time():
                 np.stack([tr.probs for tr in got.trajectory]),
                 np.stack([tr.probs for tr in want.trajectory]),
                 rtol=1e-5, atol=1e-6, err_msg=f"probs at width {width}")
+
+
+def test_lockstep_training_samples_as_one_episode_at_a_time():
+    # each train-mode episode samples from its own rng, so playing a batch
+    # in lockstep changes neither the actions it samples nor the
+    # probabilities it samples them from
+    from cfqa.checks import tiny_config, tiny_example, toy_vocab
+    from cfqa.model import QaModel
+    from cfqa.tensor import Tape
+
+    vocab = toy_vocab()
+    rng = np.random.default_rng(24)
+    dataset = []
+    for i in range(8):
+        ex = tiny_example(rng, vocab, n_sentences=int(rng.integers(1, 6)),
+                          tokens_per_sentence=int(rng.integers(2, 7)),
+                          q_len=int(rng.integers(1, 5)))
+        ex.id = f"b{i}"
+        dataset.append(ex)
+    cfg = tiny_config(seed=24)
+    model = QaModel(cfg, vocab, seed=24)
+
+    def play(width):
+        with Tape():
+            return run_lockstep(model, dataset, cfg.replace(batch_size=width), "train",
+                                [episode_rng(cfg.seed, ex.id) for ex in dataset])
+
+    alone = play(1)
+    assert {s.action for r in alone for s in r.steps} == {"answer", "select", "excise"}
+    assert len({r.n_steps for r in alone}) >= 2
+    for got, want in zip(play(len(dataset)), alone):
+        assert [tr.action for tr in got.trajectory] == \
+            [tr.action for tr in want.trajectory]
+        np.testing.assert_allclose(
+            np.stack([tr.probs for tr in got.trajectory]),
+            np.stack([tr.probs for tr in want.trajectory]), rtol=1e-5, atol=1e-6)
 
 
 def test_acting_never_runs_the_critic():
@@ -418,8 +453,8 @@ def test_train_recomputes_the_answer_under_its_tape():
     model = QaModel(cfg, vocab, seed=5)
     ex = tiny_example(np.random.default_rng(5), vocab, n_sentences=1,
                       tokens_per_sentence=5)
-    always_answer = np.array([1.0, 0.0, 0.0])
-    model.policy = lambda state, action_mask=None, lengths=None: (
+    always_answer = np.array([[1.0, 0.0, 0.0]])
+    model.policy = lambda state, action_mask, lengths: (
         Tensor(always_answer), Tensor(np.log(always_answer + 1e-12)))
     with Tape():
         result = run_episode(model, ex, cfg, "train", rng=np.random.default_rng(0))
@@ -454,8 +489,8 @@ def test_an_episode_embeds_its_document_once(monkeypatch):
     for first in (ActionId.SELECT, ActionId.EXCISE):
         picks = iter([first, ActionId.ANSWER])
 
-        def scripted(state, action_mask=None, lengths=None):
-            probs = np.eye(3)[int(next(picks))]
+        def scripted(state, action_mask, lengths):
+            probs = np.eye(3)[[int(next(picks))]]
             return Tensor(probs), Tensor(np.log(probs + 1e-12))
 
         model.policy = scripted
@@ -485,8 +520,8 @@ def test_a_long_context_computes_each_encoder_row_once(monkeypatch, mode):
                       tokens_per_sentence=5)
     assert ex.doc.n_tokens > cfg.max_state_tokens
 
-    def answers(state, action_mask=None, lengths=None):
-        probs = np.eye(3)[int(ActionId.ANSWER)]
+    def answers(state, action_mask, lengths):
+        probs = np.eye(3)[[int(ActionId.ANSWER)]]
         return Tensor(probs), Tensor(np.log(probs + 1e-12))
 
     model.policy = answers
@@ -533,7 +568,8 @@ def test_narrowed_steps_act_as_on_a_fresh_encoding_of_their_context():
             for step, tr in zip(result.steps, result.trajectory):
                 assert step.ctx_tokens == ctx.n_tokens
                 ctx_enc = model.encode_doc(ctx)
-                probs = model.policy(model.state(ctx_enc, q_enc), tr.mask)[0].data
+                state = model.state(ctx_enc, q_enc)
+                probs = model.policy(state, tr.mask[None], [state.data.shape[0]])[0].data[0]
                 np.testing.assert_allclose(tr.probs, probs, rtol=1e-5, atol=1e-6)
                 if mode == "eval":
                     assert tr.action == int(np.argmax(probs))
@@ -546,7 +582,7 @@ def test_narrowed_steps_act_as_on_a_fresh_encoding_of_their_context():
                 span = model.answer(q_enc, ctx_enc).span
                 assert (span.start, span.end) == step.span
                 if step.action == "excise":
-                    ctx, _ = excise_span(ctx, *step.span)
+                    ctx = excise_span(ctx, *step.span)
             paths.append("|".join(s.action for s in result.steps))
     # a SELECT after a SELECT reads kept scores; one after an EXCISE, fresh ones
     assert any("select|select" in p for p in paths)
@@ -554,17 +590,34 @@ def test_narrowed_steps_act_as_on_a_fresh_encoding_of_their_context():
 
 
 def test_a_gather_of_other_tokens_breaks_the_invariants(monkeypatch):
-    from cfqa.text import TokenDoc
+    from cfqa import episode
 
     ex = make_example(np.random.default_rng(32), n_sentences=6)
     cfg = engine_cfg()
     model = ScriptedModel(seed=32, policy_fn=pinned_policy(ActionId.SELECT),
                           max_span_len=cfg.max_span_len)
-    positions = TokenDoc.token_positions
-    monkeypatch.setattr(TokenDoc, "token_positions",
-                        lambda self, sentences: positions(self, sentences)[::-1])
+    select_top_k = episode.select_top_k
+
+    def reverses_positions(dist, ctx, k):
+        narrowed, kept = select_top_k(dist, ctx, k)
+        narrowed.positions = narrowed.positions[::-1]
+        return narrowed, kept
+
+    monkeypatch.setattr(episode, "select_top_k", reverses_positions)
     with pytest.raises(ContractError, match="gathered"):
         run_episode(model, ex, cfg, "eval")
+
+
+def test_positions_count_from_the_episodes_own_document():
+    # a document narrowed elsewhere carries positions in a larger one; an
+    # episode on it gathers by its own token offsets
+    ex = make_example(np.random.default_rng(34), n_sentences=6)
+    cfg = engine_cfg()
+    model = ScriptedModel(seed=34, policy_fn=pinned_policy(ActionId.SELECT),
+                          max_span_len=cfg.max_span_len)
+    ex.doc.positions = [p + 1000 for p in ex.doc.positions]
+    result = run_episode(model, ex, cfg, "eval")
+    assert [s.action for s in result.steps] == ["select"] * 5 + ["answer"]
 
 
 def test_a_state_with_one_legal_action_is_not_read():
@@ -578,13 +631,13 @@ def test_a_state_with_one_legal_action_is_not_read():
     reads = []
     real_policy = model.policy
 
-    def counting_policy(state, action_mask=None, lengths=None):
-        reads.append(1 if lengths is None else len(lengths))
+    def counting_policy(state, action_mask, lengths):
+        reads.append(len(lengths))
         return real_policy(state, action_mask, lengths)
 
     model.policy = counting_policy
     results = [run_episode(model, ex, cfg, "eval") for ex in dataset]
-    lockstep = run_lockstep(model, dataset, cfg)
+    lockstep = run_lockstep(model, dataset, cfg, "eval")
     for result in results + lockstep:
         assert [s.action for s in result.steps] == ["select"] * 5 + ["answer"]
         assert result.forced

@@ -28,12 +28,7 @@ def setup():
 
 
 def make_doc(sentences):
-    return TokenDoc(
-        sentences=[list(s) for s in sentences],
-        char_ids=[[[1, 0]] * len(s) for s in sentences],
-        source_spans=[[(si, ti) for ti in range(len(s))]
-                      for si, s in enumerate(sentences)],
-    )
+    return TokenDoc([list(s) for s in sentences], [[[1, 0]] * len(s) for s in sentences])
 
 
 def encode_q(cfg, store, tokens=(3, 4)):
@@ -152,7 +147,7 @@ def test_narrowing_preserves_order_and_provenance(setup):
     narrowed, kept = select_top_k(_dist([0.4, 0.05, 0.5, 0.05]), doc, 2)
     assert kept == [0, 2]
     assert narrowed.sentences == [[5, 6], [8, 9]]
-    assert narrowed.source_spans == [[(0, 0), (0, 1)], [(2, 0), (2, 1)]]
+    assert narrowed.positions == [0, 1, 3, 4]
     assert narrowed.n_tokens <= doc.n_tokens
 
 

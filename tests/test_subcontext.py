@@ -7,53 +7,46 @@ from cfqa.text import TokenDoc, find_subsequence
 
 
 def make_doc(sentences):
-    return TokenDoc(
-        sentences=[list(s) for s in sentences],
-        char_ids=[[[1]] * len(s) for s in sentences],
-        source_spans=[[(si, ti) for ti in range(len(s))]
-                      for si, s in enumerate(sentences)],
-    )
+    return TokenDoc([list(s) for s in sentences], [[[1]] * len(s) for s in sentences])
 
 
 def test_removing_a_whole_sentence_drops_it():
     doc = make_doc([[5, 6, 7], [8, 9]])
-    out, exc = excise_span(doc, 0, 2)
+    out = excise_span(doc, 0, 2)
     assert out.sentences == [[8, 9]]
-    assert exc.removed_tokens == [5, 6, 7]
-    assert exc.before_len == 0 and exc.after_len == 0
+    assert out.positions == [3, 4]
 
 
 def test_interior_splice_merges_remnants():
     doc = make_doc([[1, 2, 3, 4, 5]])
-    out, exc = excise_span(doc, 1, 3)
+    out = excise_span(doc, 1, 3)
     assert out.sentences == [[1, 5]]
-    assert exc.before_len == 1 and exc.after_len == 1
-    assert exc.before_len + exc.after_len + 3 == 5
+    assert out.positions == [0, 4]
 
 
 def test_cut_across_sentences_merges_flanks_into_one_sentence():
     doc = make_doc([[1, 2], [3, 4], [5, 6]])
-    out, _ = excise_span(doc, 1, 4)
+    out = excise_span(doc, 1, 4)
     assert out.sentences == [[1, 6]]
-    assert out.source_spans == [[(0, 0), (2, 1)]]
+    assert out.positions == [0, 5]
 
 
 def test_untouched_sentences_keep_their_boundaries():
     doc = make_doc([[1, 2], [3, 4], [5, 6]])
-    out, _ = excise_span(doc, 2, 3)
+    out = excise_span(doc, 2, 3)
     assert out.sentences == [[1, 2], [5, 6]]
 
 
 def test_token_count_strictly_decreases():
     doc = make_doc([[1, 2, 3], [4, 5]])
-    out, _ = excise_span(doc, 2, 3)
+    out = excise_span(doc, 2, 3)
     assert out.n_tokens == 3
 
 
 def test_gold_outside_cut_stays_contiguous():
     doc = make_doc([[1, 2], [3, 4, 5], [6, 7]])
     gold = [3, 4, 5]
-    out, _ = excise_span(doc, 5, 6)
+    out = excise_span(doc, 5, 6)
     assert find_subsequence(out.flat_tokens(), gold) is not None
 
 
@@ -87,6 +80,6 @@ def test_no_empty_sentences_after_excision():
         end = int(rng.integers(start, total))
         if end - start + 1 >= total:
             continue
-        out, _ = excise_span(doc, start, end)
+        out = excise_span(doc, start, end)
         assert all(len(s) >= 1 for s in out.sentences)
         assert out.n_tokens >= 1

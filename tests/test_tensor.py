@@ -261,7 +261,7 @@ def test_gru_zero_parameters_halve_the_state(f64):
     rng = np.random.default_rng(7)
     for length in (0, 1, 2, 5):
         seq = Tensor(rng.normal(0, 1, (length, 2)))
-        out = run_gru(seq, _zero_gru_params(2, 3, b_cand), 3)
+        out = run_gru(seq, _zero_gru_params(2, 3, b_cand), 3, [length])
         assert np.allclose(out.data, (1.0 - 0.5 ** length) * np.tanh(b_cand))
 
 
@@ -272,7 +272,7 @@ def test_gru_gradients_match_fd(f64):
     seq = Tensor(rng.normal(0, 1, (3, 3)), requires_grad=True)
 
     def loss():
-        return T.reduce_sum(run_gru(seq, gru_params(store, "g"), 4))
+        return T.reduce_sum(run_gru(seq, gru_params(store, "g"), 4, [3]))
 
     assert_fd_match(loss, {**gru_params(store, "g"), "seq": seq})
 
@@ -285,19 +285,19 @@ def test_gru_converges_to_fixed_point_on_constant_input():
         store[name].data *= 0.1
     params = gru_params(store, "g")
     rows = np.tile(rng.normal(0, 1, 3), (201, 1))
-    h_200 = run_gru(Tensor(rows[:200]), params, 5)
-    h_201 = run_gru(Tensor(rows), params, 5)
+    h_200 = run_gru(Tensor(rows[:200]), params, 5, [200])
+    h_201 = run_gru(Tensor(rows), params, 5, [201])
     assert np.linalg.norm(h_201.data - h_200.data) < 1e-5
 
 
 def test_gru_state_size_mismatch_raises():
     with pytest.raises(ShapeError):
-        run_gru(Tensor(np.zeros((3, 2))), _zero_gru_params(2, 3), 4)
+        run_gru(Tensor(np.zeros((3, 2))), _zero_gru_params(2, 3), 4, [3])
 
 
 def test_gru_input_width_mismatch_raises():
     with pytest.raises(ShapeError):
-        run_gru(Tensor(np.zeros((3, 4))), _zero_gru_params(2, 3), 3)
+        run_gru(Tensor(np.zeros((3, 4))), _zero_gru_params(2, 3), 3, [3])
 
 
 @pytest.mark.parametrize("lengths", [[3, -1], [1, 2], [1], [[1, 1]], [1.0, 1.0]])
@@ -319,8 +319,8 @@ def test_gru_packed_states_match_each_sequence_alone(f64):
     assert packed.shape == (len(lengths), 4)
     starts = np.cumsum([0] + lengths[:-1])
     for row, start, n in zip(packed.data, starts, lengths):
-        alone = run_gru(Tensor(seq.data[start:start + n]), params, 4)
-        np.testing.assert_allclose(row, alone.data, rtol=1e-12, atol=1e-15)
+        alone = run_gru(Tensor(seq.data[start:start + n]), params, 4, [n])
+        np.testing.assert_allclose(row, alone.data[0], rtol=1e-12, atol=1e-15)
     assert not packed.data[0].any() and not packed.data[4].any()
 
 

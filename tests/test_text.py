@@ -48,8 +48,8 @@ def test_unknown_word_maps_to_unk(vocab):
 
 def test_provenance_strictly_increasing(vocab):
     doc = tokenize("a b c. d a.", vocab)
-    for si, spans in enumerate(doc.source_spans):
-        assert spans == [(si, ti) for ti in range(len(spans))]
+    assert doc.positions == [0, 1, 2, 3, 4]
+    assert truncate_doc(doc, 4).positions == [0, 1, 2, 3]
 
 
 def test_detokenize_tokenize_round_trip_on_synthetic_corpus():

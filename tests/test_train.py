@@ -67,14 +67,12 @@ def test_one_update_reads_actor_and_critic_once_on_the_tape():
     calls = []     # (which, under a tape, states read)
     real_policy, real_value = model.policy, model.value
 
-    def policy(state, action_mask=None, lengths=None):
-        calls.append(("policy", T.active_tape() is not None,
-                      1 if lengths is None else len(lengths)))
+    def policy(state, action_mask, lengths):
+        calls.append(("policy", T.active_tape() is not None, len(lengths)))
         return real_policy(state, action_mask, lengths)
 
-    def value(state, lengths=None):
-        calls.append(("value", T.active_tape() is not None,
-                      1 if lengths is None else len(lengths)))
+    def value(state, lengths):
+        calls.append(("value", T.active_tape() is not None, len(lengths)))
         return real_value(state, lengths)
 
     model.policy, model.value = policy, value
