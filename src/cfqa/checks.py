@@ -4,11 +4,12 @@ Every check pits a fast implementation against an independent slow oracle:
 reverse-mode gradients against central finite differences, top-K against a
 full sort, span decoding against exhaustive pair enumeration, excision
 against a flat splice, the fused GRU against its per-step composition of
-tape ops, the packed sentence scorer against scoring one sentence at a
-time, the encoder block computed a few rows at a time against the whole
-block, the attention products against dense loops, the packed training
-update against reading each decision's state on its own, and the update
-rule against a bandit with a known optimum.
+tape ops, the fused attention heads against one head at a time, the packed
+sentence scorer against scoring one sentence at a time, the encoder block
+computed a few rows at a time against the whole block, the attention
+products against dense loops, the packed training update against reading
+each decision's state on its own, and the update rule against a bandit
+with a known optimum.
 
 This module is the only copy of each oracle. Tier-1 runs the same functions
 (``tests/test_checks.py`` over ``ALL_CHECKS``), and the unit tests that need
@@ -196,11 +197,63 @@ def _op_cases(rng: np.random.Generator):
             T.square(embed_tokens(tokens, chars, store)), w_out)),
             dict(store.items()))
 
+    def case_attention_heads():
+        # two heads over five keys, queried by a subset of five query rows
+        q_all, k, v = tparam(5, 4), tparam(5, 4), tparam(5, 4)
+        w_out = Tensor(rng.normal(0, 1, (2, 4)))
+        return _gradcheck(lambda: T.reduce_sum(T.mul(T.attention_heads(
+            T.embedding(q_all, [3, 1]), k, v, 2), w_out)), [q_all, k, v])
+
     return [("matmul", case_matmul), ("conv1d", case_conv1d),
             ("softmax", case_softmax), ("log_softmax", case_log_softmax),
             ("elementwise", case_elementwise), ("reduce_max", case_reduce_max),
             ("embedding", case_embedding), ("gru", case_gru),
-            ("embed_tokens", case_embed_tokens)]
+            ("embed_tokens", case_embed_tokens),
+            ("attention_heads", case_attention_heads)]
+
+
+def attention_per_head(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+    """Oracle for ``attention_heads``: each head's columns narrowed out of
+    q, k and v, softmax(q_h k_h^T) v_h by generic tape ops, and the head
+    outputs concatenated in head order."""
+    d_head = q.data.shape[1] // n_heads
+    outs = []
+    for h in range(n_heads):
+        q_h, k_h, v_h = (T.narrow(a, 1, h * d_head, (h + 1) * d_head)
+                         for a in (q, k, v))
+        outs.append(T.matmul(T.softmax(T.matmul(q_h, T.transpose(k_h)), axis=1), v_h))
+    return T.concat(outs, axis=1)
+
+
+def check_attention_heads(seed: int = 0) -> CheckResult:
+    """The fused attention op against the per-head oracle, in float32 at
+    paper width (d_model 128, 4 heads): its value read with no tape (one
+    head at a time) and under a tape (all heads batched), and the q, k and
+    v gradients, within 1e-5 relative. Two shapes: 512 queries over 1,900
+    keys, as the controller state of a long document reads its encoder
+    rows, and a 17-row context attending to itself, as the answer
+    pre-check reads one."""
+    rng = np.random.default_rng(seed)
+    shapes = ((512, 1900), (17, 17))
+    for m, n in shapes:
+        q, k, v = (Tensor(rng.normal(0, 1, (rows, 128)), requires_grad=True)
+                   for rows in (m, n, n))
+        leaves = {"q": q, "k": k, "v": v}
+        w_out = Tensor(rng.normal(0, 1, (m, 128)))
+        fused, oracle = (_output_and_grads(lambda: run(q, k, v, 4), "output",
+                                           leaves, w_out)
+                         for run in (T.attention_heads, attention_per_head))
+        fused["untaped output"] = T.attention_heads(q, k, v, 4).data
+        oracle["untaped output"] = oracle["output"]
+        mismatch = _worst_mismatch(fused, oracle, 1e-5)
+        if mismatch:
+            return CheckResult("attention_heads", False,
+                               f"{m} queries over {n} keys: {mismatch}")
+    return CheckResult("attention_heads", True,
+                       f"{len(shapes)} float32 reads (512 queries over 1,900 keys "
+                       f"and a 17-row context, 4 heads of 32) matched the per-head "
+                       f"oracle in value, with and without a tape, and in the q, "
+                       f"k and v gradients")
 
 
 def gru_step(h: Tensor, x: Tensor, params: dict[str, Tensor]) -> Tensor:
@@ -910,6 +963,7 @@ ALL_CHECKS: dict[str, Callable[..., CheckResult]] = {
     "span_decode": check_span_decode,
     "trilinear": check_trilinear,
     "attention_b": check_attention_b,
+    "attention_heads": check_attention_heads,
     "bandit": check_bandit,
     "packed_update": check_packed_update,
     "encoder_rows": check_encoder_rows,

@@ -18,6 +18,14 @@ query reads them. The rest of the block, from the queries to the
 feed-forward, runs per output row, and only when a row is first read: the
 controller state of a long context reads its head and tail rows, the span
 extractor reads them all, and the selector reads none.
+
+The attention heads are fused: after the query, key and value projections,
+one ``tensor.attention_heads`` op computes every head's scores, softmax and
+weighted sum over [heads x rows x d_head] views of the projections, and
+the head outputs land side by side in one [rows x d_model] array for the
+output projection. No head is narrowed out or concatenated back, and the
+op is a single tape node. Its per-head composition of tape ops is the
+oracle in ``cfqa.checks``.
 """
 
 from __future__ import annotations
@@ -130,36 +138,21 @@ def attention_keys(x: Tensor, store: ParamStore, prefix: str) -> tuple[Tensor, T
 
 def self_attention(x: Tensor, n_heads: int, store: ParamStore, prefix: str,
                    rows: Optional[np.ndarray] = None,
-                   keys: Optional[tuple[Tensor, Tensor]] = None,
-                   return_weights: bool = False):
+                   keys: Optional[tuple[Tensor, Tensor]] = None) -> Tensor:
     """Multi-head scaled dot-product attention over one sequence.
 
     The queries are the rows ``rows`` of ``x`` (all rows when None), and
     each attends to every row; ``keys`` passes ``attention_keys(x, ...)``
     when the caller has them already. The queries are scaled by
-    1/sqrt(d_head) before the product, so the only [queries x n] passes per
-    head are the product, the softmax and its use.
+    1/sqrt(d_head) before the product, and every head runs in one
+    ``attention_heads`` op.
     """
-    d = x.data.shape[1]
-    d_head = d // n_heads
+    d_head = x.data.shape[1] // n_heads
     queries = x if rows is None else T.embedding(x, rows)
     q_all = T.mul(T.matmul(queries, store[f"{prefix}.attn_q"]), 1.0 / np.sqrt(d_head))
     k_all, v_all = attention_keys(x, store, prefix) if keys is None else keys
-    head_outs = []
-    weights = []
-    for h in range(n_heads):
-        lo, hi = h * d_head, (h + 1) * d_head
-        q = T.narrow(q_all, 1, lo, hi)
-        k = T.narrow(k_all, 1, lo, hi)
-        v = T.narrow(v_all, 1, lo, hi)
-        attn = T.softmax(T.matmul(q, T.transpose(k)), axis=1)
-        head_outs.append(T.matmul(attn, v))
-        if return_weights:
-            weights.append(attn.data.copy())
-    out = T.matmul(T.concat(head_outs, axis=1), store[f"{prefix}.attn_o"])
-    if return_weights:
-        return out, weights
-    return out
+    return T.matmul(T.attention_heads(q_all, k_all, v_all, n_heads),
+                    store[f"{prefix}.attn_o"])
 
 
 def conv_sublayer(x: Tensor, store: ParamStore, prefix: str) -> Tensor:

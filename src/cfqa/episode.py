@@ -341,7 +341,10 @@ def run_lockstep(model, dataset: list[QAExample], cfg: RunConfig, mode: str,
     Each round packs the pending states of the episodes in flight back to
     back and reads them with one ``model.policy`` call under
     ``suspend_tape``, so the actor GRU steps all of them together; the
-    critic does not run, and a state with one legal action is not read. An
+    critic does not run, and a state with one legal action is not read.
+    Acting changes no weight, so the whole run is one ``fixed_weights``
+    block: the actor GRU's weight transposes are made once for all rounds,
+    and the weights are read-only until the run returns. An
     episode that finishes frees its slot for the next example. Each episode
     gets its own row of the probabilities as a plain array. Results come
     back in dataset order.
@@ -353,30 +356,31 @@ def run_lockstep(model, dataset: list[QAExample], cfg: RunConfig, mode: str,
     results: list[Optional[EpisodeResult]] = [None] * len(dataset)
     queue = iter(enumerate(zip(dataset, rngs)))
     in_flight = []     # (dataset index, generator, its pending (state, mask))
-    while True:
-        for index, (example, rng) in itertools.islice(
-                queue, cfg.batch_size - len(in_flight)):
-            steps = episode_steps(model, example, cfg, mode, rng)
-            in_flight.append((index, steps, next(steps)))
-        if not in_flight:
-            return results
-        probs = [_one_legal_action(pending[1]) for _, _, pending in in_flight]
-        read = [row for row, p in enumerate(probs) if p is None]
-        if read:
-            states = [in_flight[row][2][0] for row in read]
-            masks = np.stack([in_flight[row][2][1] for row in read])
-            with suspend_tape():
-                out, _ = model.policy(T.concat(states, axis=0), masks,
-                                      [state.data.shape[0] for state in states])
-            for row, p in zip(read, out.data):
-                probs[row] = p
-        still = []
-        for row, (index, steps, _) in enumerate(in_flight):
-            try:
-                still.append((index, steps, steps.send(probs[row])))
-            except StopIteration as done:
-                results[index] = done.value
-        in_flight = still
+    with T.fixed_weights():
+        while True:
+            for index, (example, rng) in itertools.islice(
+                    queue, cfg.batch_size - len(in_flight)):
+                steps = episode_steps(model, example, cfg, mode, rng)
+                in_flight.append((index, steps, next(steps)))
+            if not in_flight:
+                return results
+            probs = [_one_legal_action(pending[1]) for _, _, pending in in_flight]
+            read = [row for row, p in enumerate(probs) if p is None]
+            if read:
+                states = [in_flight[row][2][0] for row in read]
+                masks = np.stack([in_flight[row][2][1] for row in read])
+                with suspend_tape():
+                    out, _ = model.policy(T.concat(states, axis=0), masks,
+                                          [state.data.shape[0] for state in states])
+                for row, p in zip(read, out.data):
+                    probs[row] = p
+            still = []
+            for row, (index, steps, _) in enumerate(in_flight):
+                try:
+                    still.append((index, steps, steps.send(probs[row])))
+                except StopIteration as done:
+                    results[index] = done.value
+            in_flight = still
 
 
 def evaluate(model, dataset: list[QAExample], cfg: RunConfig

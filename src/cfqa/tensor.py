@@ -86,6 +86,42 @@ class suspend_tape(on_tape):
         super().__init__(None)
 
 
+class fixed_weights:
+    """A block in which no weight changes, such as one lockstep run of acting.
+
+    Inside it, ``gru_sequence`` makes the contiguous transpose of each
+    recurrent weight once, at its first use, and reuses it until the block
+    ends, when every copy is dropped. While a copy is alive its weight's
+    array is read-only, so an in-place write raises instead of leaving the
+    copy stale.
+    """
+
+    def __enter__(self):
+        self._saved = getattr(_tls, "fixed_weights", None)
+        self._copies: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._locked: list[np.ndarray] = []
+        _tls.fixed_weights = self
+        return self
+
+    def __exit__(self, *exc):
+        _tls.fixed_weights = self._saved
+        for source in self._locked:
+            source.flags.writeable = True
+        self._copies, self._locked = {}, []
+        return False
+
+    def transposed(self, weight: "Tensor") -> np.ndarray:
+        """The contiguous ``weight.data.T``, made on the block's first call."""
+        held = self._copies.get(weight.uid)
+        if held is None or held[0] is not weight.data:
+            source = weight.data
+            if source.flags.writeable:
+                source.flags.writeable = False
+                self._locked.append(source)
+            held = self._copies[weight.uid] = (source, np.ascontiguousarray(source.T))
+        return held[1]
+
+
 class Tensor:
     """A dense real array, optionally tracked for gradients.
 
@@ -457,20 +493,79 @@ def _masked_logits(x: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:
     return np.where(mask, x, neg)
 
 
+def _stable_softmax(x: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """Softmax of ``x`` along ``axis`` in one buffer, ``out`` (``x`` itself
+    for in place): shift, exponentiate and normalise."""
+    np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
+
+
 def softmax(a, axis: int = -1, mask: Optional[np.ndarray] = None) -> Tensor:
     """Stable softmax along ``axis``; False entries of ``mask`` get weight 0."""
     a = _wrap(a)
     z = _masked_logits(a.data, mask)
-    # one buffer: shift, exponentiate and normalise in place
-    out = z - z.max(axis=axis, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
+    out = _stable_softmax(z, axis, np.empty_like(z))
 
     def vjp(g):
         inner = (g * out).sum(axis=axis, keepdims=True)
         return ((g - inner) * out,)
 
     return _finish(out, (a,), vjp)
+
+
+def attention_heads(q, k, v, n_heads: int) -> Tensor:
+    """Scaled dot-product attention of every head, as one op.
+
+    q [m x d] holds the (already scaled) queries and k, v [n x d] the keys
+    and values; head h owns columns h*d_head:(h+1)*d_head of each, and its
+    output softmax(q_h k_h^T) v_h fills the same columns of the [m x d]
+    result. The heads are [h x rows x d_head] views of the operands, so no
+    head is copied out. With no tape recording the op, the heads run one
+    after another through one reused [m x n] score buffer, so a long read
+    holds one head's scores at a time. Under a tape every head's [m x n]
+    probabilities are kept for backward, and both passes are batched
+    matmuls over the heads.
+    """
+    q, k, v = _wrap(q), _wrap(k), _wrap(v)
+    if q.ndim != 2 or k.ndim != 2 or k.data.shape != v.data.shape:
+        raise ShapeError(f"attention_heads expects [m x d] queries and equal "
+                         f"[n x d] keys and values, got {q.shape}, {k.shape}, {v.shape}")
+    (m, d), n = q.data.shape, k.data.shape[0]
+    if k.data.shape[1] != d or d % n_heads:
+        raise ShapeError(f"attention_heads: width {d} of {q.shape} queries and "
+                         f"{k.shape} keys does not split into {n_heads} heads")
+    d_head = d // n_heads
+
+    def heads(a):
+        return a.reshape(a.shape[0], n_heads, d_head).transpose(1, 0, 2)
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    out = np.empty((m, d), dtype=q.data.dtype)
+    out_h = heads(out)
+    if not _records((q, k, v)):
+        scores = np.empty((m, n), dtype=q.data.dtype)
+        for h in range(n_heads):
+            np.matmul(qh[h], kh[h].T, out=scores)
+            np.matmul(_stable_softmax(scores, -1, scores), vh[h], out=out_h[h])
+        return Tensor(out)
+    probs = np.matmul(qh, kh.transpose(0, 2, 1))   # [h x m x n]
+    _stable_softmax(probs, -1, probs)
+    np.matmul(probs, vh, out=out_h)
+
+    def vjp(g):
+        gh = heads(np.asarray(g, dtype=out.dtype))
+        ds = np.matmul(gh, vh.transpose(0, 2, 1))     # d probs, then d scores
+        ds -= (ds * probs).sum(axis=-1, keepdims=True)
+        ds *= probs
+        dq, dk, dv = (np.empty((rows, d), dtype=out.dtype) for rows in (m, n, n))
+        np.matmul(ds, kh, out=heads(dq))
+        np.matmul(ds.transpose(0, 2, 1), qh, out=heads(dk))
+        np.matmul(probs.transpose(0, 2, 1), gh, out=heads(dv))
+        return dq, dk, dv
+
+    return _finish(out, (q, k, v), vjp)
 
 
 def log_softmax(a, axis: int = -1, mask: Optional[np.ndarray] = None) -> Tensor:
@@ -509,9 +604,8 @@ def conv1d(x, filters) -> Tensor:
     half = k // 2
     padded = np.zeros((length + 2 * half, d_in), dtype=x.data.dtype)
     padded[half:half + length] = x.data
-    windows = np.lib.stride_tricks.sliding_window_view(padded, k, axis=0)
-    # windows: [length x d_in x k] -> columns [length x (k*d_in)]
-    cols = windows.transpose(0, 2, 1).reshape(length, k * d_in)
+    # columns [length x (k*d_in)]: row i holds padded rows i..i+k-1
+    cols = np.concatenate([padded[off:off + length] for off in range(k)], axis=1)
     w2d = filters.data.reshape(k * d_in, d_f)
     out = cols @ w2d
 
@@ -634,6 +728,14 @@ def gru_sequence(seq, lengths, w_gates, u_gates, b_gates, w_cand, u_cand,
           16        323 / 294                 137 / 160                 380 / 339
           24        396 / 426                 172 / 255                 436 / 491
           48        711 / 1008                311 / 498                 705 / 818
+
+    Transposes. The forward's panels are views of the contiguous U.T, and
+    BPTT's single products multiply by it (with a strided ``.T`` view they
+    run ~2x slower at a few rows per step). One call makes each copy once,
+    when its forward or a recorded backward reads it, and the vjp reuses
+    the forward's. Inside a ``fixed_weights`` block the copy comes from the
+    block instead, made at the first call and shared by every later one
+    until the block ends; ``run_lockstep`` acts inside one.
     """
     parents = tuple(_wrap(p) for p in
                     (seq, w_gates, u_gates, b_gates, w_cand, u_cand, b_cand))
@@ -666,8 +768,13 @@ def gru_sequence(seq, lengths, w_gates, u_gates, b_gates, w_cand, u_cand,
                                    for _ in range(5))
     h = np.zeros((order.size, d_h), dtype=dtype)   # in ``order``
     panelled = [hi - lo in _PANEL_ROWS for lo, hi in zip(bounds[:-1], bounds[1:])]
-    ug_t, uc_t = (np.ascontiguousarray(u.T) if any(panelled) else None
-                  for u in (ug, uc))
+    ug_t = uc_t = None     # see "Transposes" above
+    if keep or any(panelled):
+        held = getattr(_tls, "fixed_weights", None)
+        ug_t, uc_t = (
+            held.transposed(p) if held is not None and u is p.data
+            else np.ascontiguousarray(u.T)
+            for p, u in ((parents[2], ug), (parents[5], uc)))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         hp = h[:hi - lo]
         gates = 1.0 / (1.0 + np.exp(-(x_gates[lo:hi] + _matmul_rows(hp, ug, ug_t))))
@@ -685,10 +792,6 @@ def gru_sequence(seq, lengths, w_gates, u_gates, b_gates, w_cand, u_cand,
         da_gates = np.empty((n_rows, 2 * d_h), dtype=dtype)
         da_cand = np.empty((n_rows, d_h), dtype=dtype)
         dh = np.asarray(g, dtype=dtype)[order]
-        # contiguous transposes for the single products: one with a strided
-        # ``.T`` view runs ~2x slower at a few rows per step
-        ug_t, uc_t = (None if all(panelled) else np.ascontiguousarray(u.T)
-                      for u in (ug, uc))
         for lo, hi in zip(bounds[-2::-1], bounds[:0:-1]):
             hp, z, r, c = h_prev[lo:hi], zs[lo:hi], rs[lo:hi], cs[lo:hi]
             d = dh[:hi - lo]
@@ -716,10 +819,10 @@ def gru_sequence(seq, lengths, w_gates, u_gates, b_gates, w_cand, u_cand,
 
 
 __all__ = [
-    "Tensor", "Tape", "active_tape",
+    "Tensor", "Tape", "active_tape", "fixed_weights",
     "set_default_dtype", "default_dtype", "using_dtype",
     "add", "sub", "mul", "matmul", "tanh", "sigmoid", "relu", "log",
     "square", "reduce_sum", "reduce_max", "reshape", "transpose",
     "concat", "narrow", "pick", "embedding", "softmax", "log_softmax",
-    "conv1d", "gru_sequence",
+    "attention_heads", "conv1d", "gru_sequence",
 ]

@@ -1,4 +1,4 @@
-"""Every ``cfqa check`` oracle passes, and planted faults make nine of them fail."""
+"""Every ``cfqa check`` oracle passes, and planted faults make ten of them fail."""
 
 import re
 
@@ -138,6 +138,22 @@ def test_gru_sequence_check_catches_a_dropped_narrow_last_panel(monkeypatch):
     result = checks.check_gru_sequence()
     assert result.passed is False
     assert "float32 pack" in result.detail
+
+
+def test_attention_heads_check_catches_heads_written_back_in_the_wrong_order(
+        monkeypatch):
+    attention_heads = T.attention_heads
+
+    def reversed_heads(q, k, v, n_heads):
+        out = attention_heads(q, k, v, n_heads)
+        d_head = out.data.shape[1] // n_heads
+        return T.concat([T.narrow(out, 1, h * d_head, (h + 1) * d_head)
+                         for h in reversed(range(n_heads))], axis=1)
+
+    monkeypatch.setattr(T, "attention_heads", reversed_heads)
+    result = checks.check_attention_heads()
+    assert result.passed is False
+    assert "output off by" in result.detail
 
 
 def test_selector_check_catches_sentences_bleeding_into_each_other(monkeypatch):

@@ -73,14 +73,26 @@ def test_out_of_range_token_raises(store):
 
 # ------------------------------------------------------------------- encoding
 
+def both_attention_paths(q, k, v, n_heads):
+    """``attention_heads`` read with no tape (one head at a time) and under
+    a tape (all heads batched); the two must agree."""
+    plain = T.attention_heads(Tensor(q), Tensor(k), Tensor(v), n_heads).data
+    with Tape():
+        taped = T.attention_heads(*(Tensor(a, requires_grad=True) for a in (q, k, v)),
+                                  n_heads).data
+    assert np.allclose(plain, taped, atol=1e-6)
+    return plain, taped
+
+
 def test_single_position_sequence_shape(store):
     cfg = small_cfg()
     enc = encode_tokens([3], [[2, 1, 0, 0]], cfg, store)
     assert enc.matrix.data.shape == (1, cfg.d_model)
-    x = Tensor(np.random.default_rng(1).normal(0, 1, (1, cfg.d_model)))
-    _, weights = self_attention(x, cfg.n_heads, store, "enc", return_weights=True)
-    for w in weights:
-        assert np.allclose(w, [[1.0]])
+    # a single key row takes all of every head's weight
+    q, k, v = np.random.default_rng(1).normal(0, 1, (3, 1, cfg.d_model))
+    for out in both_attention_paths(q, k, v, cfg.n_heads):
+        assert out.shape == (1, cfg.d_model)
+        assert np.allclose(out, v, atol=1e-6)
 
 
 def test_block_with_a_one_wide_kernel_is_permutation_equivariant():
@@ -97,21 +109,21 @@ def test_block_with_a_one_wide_kernel_is_permutation_equivariant():
     assert np.allclose(out, base[perm], atol=1e-5)
 
 
-def test_equal_tokens_give_uniform_attention(store):
-    cfg = small_cfg()
-    row = np.random.default_rng(4).normal(0, 1, cfg.d_model)
-    x = Tensor(np.tile(row, (4, 1)))
-    _, weights = self_attention(x, cfg.n_heads, store, "enc", return_weights=True)
-    for w in weights:
-        assert np.allclose(w, 0.25, atol=1e-6)
+def test_equal_tokens_give_uniform_attention():
+    rng = np.random.default_rng(4)
+    q = rng.normal(0, 1, (3, 8))
+    k = np.tile(rng.normal(0, 1, 8), (4, 1))
+    v = rng.normal(0, 1, (4, 8))
+    for out in both_attention_paths(q, k, v, 2):
+        assert np.allclose(out, np.tile(v.mean(axis=0), (3, 1)), atol=1e-6)
 
 
-def test_attention_rows_sum_to_one(store):
-    cfg = small_cfg()
-    x = Tensor(np.random.default_rng(5).normal(0, 1, (6, cfg.d_model)))
-    _, weights = self_attention(x, cfg.n_heads, store, "enc", return_weights=True)
-    for w in weights:
-        assert np.allclose(w.sum(axis=1), 1.0, atol=1e-6)
+def test_attention_rows_sum_to_one():
+    # every head's weights sum to one, so all-ones values come back as ones
+    rng = np.random.default_rng(5)
+    q, k = rng.normal(0, 1, (5, 8)), rng.normal(0, 1, (6, 8))
+    for out in both_attention_paths(q, k, np.ones((6, 8)), 2):
+        assert np.allclose(out, 1.0, atol=1e-6)
 
 
 def test_single_head_matches_hand_rolled_oracle():

@@ -13,6 +13,7 @@ import cfqa.train
 from cfqa import tensor as T
 from cfqa.checks import tiny_config, tiny_example, toy_vocab
 from cfqa.model import QaModel
+from cfqa.params import restore_into
 
 
 def test_nonfinite_loss_skips_the_update_and_is_logged(monkeypatch):
@@ -87,6 +88,39 @@ def test_one_update_reads_actor_and_critic_once_on_the_tape():
     # learning: every state of the update in one recorded pass of each GRU
     assert [c for c in calls if c[1]] == [("policy", True, decisions),
                                           ("value", True, decisions)]
+
+
+def test_no_weight_transpose_outlives_an_update():
+    # evaluation at width 4 reads packs of several states, whose GRU steps
+    # multiply by the recurrent weights' transposes; the evaluation after
+    # the update must read the updated weights, as a fresh model does
+    model, examples, cfg = _one_update()
+    wide = cfg.replace(batch_size=4)
+    _, before = cfqa.train.evaluate(model, examples, wide)
+    cfqa.train.train(model, examples, cfg)
+    _, after = cfqa.train.evaluate(model, examples, wide)
+    fresh = QaModel(cfg, model.vocab, seed=4)
+    restore_into(fresh.store, {name: p.data for name, p in model.store.items()})
+    _, want = cfqa.train.evaluate(fresh, examples, wide)
+    probs = [[step["probs"] for step in row["steps"]] for row in after]
+    assert probs == [[step["probs"] for step in row["steps"]] for row in want]
+    assert probs != [[step["probs"] for step in row["steps"]] for row in before]
+
+
+def test_weights_are_read_only_while_a_lockstep_run_holds_their_transposes():
+    model, examples, cfg = _one_update()
+    u_gates = model.store["actor.gru.u_gates"]
+    real_policy = model.policy
+
+    def policy_then_write(state, action_mask, lengths):
+        out = real_policy(state, action_mask, lengths)
+        u_gates.data += 0.0
+        return out
+
+    model.policy = policy_then_write
+    with pytest.raises(ValueError, match="read-only"):
+        cfqa.train.evaluate(model, examples, cfg.replace(batch_size=4))
+    u_gates.data += 0.0     # writable again once the run has ended
 
 
 def test_train_log_records_policy_critic_and_phase_times():
