@@ -24,19 +24,20 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import tensor as T
-from .answer import context_query_attention, decode_span, trilinear_similarity
+from .answer import (context_query_attention, decode_span, span_nll,
+                     trilinear_similarity)
 from .bandit import run_bandit_check
 from .config import RunConfig
 from .controller import ActionId, actor_critic_update, entropy_of
 from .encoder import (EncoderConfig, add_positions, create_encoder_params,
                       embed_tokens, encode_tokens, encoder_block)
-from .episode import EpisodeResult, episode_rng, run_episode
+from .episode import EpisodeResult, _gold_span_in, episode_rng, run_episode
 from .errors import ContractError
 from .model import QaModel
 from .nn import create_gru, gru_params, linear, run_gru
 from .params import ParamStore
 from .selector import (SentenceDist, create_selector_params, kept_dist,
-                       score_sentences, top_k_indices)
+                       score_sentences, select_top_k, top_k_indices)
 from .subcontext import excise_span
 from .tensor import Tape, Tensor, using_dtype
 from .text import QAExample, TokenDoc, Vocab
@@ -637,10 +638,6 @@ def end_to_end_loss(model: QaModel, example: QAExample,
     differentiating numerically: the advantage is a constant by contract,
     and the selection is a discrete choice the loss conditions on.
     """
-    from .selector import SentenceDist, select_top_k
-    from .answer import span_nll
-    from .episode import _gold_span_in
-
     cfg = model.cfg
     q_enc = model.encode_question(example)
     ctx = example.doc
@@ -722,14 +719,14 @@ def serial_update_loss(model: QaModel, results: list[EpisodeResult],
     for result in results:
         terms.extend(result.aux_losses)
         steps = []      # (taken log-probability, value, reward)
-        for decision in result.trajectory:
-            alone = [decision.state.data.shape[0]]
-            probs, log_probs = model.policy(decision.state, decision.mask[None], alone)
-            log_prob = T.pick(log_probs, (0, int(decision.action)))
-            if decision.sel_log_prob is not None:
-                log_prob = T.add(log_prob, decision.sel_log_prob)
-            value = T.pick(model.value(decision.state, alone), 0)
-            steps.append((log_prob, value, decision.reward))
+        for rec in result.steps:
+            alone = [rec.state.data.shape[0]]
+            probs, log_probs = model.policy(rec.state, rec.mask[None], alone)
+            log_prob = T.pick(log_probs, (0, int(ActionId[rec.action.upper()])))
+            if rec.sel_log_prob is not None:
+                log_prob = T.add(log_prob, rec.sel_log_prob)
+            value = T.pick(model.value(rec.state, alone), 0)
+            steps.append((log_prob, value, rec.reward))
             if cfg.entropy_coef > 0.0:
                 terms.append(T.mul(entropy_of(probs, log_probs), -cfg.entropy_coef))
         for i, (log_prob, value, reward) in enumerate(steps):

@@ -51,7 +51,6 @@ class RunConfig:
     max_state_tokens: int = 512
     reward_mode: str = "single_final"
     entropy_coef: float = 0.0
-    disable_excise: bool = False
     # answer generation
     max_span_len: int = 20
     span_loss: bool = True

@@ -16,21 +16,22 @@ the driver reads the actor with no tape and never runs the critic; a state
 with one legal action is not read at all, since the masked softmax is
 exactly that action. Each step computes its reward where it runs (the
 answer's F1, or whether a narrowed or cut context still holds a gold
-answer) and records what learning needs (``Decision``): ``train()`` reads
-every state of a batch again, in one recorded actor and one recorded critic
-pass, and computes the actor-critic loss over those rows. Every episode
-checks its invariants as it runs: the context never grows, the question
-encoding stays the same, and the episode answers exactly once, at the end,
-forced only by the step cap.
+answer) and leaves one ``StepRecord``: the action it ran, what that did to
+the context, and what learning needs. ``train()`` reads every state of a
+batch again, in one recorded actor and one recorded critic pass, and
+computes the actor-critic loss over those rows; ``evaluate`` logs each
+record's ``log_line``. Every episode checks its invariants as it runs: the
+context never grows, the question encoding stays the same, and the episode
+answers exactly once, at the end, forced only by the step cap.
 
 The document is embedded and projected once per episode. A narrowed
-context is a subset of the document's tokens and carries their
-``positions`` in it, so its encoding gathers those projected rows from the
-first step's encoding; only the positional encodings, the convolution and
-the rows read from the block run per step. Likewise,
-after a SELECT the narrowed context's sentence scores are the kept entries
-of the scores that SELECT read; after an EXCISE, whose merged sentence is
-new, the context is scored again.
+context is a subset of the document's tokens (``TokenDoc.take`` builds it)
+and carries their ``positions`` in it, so its encoding gathers those
+projected rows from the first step's encoding; only the positional
+encodings, the convolution and the rows read from the block run per step.
+Likewise, after a SELECT the narrowed context's sentence scores are the
+kept entries of the scores that SELECT read; after an EXCISE, whose merged
+sentence is new, the context is scored again.
 """
 
 from __future__ import annotations
@@ -56,44 +57,39 @@ from .text import QAExample, TokenDoc, contains_any_answer, find_subsequence
 
 @dataclass
 class StepRecord:
-    """One line of the trajectory log.
+    """One step of an episode, as the policy saw it and as it ran.
 
-    ``action`` is what the policy picked, and the step did just that: an
-    answer ends the episode, a select or an excise shrinks the context.
-    ``span`` is the answered or excised span and, on a SELECT step,
-    ``kept`` the sorted indices of the sentences it kept.
+    ``action`` is what the policy picked, by its ``ActionId`` name in lower
+    case, and the step did just that: an answer ends the episode, a select
+    or an excise shrinks the context of ``ctx_tokens`` tokens. ``reward`` is
+    the placed reward. ``span`` is the answered or excised span and, on a
+    SELECT step, ``kept`` the sorted indices of the sentences it kept.
+    ``probs`` are the [3] actor probabilities the action was drawn from and
+    ``mask`` the legal actions. ``state`` is the controller input (None in
+    eval, where nothing reads it again) and ``sel_log_prob`` the
+    log-probability of the kept sentences on a SELECT step, which the
+    update adds to the action's own; neither is logged.
     """
     action: str
     ctx_tokens: int
     reward: float
     span: Optional[tuple[int, int]] = None
     kept: Optional[list[int]] = None
+    probs: Optional[np.ndarray] = None
+    mask: Optional[np.ndarray] = None
+    state: Optional[Tensor] = None
+    sel_log_prob: Optional[Tensor] = None
 
-
-@dataclass
-class Decision:
-    """One decision as the episode made it, kept for the actor-critic update.
-
-    ``state`` is the controller input (live under a tape; None in eval,
-    where nothing reads it again), ``mask`` the legal actions and ``probs``
-    the [3] actor probabilities the action was drawn from. ``sel_log_prob`` is the log-probability of the kept
-    sentences on a SELECT step, added to the action's own log-probability,
-    and None otherwise. ``reward`` is the placed reward.
-    """
-    action: ActionId
-    state: Optional[Tensor]
-    mask: np.ndarray
-    probs: np.ndarray
-    sel_log_prob: Optional[Tensor]
-    reward: float
+    def log_line(self) -> dict:
+        """The step as the trajectory log holds it."""
+        return {"action": self.action, "ctx_tokens": self.ctx_tokens,
+                "reward": self.reward, "span": self.span, "kept": self.kept,
+                "probs": self.probs.tolist(), "mask": self.mask.tolist()}
 
 
 @dataclass
 class EpisodeResult:
-    answer_tokens: list[int]
-    trajectory: list[Decision]
     steps: list[StepRecord]
-    n_steps: int
     forced: bool            # the step cap forced the answer
     em: int
     f1: float
@@ -139,7 +135,7 @@ def _gold_sentence_in(ctx: TokenDoc, golds: list[list[int]]) -> Optional[int]:
     return None
 
 
-def action_mask(ctx: TokenDoc, forced: bool, cfg: RunConfig,
+def action_mask(ctx: TokenDoc, forced: bool,
                 covers_all_span: Optional[bool]) -> np.ndarray:
     """Availability of (answer, select, excise) in the current state."""
     mask = np.ones(3, dtype=bool)
@@ -149,7 +145,7 @@ def action_mask(ctx: TokenDoc, forced: bool, cfg: RunConfig,
         return mask
     if ctx.n_sentences <= 1:
         mask[ActionId.SELECT] = False
-    if cfg.disable_excise or ctx.n_tokens <= 1 or covers_all_span:
+    if ctx.n_tokens <= 1 or covers_all_span:
         mask[ActionId.EXCISE] = False
     return mask
 
@@ -193,7 +189,6 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
     doc_tokens = np.asarray(ctx.flat_tokens(), dtype=np.int64)
     narrowed_from = None   # after a SELECT: its distribution and kept sentences
     k_budget = cfg.k_initial
-    trajectory: list[Decision] = []
     steps: list[StepRecord] = []
     aux: list[Tensor] = []
     prev_token_count = ctx.n_tokens
@@ -220,13 +215,13 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
         # excision illegal, so mask it before the policy decides
         cached = None
         covers_all = False
-        if (not forced and not cfg.disable_excise and 1 < ctx.n_tokens <= cfg.max_span_len):
+        if not forced and 1 < ctx.n_tokens <= cfg.max_span_len:
             with suspend_tape():
                 cached = model.answer(q_enc, ctx_enc)
             covers_all = (cached.span.start == 0
                           and cached.span.end == ctx.n_tokens - 1)
 
-        mask = action_mask(ctx, forced, cfg, covers_all)
+        mask = action_mask(ctx, forced, covers_all)
         state = model.state(ctx_enc, q_enc)
         probs = yield state, mask
         if not train:
@@ -239,6 +234,7 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
         else:
             action = ActionId(int(np.argmax(probs)))
 
+        span = kept = sel_log_prob = None
         if action is ActionId.ANSWER:
             # without a tape the pre-check's output is this answer; under a
             # tape it is recomputed so the span loss can differentiate it
@@ -246,20 +242,14 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
                 out = model.answer(q_enc, ctx_enc)
             else:
                 out = cached
-            flat = ctx.flat_tokens()
-            answer_tokens = flat[out.span.start:out.span.end + 1]
+            span = (out.span.start, out.span.end)
+            answer_tokens = ctx.flat_tokens()[span[0]:span[1] + 1]
             reward = float(best_f1(answer_tokens, example.gold_answers))
-            trajectory.append(Decision(action, state, mask, probs, None, reward))
-            steps.append(StepRecord("answer", ctx.n_tokens, reward,
-                                    (out.span.start, out.span.end)))
-            forced_answer = forced
             if train and cfg.span_loss:
                 gold_span = _gold_span_in(ctx, example.gold_answers)
                 if gold_span is not None:
                     aux.append(span_nll(out, gold_span[0], gold_span[1]))
-            break
-
-        if action is ActionId.SELECT:
+        elif action is ActionId.SELECT:
             dist = (model.sentence_dist(q_enc, ctx, ctx_enc) if narrowed_from is None
                     else kept_dist(*narrowed_from))
             new_ctx, kept = select_top_k(dist, ctx, k_budget)
@@ -270,39 +260,36 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
             # sentences alongside the action choice itself
             sel_logp = log_softmax(dist.logits, axis=0)
             sel_log_prob = T.reduce_sum(pick(sel_logp, (np.asarray(kept),)))
-            trajectory.append(Decision(action, state, mask, probs, sel_log_prob,
-                                       reward))
-            steps.append(StepRecord("select", ctx.n_tokens, reward))
-            steps[-1].kept = kept
             if train and cfg.selector_loss:
                 gold_sent = _gold_sentence_in(ctx, example.gold_answers)
                 if gold_sent is not None:
                     aux.append(T.mul(pick(sel_logp, gold_sent), -1.0))
-            ctx = new_ctx
-            continue
+        else:
+            # excise: produce a span on the current context and cut it out.
+            # Spans are at most max_span_len tokens, so only a context that
+            # short can be covered whole, and the pre-check masked that case
+            if cached is None:
+                with suspend_tape():
+                    cached = model.answer(q_enc, ctx_enc)
+            span = (cached.span.start, cached.span.end)
+            new_ctx = excise_span(ctx, *span)
+            reward = float(contains_any_answer(new_ctx, example.gold_answers))
+            narrowed_from = None
 
-        # excise: produce a span on the current context and cut it out.
-        # Spans are at most max_span_len tokens, so only a context that
-        # short can be covered whole, and the pre-check masked that case
-        if cached is None:
-            with suspend_tape():
-                cached = model.answer(q_enc, ctx_enc)
-        span = (cached.span.start, cached.span.end)
-        new_ctx = excise_span(ctx, *span)
-        reward = float(contains_any_answer(new_ctx, example.gold_answers))
-        trajectory.append(Decision(action, state, mask, probs, None, reward))
-        steps.append(StepRecord("excise", ctx.n_tokens, reward, span))
-        narrowed_from = None
+        rec = StepRecord(action.name.lower(), ctx.n_tokens, reward, span)
+        rec.kept, rec.probs, rec.mask = kept, probs, mask
+        rec.state, rec.sel_log_prob = state, sel_log_prob
+        steps.append(rec)
+        if action is ActionId.ANSWER:
+            forced_answer = forced
+            break
         ctx = new_ctx
 
-    _place_rewards(trajectory, cfg.reward_mode)
-    for rec, tr in zip(steps, trajectory):
-        rec.reward = tr.reward
+    _place_rewards(steps, cfg.reward_mode)
     em = exact_match(answer_tokens, example.gold_answers)
     f1 = best_f1(answer_tokens, example.gold_answers) if answer_tokens else 0.0
-    result = EpisodeResult(answer_tokens=answer_tokens, trajectory=trajectory,
-                           steps=steps, n_steps=len(trajectory),
-                           forced=forced_answer, em=em, f1=f1, aux_losses=aux)
+    result = EpisodeResult(steps=steps, forced=forced_answer, em=em, f1=f1,
+                           aux_losses=aux)
     _check_episode(result, cfg)
     return result
 
@@ -313,22 +300,23 @@ def _renorm(p: np.ndarray) -> np.ndarray:
     return p / p.sum()
 
 
-def _place_rewards(trajectory: list[Decision], mode: str) -> None:
+def _place_rewards(steps: list[StepRecord], mode: str) -> None:
     if mode == "shaped":
         return
     # single final reward: intermediate steps get zero, the terminal answer
     # keeps its F1
-    for tr in trajectory[:-1]:
-        tr.reward = 0.0
+    for rec in steps[:-1]:
+        rec.reward = 0.0
 
 
 def _check_episode(result: EpisodeResult, cfg: RunConfig) -> None:
-    if result.n_steps > cfg.step_cap + 1:
-        raise ContractError(f"episode ran {result.n_steps} steps")
+    n_steps = len(result.steps)
+    if n_steps > cfg.step_cap + 1:
+        raise ContractError(f"episode ran {n_steps} steps")
     actions = [rec.action for rec in result.steps]
     if actions.count("answer") != 1 or actions[-1] != "answer":
         raise ContractError("episodes must answer exactly once, at the end")
-    if result.forced != (result.n_steps == cfg.step_cap + 1):
+    if result.forced != (n_steps == cfg.step_cap + 1):
         raise ContractError("only the step cap may force an answer")
 
 
@@ -390,9 +378,10 @@ def evaluate(model, dataset: list[QAExample], cfg: RunConfig
     Episodes play in lockstep, ``cfg.batch_size`` at a time (``run_lockstep``).
     Each is independent of the others and read-only over the parameters, so
     a record depends neither on where its example sits in the dataset nor on
-    the lockstep width. Each of a record's ``steps`` holds the step's
-    ``StepRecord`` fields plus what the policy saw: ``probs``, the [3]
-    action probabilities it acted on, and ``mask``, the legal actions.
+    the lockstep width. Each of a record's ``steps`` is the step's
+    ``StepRecord.log_line``: what the step did, and what the policy saw
+    (``probs``, the [3] action probabilities it acted on, and ``mask``, the
+    legal actions).
     """
     if not dataset:
         raise DataError("cannot evaluate an empty dataset")
@@ -405,18 +394,16 @@ def evaluate(model, dataset: list[QAExample], cfg: RunConfig
     for example, result in zip(dataset, results):
         em_sum += result.em
         f1_sum += result.f1
-        total_steps += result.n_steps
-        for tr in result.trajectory:
-            action_counts[int(tr.action)] += 1
+        total_steps += len(result.steps)
+        for rec in result.steps:
+            action_counts[ActionId[rec.action.upper()]] += 1
         rows.append({
             "id": example.id,
             "em": result.em,
             "f1": result.f1,
-            "n_steps": result.n_steps,
+            "n_steps": len(result.steps),
             "actions": "|".join(rec.action for rec in result.steps),
-            "steps": [{**rec.__dict__, "probs": tr.probs.tolist(),
-                       "mask": tr.mask.tolist()}
-                      for rec, tr in zip(result.steps, result.trajectory)],
+            "steps": [rec.log_line() for rec in result.steps],
         })
     n = len(dataset)
     props = action_counts / max(1, action_counts.sum())

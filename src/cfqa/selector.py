@@ -127,9 +127,5 @@ def select_top_k(dist: SentenceDist, ctx: TokenDoc, k: int) -> tuple[TokenDoc, l
             f"context with {ctx.n_sentences}")
     keep = top_k_indices(dist.probs, k)
     bounds = ctx.sentence_bounds()
-    narrowed = TokenDoc(
-        sentences=[list(ctx.sentences[i]) for i in keep],
-        char_ids=[[list(c) for c in ctx.char_ids[i]] for i in keep],
-        positions=[p for i in keep for p in ctx.positions[slice(*bounds[i])]],
-    )
-    return narrowed, keep
+    index = [i for s in keep for i in range(*bounds[s])]
+    return ctx.take(index, [len(ctx.sentences[s]) for s in keep]), keep

@@ -1,9 +1,10 @@
 """False-positive removal: cut a predicted span out of the context.
 
 The span is given in flattened token coordinates of the current context.
-Sentence remnants on either side of the cut are merged into one sentence so
-the sentence count stays meaningful for later narrowing; sentences emptied
-by the cut disappear.
+The sentences before and after the span stay as they are; the remnants of
+the sentences the cut touches become one sentence, so the sentence count
+stays meaningful for later narrowing, and a sentence the cut empties
+disappears.
 """
 
 from __future__ import annotations
@@ -26,37 +27,9 @@ def excise_span(ctx: TokenDoc, start: int, end: int) -> TokenDoc:
             f"span ({start}, {end}) out of range for {total} tokens")
     if end - start + 1 >= total:
         raise ExcisionEmptyError("excising the span would empty the document")
-
-    flat = list(zip(ctx.flat_tokens(), ctx.flat_char_ids()))
-
-    # sentences fully outside the cut survive untouched; the sentences the
-    # cut touches leave remnants that merge into a single sentence
-    sentences: list[list[int]] = []
-    char_ids: list[list[list[int]]] = []
-    remnant: list[tuple[int, list[int]]] = []
-    touched_any = False
-    for (lo, hi) in ctx.sentence_bounds():
-        if hi <= start or lo > end:
-            if touched_any and remnant:
-                _push(sentences, char_ids, remnant)
-                remnant = []
-                touched_any = False
-            _push(sentences, char_ids, flat[lo:hi])
-        else:
-            touched_any = True
-            remnant.extend(flat[lo:start] if lo < start else [])
-            remnant.extend(flat[end + 1:hi] if hi > end + 1 else [])
-    if remnant:
-        _push(sentences, char_ids, remnant)
-
-    if not sentences:
-        raise ExcisionEmptyError("excision left no sentences")
-    return TokenDoc(sentences, char_ids,
-                    ctx.positions[:start] + ctx.positions[end + 1:])
-
-
-def _push(sentences, char_ids, items) -> None:
-    if not items:
-        return
-    sentences.append([t for t, _ in items])
-    char_ids.append([c for _, c in items])
+    index = [*range(start), *range(end + 1, total)]
+    bounds = ctx.sentence_bounds()
+    before = [hi - lo for lo, hi in bounds if hi <= start]
+    after = [hi - lo for lo, hi in bounds if lo > end]
+    remnant = len(index) - sum(before) - sum(after)
+    return ctx.take(index, before + ([remnant] if remnant else []) + after)

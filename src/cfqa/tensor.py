@@ -342,16 +342,6 @@ def relu(a) -> Tensor:
     return _finish(out, (a,), vjp)
 
 
-def log(a) -> Tensor:
-    a = _wrap(a)
-    out = np.log(a.data)
-
-    def vjp(g):
-        return (g / a.data,)
-
-    return _finish(out, (a,), vjp)
-
-
 def square(a) -> Tensor:
     a = _wrap(a)
     out = a.data * a.data
@@ -821,7 +811,7 @@ def gru_sequence(seq, lengths, w_gates, u_gates, b_gates, w_cand, u_cand,
 __all__ = [
     "Tensor", "Tape", "active_tape", "fixed_weights",
     "set_default_dtype", "default_dtype", "using_dtype",
-    "add", "sub", "mul", "matmul", "tanh", "sigmoid", "relu", "log",
+    "add", "sub", "mul", "matmul", "tanh", "sigmoid", "relu",
     "square", "reduce_sum", "reduce_max", "reshape", "transpose",
     "concat", "narrow", "pick", "embedding", "softmax", "log_softmax",
     "attention_heads", "conv1d", "gru_sequence",

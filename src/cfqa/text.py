@@ -117,8 +117,9 @@ class TokenDoc:
     """A document as sentences of token ids, with provenance.
 
     ``positions`` holds each token's flat position in the document an
-    episode started from, 0..n-1 unless given; narrowing and excision carry
-    it, so a narrowed context's encoding gathers those rows of the
+    episode started from, 0..n-1 unless given. Every narrowed document
+    (top-K sentences, an excision, a truncation) is built by ``take``, which
+    carries it, so a narrowed context's encoding gathers those rows of the
     document's.
     """
 
@@ -158,6 +159,20 @@ class TokenDoc:
             pos += len(s)
         return bounds
 
+    def take(self, index, lengths: list[int]) -> "TokenDoc":
+        """The tokens at flat offsets ``index``, in that order, cut into
+        sentences of ``lengths`` tokens; each token keeps its ``positions``
+        entry."""
+        tokens, chars = self.flat_tokens(), self.flat_char_ids()
+        sentences, char_ids = [], []
+        stop = 0
+        for n in lengths:
+            part = index[stop:stop + n]
+            sentences.append([tokens[i] for i in part])
+            char_ids.append([chars[i] for i in part])
+            stop += n
+        return TokenDoc(sentences, char_ids, [self.positions[i] for i in index])
+
     @classmethod
     def from_words(cls, sentences: list[list[str]], vocab: Vocab) -> "TokenDoc":
         ids, chars = [], []
@@ -180,16 +195,14 @@ def truncate_doc(doc: TokenDoc, max_tokens: int) -> TokenDoc:
     """Drop trailing tokens past ``max_tokens``, keeping sentence structure."""
     if max_tokens <= 0 or doc.n_tokens <= max_tokens:
         return doc
-    sentences, chars = [], []
+    lengths = []
     left = max_tokens
-    for s, c in zip(doc.sentences, doc.char_ids):
+    for s in doc.sentences:
         if left <= 0:
             break
-        take = min(left, len(s))
-        sentences.append(s[:take])
-        chars.append(c[:take])
-        left -= take
-    return TokenDoc(sentences, chars, doc.positions[:max_tokens])
+        lengths.append(min(left, len(s)))
+        left -= lengths[-1]
+    return doc.take(range(max_tokens), lengths)
 
 
 @dataclass

@@ -43,31 +43,32 @@ def update_loss(model: QaModel, results: list[EpisodeResult], cfg: RunConfig
                 ) -> tuple[Tensor, dict]:
     """The summed loss of one update's episodes, and its train-log fields.
 
-    Every state of every episode is packed back to back and read once by a
-    recorded ``model.policy`` and once by a recorded ``model.value`` call,
-    so each GRU runs forward and backward once per update. One
-    ``actor_critic_update`` call over all those rows gives the actor and
-    critic losses: a row's log-probability is its entry for the taken action
-    plus, on a SELECT step, the kept sentences' term. The episodes'
-    auxiliary losses and the entropy bonus over all rows are added to them.
-    Call it under the tape the episodes ran on.
+    The state of every step of every episode (``StepRecord.state``) is
+    packed back to back and read once by a recorded ``model.policy`` and
+    once by a recorded ``model.value`` call, so each GRU runs forward and
+    backward once per update. One ``actor_critic_update`` call over all
+    those rows gives the actor and critic losses: a row's log-probability is
+    its entry for the step's action plus, on a SELECT step, the kept
+    sentences' term (``sel_log_prob``). The episodes' auxiliary losses and
+    the entropy bonus over all rows are added to them. Call it under the
+    tape the episodes ran on.
     """
-    decisions = [d for result in results for d in result.trajectory]
-    lengths = [d.state.data.shape[0] for d in decisions]
-    packed = T.concat([d.state for d in decisions], axis=0)
-    masks = np.stack([d.mask for d in decisions])
+    steps = [rec for result in results for rec in result.steps]
+    lengths = [rec.state.data.shape[0] for rec in steps]
+    packed = T.concat([rec.state for rec in steps], axis=0)
+    masks = np.stack([rec.mask for rec in steps])
     probs, log_probs = model.policy(packed, masks, lengths)
     values = model.value(packed, lengths)
 
-    taken = T.pick(log_probs, (np.arange(len(decisions)),
-                               [int(d.action) for d in decisions]))
+    taken = T.pick(log_probs, (np.arange(len(steps)),
+                               [int(ActionId[rec.action.upper()]) for rec in steps]))
     no_selection = Tensor(np.zeros(1))
     taken = T.add(taken, T.concat(
-        [no_selection if d.sel_log_prob is None else T.reshape(d.sel_log_prob, (1,))
-         for d in decisions], axis=0))
+        [no_selection if rec.sel_log_prob is None
+         else T.reshape(rec.sel_log_prob, (1,)) for rec in steps], axis=0))
     loss_actor, loss_critic, deltas = actor_critic_update(
-        taken, values, [d.reward for d in decisions],
-        [len(result.trajectory) for result in results], cfg.gamma)
+        taken, values, [rec.reward for rec in steps],
+        [len(result.steps) for result in results], cfg.gamma)
     total = T.add(loss_actor, loss_critic)
     aux_sum = 0.0
     for result in results:
@@ -82,7 +83,7 @@ def update_loss(model: QaModel, results: list[EpisodeResult], cfg: RunConfig
         aux_sum += float(bonus.item())
 
     n = len(results)
-    actions = Counter(rec.action for result in results for rec in result.steps)
+    actions = Counter(rec.action for rec in steps)
     mean_probs = probs.data.mean(axis=0)
     record = {
         "loss_actor": float(loss_actor.item()) / n,

@@ -1,14 +1,18 @@
-"""The hooks the benchmark under ``perfbench/`` patches still exist, and
-``train()`` still passes through the one it wraps once per episode."""
+"""The hooks the benchmark under ``perfbench/`` patches still exist,
+``train()`` still passes through the one it wraps once per episode, and a
+step record subclass with the benchmark's constructor builds every step."""
 
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 
+import cfqa.episode
 import cfqa.train
 from cfqa.checks import tiny_config, tiny_example, toy_vocab
+from cfqa.config import RunConfig
 from cfqa.model import QaModel
+from helpers import ScriptedModel, make_example
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -41,3 +45,30 @@ def test_train_plays_each_episode_through_run_episode(monkeypatch):
     monkeypatch.setattr(cfqa.train, "run_episode", counting)
     cfqa.train.train(model, examples, cfg)
     assert len(played) == cfg.updates * cfg.batch_size
+
+
+def test_a_step_record_with_the_benchmarks_constructor_builds_every_step(monkeypatch):
+    # the benchmark substitutes a StepRecord subclass whose constructor takes
+    # (action, ctx_tokens, reward, span) only, so the engine builds each
+    # record from those, through the module's name, and sets the rest
+    class FourArguments(cfqa.episode.StepRecord):
+        def __init__(self, action, ctx_tokens, reward, span=None):
+            super().__init__(action, ctx_tokens, reward, span)
+
+    monkeypatch.setattr(cfqa.episode, "StepRecord", FourArguments)
+    cfg = RunConfig(d_model=4, step_cap=5, k_initial=5, max_span_len=3,
+                    span_loss=False, batch_size=4)
+    rng = np.random.default_rng(40)
+    actions = set()
+    for case in range(20):
+        ex = make_example(rng, n_sentences=5, example_id=f"k{case}")
+        model = ScriptedModel(seed=case, max_span_len=cfg.max_span_len)
+        for mode in ("eval", "train"):
+            result = cfqa.episode.run_episode(model, ex, cfg, mode,
+                                              cfqa.episode.episode_rng(0, ex.id))
+            assert all(type(rec) is FourArguments for rec in result.steps)
+            actions.update(rec.action for rec in result.steps)
+    assert actions == {"answer", "select", "excise"}
+    _, rows = cfqa.episode.evaluate(ScriptedModel(seed=41, max_span_len=3),
+                                    [ex], cfg)
+    assert rows[0]["steps"]

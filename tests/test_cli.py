@@ -78,7 +78,8 @@ def test_eval_refuses_a_vocab_of_the_same_size_with_other_ids(trained_run, tmp_p
         assert "vocab digest" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("pair", ["threads=2", "learning_rate=0.1"])
+@pytest.mark.parametrize("pair", ["threads=2", "learning_rate=0.1",
+                                  "disable_excise=true"])
 def test_removed_keys_are_rejected(trained_run, tmp_path, capsys, pair):
     code = main(eval_args(trained_run, tmp_path, *tiny_set_args(), "--set", pair))
     assert code == EXIT_USAGE
@@ -97,7 +98,7 @@ def test_hash_ignores_run_plumbing_only():
 def test_save_then_load_round_trips_a_non_default_config(tmp_path):
     cfg = tiny_config(seed=5, train_path="data/train set.jsonl", gamma=0.8,
                       entropy_coef=0.01, reward_mode="shaped",
-                      disable_excise=True, selector_loss=True)
+                      selector_loss=True)
     path = tmp_path / "config.txt"
     save_config(path, cfg)
     assert load_config(path) == cfg
@@ -168,6 +169,9 @@ def test_eval_trajectories_record_what_the_policy_saw(trained_run, tmp_path):
     steps = [step for line in lines for step in json.loads(line)["steps"]]
     assert steps
     for step in steps:
+        # what the step did and what the policy saw; not the state it read
+        assert set(step) == {"action", "ctx_tokens", "reward", "span", "kept",
+                             "probs", "mask"}
         probs, mask = step["probs"], step["mask"]
         assert len(probs) == len(mask) == 3
         assert sum(probs) == pytest.approx(1.0, abs=1e-5)

@@ -25,7 +25,7 @@ def test_pinned_answer_policy_terminates_in_one_step():
     model = ScriptedModel(seed=1, policy_fn=pinned_policy(ActionId.ANSWER),
                           max_span_len=cfg.max_span_len)
     result = run_episode(model, ex, cfg, "eval")
-    assert result.n_steps == 1
+    assert len(result.steps) == 1
     assert result.steps[0].action == "answer"
     assert not result.forced
 
@@ -37,7 +37,7 @@ def test_pinned_select_policy_hits_cap_then_forced_answer():
     model = ScriptedModel(seed=2, policy_fn=pinned_policy(ActionId.SELECT),
                           max_span_len=cfg.max_span_len)
     result = run_episode(model, ex, cfg, "eval")
-    assert result.n_steps == 6
+    assert len(result.steps) == 6
     assert [s.action for s in result.steps[:-1]] == ["select"] * 5
     assert result.steps[-1].action == "answer"
     assert result.forced
@@ -78,7 +78,7 @@ def test_oracle_policy_reaches_exact_match():
 
     model = ScriptedModel(seed=3, policy_fn=policy, dist_fn=dist_fn, span_fn=span_fn)
     result = run_episode(model, ex, engine_cfg(), "eval")
-    assert result.n_steps == 2
+    assert len(result.steps) == 2
     assert result.em == 1
     assert result.f1 == 1.0
 
@@ -115,7 +115,7 @@ def test_a_full_cover_span_masks_excise_on_a_short_context():
     model = ScriptedModel(seed=5, policy_fn=pinned_policy(ActionId.EXCISE),
                           span_fn=lambda ctx, rng: (0, ctx.n_tokens - 1))
     result = run_episode(model, ex, engine_cfg(max_span_len=4), "eval")
-    assert not result.trajectory[0].mask[ActionId.EXCISE]
+    assert not result.steps[0].mask[ActionId.EXCISE]
     assert "excise" not in [s.action for s in result.steps]
 
 
@@ -148,20 +148,9 @@ def test_selector_loss_adds_the_gold_sentence_nll_of_each_select_that_holds_it()
 
 def test_single_sentence_masks_select():
     doc_mask = action_mask(make_example(np.random.default_rng(5), n_sentences=1).doc,
-                           forced=False, cfg=engine_cfg(), covers_all_span=False)
+                           forced=False, covers_all_span=False)
     assert not doc_mask[ActionId.SELECT]
     assert doc_mask[ActionId.ANSWER]
-
-
-def test_disable_excise_masks_it_everywhere():
-    rng = np.random.default_rng(6)
-    ex = make_example(rng, n_sentences=5)
-    cfg = engine_cfg(disable_excise=True)
-    model = ScriptedModel(seed=7, max_span_len=cfg.max_span_len)
-    for pass_idx in range(20):
-        result = run_episode(model, ex, cfg, "train",
-                             rng=episode_rng(0, ex.id, pass_idx))
-        assert all(s.action != "excise" for s in result.steps)
 
 
 def test_reward_modes_place_rewards_differently():
@@ -175,14 +164,14 @@ def test_reward_modes_place_rewards_differently():
     single = run_episode(ScriptedModel(seed=8, policy_fn=policy, dist_fn=dist_fn,
                                        span_fn=span_fn),
                          ex, engine_cfg(reward_mode="single_final"), "eval")
-    assert [tr.reward for tr in single.trajectory[:-1]] == [0.0, 0.0]
-    assert single.trajectory[-1].reward == 1.0
+    assert [s.reward for s in single.steps[:-1]] == [0.0, 0.0]
+    assert single.steps[-1].reward == 1.0
 
     shaped = run_episode(ScriptedModel(seed=8, policy_fn=policy, dist_fn=dist_fn,
                                        span_fn=span_fn),
                          ex, engine_cfg(reward_mode="shaped"), "eval")
-    assert shaped.trajectory[0].reward == 1.0   # gold kept by oracle selector
-    assert shaped.trajectory[-1].reward == 1.0
+    assert shaped.steps[0].reward == 1.0   # gold kept by oracle selector
+    assert shaped.steps[-1].reward == 1.0
 
 
 def test_invariants_over_random_policies_and_examples():
@@ -196,9 +185,7 @@ def test_invariants_over_random_policies_and_examples():
         model = ScriptedModel(seed=case, max_span_len=cfg.max_span_len)
         result = run_episode(model, ex, cfg, "train",
                              rng=episode_rng(11, ex.id, case))
-        assert result.n_steps <= cfg.step_cap + 1
-        assert [tr.action.name.lower() for tr in result.trajectory] == \
-            [s.action for s in result.steps]
+        assert len(result.steps) <= cfg.step_cap + 1
         actions = [s.action for s in result.steps]
         assert actions.count("answer") == 1
         assert actions[-1] == "answer"
@@ -328,7 +315,7 @@ def test_lockstep_evaluation_matches_one_episode_at_a_time():
     serial = [run_episode(model, ex, cfg, "eval") for ex in dataset]
     assert {a for r in serial for a in (s.action for s in r.steps)} == \
         {"answer", "select", "excise"}
-    assert len({r.n_steps for r in serial}) >= 3
+    assert len({len(r.steps) for r in serial}) >= 3
 
     for width in (1, 3, len(dataset) + 1):
         wide = cfg.replace(batch_size=width)
@@ -337,16 +324,17 @@ def test_lockstep_evaluation_matches_one_episode_at_a_time():
             assert row["id"] == ex.id
             assert row["actions"] == "|".join(s.action for s in want.steps)
             # spans, kept sentences, rewards and context sizes, step by step
-            assert [{k: v for k, v in step.items() if k not in ("probs", "mask")}
-                    for step in row["steps"]] == [s.__dict__ for s in want.steps]
+            assert [{k: v for k, v in step.items() if k != "probs"}
+                    for step in row["steps"]] == \
+                [{k: v for k, v in s.log_line().items() if k != "probs"}
+                 for s in want.steps]
             assert (row["em"], row["f1"]) == (want.em, want.f1)
         for got, want in zip(run_lockstep(model, dataset, wide, "eval"), serial):
-            assert [tr.action for tr in got.trajectory] == \
-                [tr.action for tr in want.trajectory]
+            assert [s.action for s in got.steps] == [s.action for s in want.steps]
             # the probabilities each action was taken from
             np.testing.assert_allclose(
-                np.stack([tr.probs for tr in got.trajectory]),
-                np.stack([tr.probs for tr in want.trajectory]),
+                np.stack([s.probs for s in got.steps]),
+                np.stack([s.probs for s in want.steps]),
                 rtol=1e-5, atol=1e-6, err_msg=f"probs at width {width}")
 
 
@@ -377,13 +365,12 @@ def test_lockstep_training_samples_as_one_episode_at_a_time():
 
     alone = play(1)
     assert {s.action for r in alone for s in r.steps} == {"answer", "select", "excise"}
-    assert len({r.n_steps for r in alone}) >= 2
+    assert len({len(r.steps) for r in alone}) >= 2
     for got, want in zip(play(len(dataset)), alone):
-        assert [tr.action for tr in got.trajectory] == \
-            [tr.action for tr in want.trajectory]
+        assert [s.action for s in got.steps] == [s.action for s in want.steps]
         np.testing.assert_allclose(
-            np.stack([tr.probs for tr in got.trajectory]),
-            np.stack([tr.probs for tr in want.trajectory]), rtol=1e-5, atol=1e-6)
+            np.stack([s.probs for s in got.steps]),
+            np.stack([s.probs for s in want.steps]), rtol=1e-5, atol=1e-6)
 
 
 def test_acting_never_runs_the_critic():
@@ -405,7 +392,7 @@ def test_acting_never_runs_the_critic():
     _, rows = evaluate(model, dataset, cfg)
     results = [run_episode(model, ex, cfg, "eval") for ex in dataset]
     assert sum(row["n_steps"] for row in rows) > len(dataset)
-    assert [r.n_steps for r in results] == [row["n_steps"] for row in rows]
+    assert [len(r.steps) for r in results] == [row["n_steps"] for row in rows]
     assert calls == []
 
 
@@ -433,7 +420,7 @@ def test_greedy_eval_calls_answer_at_most_once_per_step():
     for ex in dataset:
         calls.clear()
         result = run_episode(model, ex, cfg, "eval")
-        assert len(calls) <= result.n_steps, ex.id
+        assert len(calls) <= len(result.steps), ex.id
     calls.clear()
     metrics, rows = evaluate(model, dataset, cfg)
     assert (metrics, rows) == (want_metrics, want_rows)
@@ -565,14 +552,14 @@ def test_narrowed_steps_act_as_on_a_fresh_encoding_of_their_context():
             result = run_episode(model, ex, cfg, mode, episode_rng(cfg.seed, ex.id))
             q_enc = model.encode_question(ex)
             ctx, k = ex.doc, cfg.k_initial
-            for step, tr in zip(result.steps, result.trajectory):
+            for step in result.steps:
                 assert step.ctx_tokens == ctx.n_tokens
                 ctx_enc = model.encode_doc(ctx)
                 state = model.state(ctx_enc, q_enc)
-                probs = model.policy(state, tr.mask[None], [state.data.shape[0]])[0].data[0]
-                np.testing.assert_allclose(tr.probs, probs, rtol=1e-5, atol=1e-6)
+                probs = model.policy(state, step.mask[None], [state.data.shape[0]])[0].data[0]
+                np.testing.assert_allclose(step.probs, probs, rtol=1e-5, atol=1e-6)
                 if mode == "eval":
-                    assert tr.action == int(np.argmax(probs))
+                    assert ActionId[step.action.upper()] == int(np.argmax(probs))
                 if step.action == "select":
                     ctx, kept = select_top_k(model.sentence_dist(q_enc, ctx, ctx_enc),
                                              ctx, k)
@@ -641,5 +628,5 @@ def test_a_state_with_one_legal_action_is_not_read():
     for result in results + lockstep:
         assert [s.action for s in result.steps] == ["select"] * 5 + ["answer"]
         assert result.forced
-        assert result.trajectory[-1].probs.tolist() == [1.0, 0.0, 0.0]
+        assert result.steps[-1].probs.tolist() == [1.0, 0.0, 0.0]
     assert sum(reads) == 2 * 5 * len(dataset)

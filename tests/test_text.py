@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cfqa.errors import DataError
+from cfqa.errors import ContractError, DataError
 from cfqa.synthetic import SyntheticConfig, gen_synthetic, write_jsonl
 from cfqa.text import (PAD_ID, SEP_ID, UNK_ID, TokenDoc, Vocab, build_vocab,
                        detokenize, examples_from_records, find_subsequence,
@@ -194,6 +194,19 @@ def test_truncate_doc_keeps_sentence_structure(vocab):
     assert cut.n_tokens == 4
     assert cut.n_sentences == 2
     assert cut.sentences[0] == doc.sentences[0]
+
+
+def test_take_cuts_the_taken_tokens_into_sentences_and_keeps_positions(vocab):
+    doc = tokenize("a b c. d a b. c d.", vocab)
+    doc.positions = [10 + p for p in doc.positions]
+    flat, chars = doc.flat_tokens(), doc.flat_char_ids()
+    index = [6, 7, 0, 4, 5]
+    taken = doc.take(index, [2, 3])
+    assert taken.sentences == [[flat[6], flat[7]], [flat[0], flat[4], flat[5]]]
+    assert taken.flat_char_ids() == [chars[i] for i in index]
+    assert taken.positions == [16, 17, 10, 14, 15]
+    with pytest.raises(ContractError):
+        doc.take(index, [2, 2])
 
 
 def test_find_subsequence():

@@ -12,6 +12,7 @@ import pytest
 import cfqa.train
 from cfqa import tensor as T
 from cfqa.checks import tiny_config, tiny_example, toy_vocab
+from cfqa.episode import episode_rng, run_lockstep
 from cfqa.model import QaModel
 from cfqa.params import restore_into
 
@@ -88,6 +89,46 @@ def test_one_update_reads_actor_and_critic_once_on_the_tape():
     # learning: every state of the update in one recorded pass of each GRU
     assert [c for c in calls if c[1]] == [("policy", True, decisions),
                                           ("value", True, decisions)]
+
+
+def test_a_lockstep_batch_learns_as_one_episode_at_a_time():
+    # rolled out under a tape at width 1 and at the batch's width, each
+    # episode from its own rng, one batch gives the same update loss and
+    # the same gradient in every parameter
+    vocab = toy_vocab()
+    rng = np.random.default_rng(26)
+    dataset = []
+    for i in range(6):
+        ex = tiny_example(rng, vocab, n_sentences=int(rng.integers(1, 6)),
+                          tokens_per_sentence=int(rng.integers(2, 7)),
+                          q_len=int(rng.integers(1, 5)))
+        ex.id = f"w{i}"
+        dataset.append(ex)
+    cfg = tiny_config(seed=26, entropy_coef=0.1)
+    model = QaModel(cfg, vocab, seed=26)
+
+    def learn(width):
+        with T.Tape() as tape:
+            results = run_lockstep(model, dataset, cfg.replace(batch_size=width),
+                                   "train", [episode_rng(cfg.seed, ex.id)
+                                             for ex in dataset])
+            loss, _ = cfqa.train.update_loss(model, results, cfg)
+            tape.backward(loss)
+        grads = {}
+        for name, p in model.store.items():
+            grads[name], p.grad = p.grad, None
+        return results, loss.item(), grads
+
+    alone, loss, grads = learn(1)
+    assert {s.action for r in alone for s in r.steps} == {"answer", "select", "excise"}
+    together, wide_loss, wide_grads = learn(len(dataset))
+    assert [[s.action for s in r.steps] for r in together] == \
+        [[s.action for s in r.steps] for r in alone]
+    assert wide_loss == pytest.approx(loss, rel=1e-5)
+    assert all(g is not None for g in grads.values())
+    for name, g in grads.items():
+        np.testing.assert_allclose(wide_grads[name], g, rtol=1e-5,
+                                   atol=1e-5 * np.abs(g).max(), err_msg=name)
 
 
 def test_no_weight_transpose_outlives_an_update():
