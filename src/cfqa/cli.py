@@ -122,6 +122,7 @@ def cmd_eval(args) -> int:
                                     max_doc_tokens=cfg.max_doc_tokens)
     model = QaModel(cfg, vocab)
     restore_into(model.store, params)
+    del params     # views of the file's bytes; the model holds the values now
     metrics, rows = evaluate(model, dataset, cfg)
     out_dir = Path(args.out or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,5 +1,9 @@
 """Named trainable parameters with optimizer slots and checkpoint I/O.
 
+A parameter's AdaDelta slot is made at the first optimizer step that
+applies a gradient to it: a frozen or never-stepped parameter, such as
+every parameter of an eval process, has none.
+
 Checkpoint layout (version 1, little-endian throughout):
 
     magic    8 bytes  b"CFQACKP1"
@@ -41,8 +45,10 @@ def uniform_fan_in(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.nd
 class ParamStore:
     """Insertion-ordered map of named parameter tensors.
 
-    Every parameter owns an AdaDelta slot. Creation order is fixed by the
-    model-building code, which makes seeded initialization reproducible.
+    A parameter's AdaDelta slot is made at its first applied step, so a
+    frozen or never-stepped parameter has none. Creation order is fixed by
+    the model-building code, which makes seeded initialization
+    reproducible.
     ``skipped_nonfinite`` counts the optimizer steps refused for a NaN or
     Inf gradient.
     """
@@ -71,7 +77,6 @@ class ParamStore:
             data = uniform_fan_in(rng, shape, fan_in, dtype)
         t = Tensor(data, requires_grad=True)
         self._params[name] = t
-        self._slots[name] = AdaDeltaSlot(shape, rho=self.rho, eps=self.eps, dtype=dtype)
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -91,9 +96,10 @@ class ParamStore:
 
         Step sizes come entirely from the accumulator RMS ratio; the rule
         has no learning-rate knob. Returns the number of parameters updated.
-        If any gradient holds a NaN or Inf, nothing is applied: every
-        gradient is cleared, ``skipped_nonfinite`` counts the skipped step,
-        and the return is 0.
+        A parameter's slot is made here, at its first applied step. If any
+        gradient holds a NaN or Inf, nothing is applied and no slot is made:
+        every gradient is cleared, ``skipped_nonfinite`` counts the skipped
+        step, and the return is 0.
         """
         pending = [(name, p) for name, p in self._params.items() if p.grad is not None]
         if not all(np.isfinite(p.grad).all() for _, p in pending):
@@ -102,14 +108,19 @@ class ParamStore:
             self.skipped_nonfinite += 1
             return 0
         for name, p in pending:
+            slot = self._slots.get(name)
+            if slot is None:
+                slot = self._slots[name] = AdaDeltaSlot(
+                    p.data.shape, rho=self.rho, eps=self.eps, dtype=p.data.dtype)
             g = np.asarray(p.grad, dtype=p.data.dtype)
-            adadelta_update(p.data, g, self._slots[name])
+            adadelta_update(p.data, g, slot)
             p.grad = None
         return len(pending)
 
     def state_bytes(self) -> bytes:
-        """Concatenated raw parameter payloads, for bit-identity checks."""
-        return b"".join(np.ascontiguousarray(p.data).tobytes()
+        """Concatenated raw parameter payloads, for bit-identity checks,
+        joined from views of the parameters with no copy of each."""
+        return b"".join(memoryview(np.ascontiguousarray(p.data))
                         for p in self._params.values())
 
 
@@ -135,16 +146,18 @@ def save_checkpoint(path, store: ParamStore, run_hash: str) -> None:
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
     """Read a checkpoint, returning (name -> array, run_hash).
 
-    Every read is bounds-checked: a truncated, padded or otherwise
-    malformed file raises ``DataError``, never a ``struct`` or numpy error.
+    Each array is a read-only view into the file's bytes, so the values are
+    held once, by the returned arrays. Every read is bounds-checked: a
+    truncated, padded or otherwise malformed file raises ``DataError``,
+    never a ``struct`` or numpy error.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = memoryview(fh.read())     # slices of it copy nothing
     if blob[:8] != _MAGIC:
         raise DataError(f"{path}: not a checkpoint file (bad magic)")
     off = 8
 
-    def take(size: int, what: str) -> bytes:
+    def take(size: int, what: str) -> memoryview:
         nonlocal off
         if off + size > len(blob):
             raise DataError(f"{path}: truncated: {what} needs bytes {off}..{off + size}, "
@@ -158,7 +171,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
 
     def text(size: int, what: str) -> str:
         try:
-            return take(size, what).decode("utf-8")
+            return str(take(size, what), "utf-8")
         except UnicodeDecodeError as e:
             raise DataError(f"{path}: {what} is not utf-8") from e
 
@@ -177,14 +190,18 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
         shape = unpack(f"<{ndim}I", f"the extents of {name!r}")
         dtype = _CODE_DTYPES[code]
         payload = take(math.prod(shape) * dtype.itemsize, f"the values of {name!r}")
-        params[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+        params[name] = np.frombuffer(payload, dtype=dtype).reshape(shape)
     if off != len(blob):
         raise DataError(f"{path}: {len(blob) - off} trailing bytes")
     return params, run_hash
 
 
 def restore_into(store: ParamStore, params: dict[str, np.ndarray]) -> None:
-    """Overwrite a store's values from a loaded checkpoint."""
+    """Overwrite a store's values from a loaded checkpoint, in place: each
+    parameter keeps its array and dtype. Nothing is written unless every
+    parameter can be: a mismatched checkpoint raises ``DataError``, and a
+    parameter that is read-only, as a weight is inside a ``fixed_weights``
+    block, raises ``ContractError``."""
     missing = set(store.names()) - set(params)
     extra = set(params) - set(store.names())
     if missing or extra:
@@ -196,4 +213,9 @@ def restore_into(store: ParamStore, params: dict[str, np.ndarray]) -> None:
         if arr.shape != p.data.shape:
             raise DataError(f"checkpoint shape {arr.shape} for {name!r}, "
                             f"model expects {p.data.shape}")
-        p.data = arr.astype(p.data.dtype, copy=True)
+        if not p.data.flags.writeable:
+            raise ContractError(f"parameter {name!r} is read-only; a restore "
+                                "inside a fixed_weights block would leave its "
+                                "transposed copy stale")
+    for name, p in store.items():
+        p.data[...] = params[name]

@@ -92,17 +92,20 @@ class Vocab:
     def word(self, i: int) -> str:
         return self.words[i]
 
-    def char_ids(self, w: str) -> list[int]:
-        """``w``'s char ids, cut or PAD-filled to ``char_width``: a new list
-        on every call, copied from a memo per distinct word."""
+    def char_ids(self, w: str) -> tuple[int, ...]:
+        """``w``'s char ids, cut or PAD-filled to ``char_width``: one
+        memoized tuple per distinct word, shared by every token of it and
+        immutable, so no holder can change another's row."""
         row = self._char_rows.get(w)
         if row is None:
             ids = [self.char_to_id.get(c, UNK_ID) for c in w[: self.char_width]]
             ids.extend([PAD_ID] * (self.char_width - len(ids)))
             row = self._char_rows[w] = tuple(ids)
-        return list(row)
+        return row
 
-    def encode_words(self, words: list[str]) -> tuple[list[int], list[list[int]]]:
+    def encode_words(self, words: list[str]) -> tuple[list[int], list[tuple[int, ...]]]:
+        """The word ids of ``words`` and their char-id rows, each row the
+        word's one shared tuple from ``char_ids``."""
         return [self.word_id(w) for w in words], [self.char_ids(w) for w in words]
 
     def digest(self) -> str:
@@ -124,7 +127,7 @@ class TokenDoc:
     """
 
     sentences: list[list[int]]
-    char_ids: list[list[list[int]]]
+    char_ids: list[list[tuple[int, ...]]]     # one shared row per word
     positions: Optional[list[int]] = None
 
     def __post_init__(self):
@@ -147,7 +150,7 @@ class TokenDoc:
     def flat_tokens(self) -> list[int]:
         return [t for s in self.sentences for t in s]
 
-    def flat_char_ids(self) -> list[list[int]]:
+    def flat_char_ids(self) -> list[tuple[int, ...]]:
         return [c for s in self.char_ids for c in s]
 
     def sentence_bounds(self) -> list[tuple[int, int]]:
@@ -162,7 +165,7 @@ class TokenDoc:
     def take(self, index, lengths: list[int]) -> "TokenDoc":
         """The tokens at flat offsets ``index``, in that order, cut into
         sentences of ``lengths`` tokens; each token keeps its ``positions``
-        entry."""
+        entry and its char-id row, the same object."""
         tokens, chars = self.flat_tokens(), self.flat_char_ids()
         sentences, char_ids = [], []
         stop = 0
@@ -210,7 +213,7 @@ class QAExample:
     id: str
     doc: TokenDoc
     question: list[int]
-    question_chars: list[list[int]]
+    question_chars: list[tuple[int, ...]]     # one shared row per word
     gold_answers: list[list[int]] = field(default_factory=list)
 
     def __post_init__(self):

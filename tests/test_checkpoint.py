@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from cfqa import tensor as T
 from cfqa.checks import tiny_config, tiny_example, toy_vocab
 from cfqa.episode import evaluate
-from cfqa.errors import DataError
+from cfqa.errors import ContractError, DataError
 from cfqa.model import QaModel
 from cfqa.params import load_checkpoint, restore_into, save_checkpoint
 
@@ -23,15 +24,33 @@ def test_round_trip_restores_every_value_and_every_eval_row(saved):
     cfg, model, path = saved
     params, config_hash = load_checkpoint(path)
     assert config_hash == cfg.hash()
+    assert not any(arr.flags.writeable for arr in params.values())
     other = QaModel(cfg, toy_vocab(), seed=2)
     assert other.store.state_bytes() != model.store.state_bytes()
+    arrays = {name: p.data for name, p in other.store.items()}
     restore_into(other.store, params)
     assert other.store.state_bytes() == model.store.state_bytes()
+    for name, p in other.store.items():     # written in place, same dtype
+        assert p.data is arrays[name] and p.data.dtype == model.store[name].data.dtype
     rng = np.random.default_rng(4)
     dataset = [tiny_example(rng, model.vocab) for _ in range(6)]
     for i, ex in enumerate(dataset):
         ex.id = f"c{i}"
     assert evaluate(other, dataset, cfg) == evaluate(model, dataset, cfg)
+
+
+def test_a_restore_inside_a_fixed_weights_block_raises_and_writes_nothing(saved):
+    cfg, model, path = saved
+    params, _ = load_checkpoint(path)
+    other = QaModel(cfg, toy_vocab(), seed=2)
+    before = other.store.state_bytes()
+    with T.fixed_weights() as held:
+        held.transposed(other.store["actor.gru.u_gates"])
+        with pytest.raises(ContractError):
+            restore_into(other.store, params)
+    assert other.store.state_bytes() == before
+    restore_into(other.store, params)
+    assert other.store.state_bytes() == model.store.state_bytes()
 
 
 @pytest.mark.parametrize("cut", [3, 12, 40, -3])

@@ -79,7 +79,7 @@ def test_char_ids_pad_and_truncate(vocab):
     assert PAD_ID not in long_ids
 
 
-def test_memoized_char_ids_give_the_same_examples_in_fresh_lists(monkeypatch):
+def test_memoized_char_ids_give_one_shared_read_only_row_per_word(monkeypatch):
     cfg = SyntheticConfig(n_docs=40, sentences_per_doc=(2, 5),
                           tokens_per_sentence=(4, 7), vocab_size=60,
                           distractor_rate=0.3)
@@ -89,16 +89,32 @@ def test_memoized_char_ids_give_the_same_examples_in_fresh_lists(monkeypatch):
 
     def char_ids_unmemoized(self, w):
         ids = [self.char_to_id.get(c, UNK_ID) for c in w[:self.char_width]]
-        return ids + [PAD_ID] * (self.char_width - len(ids))
+        return tuple(ids + [PAD_ID] * (self.char_width - len(ids)))
 
     monkeypatch.setattr(Vocab, "char_ids", char_ids_unmemoized)
     assert memoized == examples_from_records(records, vocab)
     monkeypatch.undo()
-    first, again = vocab.char_ids("hello"), vocab.char_ids("hello")
-    first[0] = -1
-    assert again[0] != -1 and vocab.char_ids("hello")[0] != -1
-    rows = [row for sent in memoized[0].doc.char_ids for row in sent]
-    assert len({id(row) for row in rows}) == len(rows)
+
+    # every token of one word holds the one row of that word
+    rows_of: dict[int, set] = {}
+    for ex in memoized:
+        pairs = list(zip(ex.doc.flat_tokens(), ex.doc.flat_char_ids()))
+        pairs += zip(ex.question, ex.question_chars)
+        for token, row in pairs:
+            if token != UNK_ID:
+                rows_of.setdefault(token, set()).add(id(row))
+    assert len(rows_of) > 20 and all(len(ids) == 1 for ids in rows_of.values())
+    assert vocab.char_ids("hello") is vocab.char_ids("hello")
+
+    row = memoized[0].doc.char_ids[0][0]
+    with pytest.raises(TypeError):
+        row[0] = -1
+
+    doc = memoized[0].doc
+    index = list(range(doc.n_tokens))[::-1]
+    taken = doc.take(index, [len(index)])
+    chars = doc.flat_char_ids()
+    assert all(a is chars[i] for a, i in zip(taken.flat_char_ids(), index))
 
 
 def test_load_dataset_empty_file(tmp_path):

@@ -64,6 +64,30 @@ def _one_update(**overrides):
     return model, examples, cfg
 
 
+def test_evaluation_makes_no_optimizer_slot():
+    model, examples, cfg = _one_update()
+    cfqa.train.evaluate(model, examples, cfg)
+    assert model.store._slots == {}
+
+
+def test_an_update_makes_slots_for_exactly_the_parameters_it_steps():
+    model, examples, cfg = _one_update()
+    store = model.store
+    store["emb.word"].requires_grad = False     # as freeze_word_emb leaves it
+    stepped = []
+    real_apply = store.apply_gradients
+
+    def apply_gradients():
+        stepped.append({name for name, p in store.items() if p.grad is not None})
+        return real_apply()
+
+    store.apply_gradients = apply_gradients
+    cfqa.train.train(model, examples, cfg)
+    (names,) = stepped
+    assert "emb.word" not in names and len(names) > 1
+    assert set(store._slots) == names
+
+
 def test_one_update_reads_actor_and_critic_once_on_the_tape():
     model, examples, cfg = _one_update()
     calls = []     # (which, under a tape, states read)
