@@ -37,9 +37,22 @@ _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 
+# values per float64 draw of ``uniform_fan_in``: 128 KiB at a time
+_DRAW_BLOCK = 1 << 14
+
+
 def uniform_fan_in(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
+    """Uniform +-1/sqrt(fan_in) values of ``dtype``, drawn in float64 blocks
+    straight into the result, so no float64 copy of a whole parameter is
+    held. The blocks continue one stream in row-major order: the values
+    equal one ``rng.uniform`` draw of ``shape`` cast to ``dtype``."""
     bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    out = np.empty(shape, dtype=dtype)
+    flat = out.reshape(-1)
+    for lo in range(0, flat.size, _DRAW_BLOCK):
+        block = flat[lo:lo + _DRAW_BLOCK]
+        block[...] = rng.uniform(-bound, bound, size=block.size)
+    return out
 
 
 class ParamStore:

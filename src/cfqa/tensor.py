@@ -4,7 +4,11 @@ Tensors wrap numpy arrays. While a Tape is active (``with Tape() as t:``),
 every primitive op appends a node holding its parents and a vector-Jacobian
 closure; because nodes are appended in creation order, the tape list is
 already topologically sorted and ``backward`` is a single reverse sweep.
-With no active tape, ops run as plain numpy (fast inference path).
+The sweep empties each node once its closure has run, so an array saved
+for backward lives only until backward has read it, and a tape is spent
+after one sweep. A closure keeps what is costly to redo; what is large and
+cheap, such as ``conv1d``'s im2col columns, it rebuilds. With no active
+tape, ops run as plain numpy (fast inference path).
 
 Float width is float32 by default; gradient checks switch to float64 via
 ``using_dtype``. Ops do not check their outputs for NaN or Inf: a
@@ -165,14 +169,18 @@ class _Node:
 class Tape:
     """Recording of primitive ops, in creation (= topological) order.
 
-    Single-owner per training step: enter, run the forward pass, call
-    ``backward`` on a scalar loss, exit. Gradient buffers are keyed by the
-    node uid while the sweep runs; leaf gradients land on ``Tensor.grad``.
+    Single-owner and single-use per training step: enter, run the forward
+    pass, call ``backward`` once on a scalar loss, exit. The sweep releases
+    as it goes: once a node's vjp has run, the node drops its closure, its
+    output and its parents, so each saved array lives only until backward
+    has read it. ``nodes`` keeps one emptied entry per recorded op. Leaf
+    gradients land on ``Tensor.grad``; a second ``backward`` raises
+    ``ContractError``.
     """
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self.grads: dict[int, np.ndarray] = {}
+        self.spent = False
 
     def __enter__(self):
         if active_tape() is not None:
@@ -191,39 +199,39 @@ class Tape:
         """Populate ``grad`` on every requires_grad leaf reachable from loss."""
         if loss.data.size != 1:
             raise ContractError(f"loss must be scalar, got shape {loss.data.shape}")
-        self.grads = {loss.uid: np.ones_like(loss.data)}
+        if self.spent:
+            raise ContractError("this tape has run backward already and released "
+                                "its ops; record the forward pass on a new tape")
+        self.spent = True
+        # uid -> [tensor, gradient buffer]; an entry is popped when the node
+        # that produced its tensor runs, so what is left belongs to leaves
+        grads = {loss.uid: [loss, np.ones_like(loss.data)]}
         for node in reversed(self.nodes):
-            g = self.grads.pop(node.out.uid, None)
-            if g is None:
-                continue
-            parent_grads = node.vjp(g)
-            for parent, pg in zip(node.parents, parent_grads):
-                if pg is None or not parent.requires_grad:
-                    continue
-                # numpy returns immutable scalars for 0-d math; buffers must
-                # be real arrays or in-place accumulation silently drops. A
-                # vjp mixing in a wider constant promotes its gradient: cast
-                # back, so the sweep runs in each parent's own dtype
-                pg_arr = np.asarray(pg).astype(parent.data.dtype, copy=False)
-                acc = self.grads.get(parent.uid)
-                if acc is None:
-                    # copy views and pass-through aliases of g before they
-                    # become an accumulation buffer we mutate in place
-                    if pg_arr is g or not pg_arr.flags.owndata:
-                        pg_arr = pg_arr.copy()
-                    self.grads[parent.uid] = pg_arr
-                else:
-                    acc += pg_arr
-        # whatever is left belongs to leaves (no node produced them)
-        for node in self.nodes:
-            for parent in node.parents:
-                g = self.grads.pop(parent.uid, None)
-                if g is not None:
-                    if parent.grad is None:
-                        parent.grad = g
+            entry = grads.pop(node.out.uid, None)
+            if entry is not None:
+                g = entry[1]
+                for parent, pg in zip(node.parents, node.vjp(g)):
+                    if pg is None or not parent.requires_grad:
+                        continue
+                    # numpy returns immutable scalars for 0-d math; buffers
+                    # must be real arrays or in-place accumulation silently
+                    # drops. A vjp mixing in a wider constant promotes its
+                    # gradient: cast back, so the sweep runs in each
+                    # parent's own dtype
+                    pg_arr = np.asarray(pg).astype(parent.data.dtype, copy=False)
+                    acc = grads.get(parent.uid)
+                    if acc is None:
+                        # copy views and pass-through aliases of g before
+                        # they become an accumulation buffer mutated in place
+                        if pg_arr is g or not pg_arr.flags.owndata:
+                            pg_arr = pg_arr.copy()
+                        grads[parent.uid] = [parent, pg_arr]
                     else:
-                        parent.grad = parent.grad + g
-        self.grads = {}
+                        acc[1] += pg_arr
+            node.out = node.parents = node.vjp = None
+        for leaf, g in grads.values():
+            if leaf.requires_grad:
+                leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
 def _wrap(x) -> Tensor:
@@ -580,7 +588,9 @@ def conv1d(x, filters) -> Tensor:
 
     x: [length x d_in], filters: [k x d_in x d_f] with k odd. Output
     [length x d_f]. Implemented by an im2col matmul so both gradients fall
-    out of matrix calculus plus a pad-window scatter.
+    out of matrix calculus plus a pad-window scatter. The columns are k
+    times the input's size, so the vjp rebuilds them from ``x`` rather than
+    a tape holding them from the forward pass.
     """
     x, filters = _wrap(x), _wrap(filters)
     if filters.ndim != 3:
@@ -592,17 +602,20 @@ def conv1d(x, filters) -> Tensor:
         raise ShapeError(f"input {x.shape} does not match filters {filters.shape}")
     length = x.data.shape[0]
     half = k // 2
-    padded = np.zeros((length + 2 * half, d_in), dtype=x.data.dtype)
-    padded[half:half + length] = x.data
-    # columns [length x (k*d_in)]: row i holds padded rows i..i+k-1
-    cols = np.concatenate([padded[off:off + length] for off in range(k)], axis=1)
+
+    def columns():
+        # [length x (k*d_in)]: row i holds padded rows i..i+k-1
+        padded = np.zeros((length + 2 * half, d_in), dtype=x.data.dtype)
+        padded[half:half + length] = x.data
+        return np.concatenate([padded[off:off + length] for off in range(k)], axis=1)
+
     w2d = filters.data.reshape(k * d_in, d_f)
-    out = cols @ w2d
+    out = columns() @ w2d
 
     def vjp(g):
-        gw = (cols.T @ g).reshape(k, d_in, d_f)
+        gw = (columns().T @ g).reshape(k, d_in, d_f)
         gcols = g @ w2d.T  # [length x k*d_in]
-        gpad = np.zeros_like(padded)
+        gpad = np.zeros((length + 2 * half, d_in), dtype=x.data.dtype)
         gply = gcols.reshape(length, k, d_in)
         for off in range(k):
             gpad[off:off + length] += gply[:, off, :]
@@ -721,11 +734,12 @@ def gru_sequence(seq, lengths, w_gates, u_gates, b_gates, w_cand, u_cand,
 
     Transposes. The forward's panels are views of the contiguous U.T, and
     BPTT's single products multiply by it (with a strided ``.T`` view they
-    run ~2x slower at a few rows per step). One call makes each copy once,
-    when its forward or a recorded backward reads it, and the vjp reuses
-    the forward's. Inside a ``fixed_weights`` block the copy comes from the
-    block instead, made at the first call and shared by every later one
-    until the block ends; ``run_lockstep`` acts inside one.
+    run ~2x slower at a few rows per step). The forward makes each copy
+    only when a step is panelled and drops it at return; the vjp makes its
+    own when it runs, so a tape holds none of them. Inside a
+    ``fixed_weights`` block either pass takes the copy from the block
+    instead, made at the first call and shared by every later one until
+    the block ends; ``run_lockstep`` acts inside one.
     """
     parents = tuple(_wrap(p) for p in
                     (seq, w_gates, u_gates, b_gates, w_cand, u_cand, b_cand))
@@ -753,18 +767,21 @@ def gru_sequence(seq, lengths, w_gates, u_gates, b_gates, w_cand, u_cand,
     x_cand += bc
     keep = _records(parents)
     if keep:
-        # per row: the state before the step, z, r, the candidate and r * h
-        h_prev, zs, rs, cs, rhs = (np.empty((n_rows, d_h), dtype=dtype)
-                                   for _ in range(5))
+        # per row: the state before the step, z, r and the candidate; BPTT
+        # takes r * h as rs * h_prev, the same products
+        h_prev, zs, rs, cs = (np.empty((n_rows, d_h), dtype=dtype) for _ in range(4))
     h = np.zeros((order.size, d_h), dtype=dtype)   # in ``order``
-    panelled = [hi - lo in _PANEL_ROWS for lo, hi in zip(bounds[:-1], bounds[1:])]
-    ug_t = uc_t = None     # see "Transposes" above
-    if keep or any(panelled):
+
+    def transposes():
+        # see "Transposes" above
         held = getattr(_tls, "fixed_weights", None)
-        ug_t, uc_t = (
-            held.transposed(p) if held is not None and u is p.data
-            else np.ascontiguousarray(u.T)
-            for p, u in ((parents[2], ug), (parents[5], uc)))
+        return tuple(held.transposed(p) if held is not None and u is p.data
+                     else np.ascontiguousarray(u.T)
+                     for p, u in ((parents[2], ug), (parents[5], uc)))
+
+    ug_t = uc_t = None
+    if any(hi - lo in _PANEL_ROWS for lo, hi in zip(bounds[:-1], bounds[1:])):
+        ug_t, uc_t = transposes()
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         hp = h[:hi - lo]
         gates = 1.0 / (1.0 + np.exp(-(x_gates[lo:hi] + _matmul_rows(hp, ug, ug_t))))
@@ -772,13 +789,13 @@ def gru_sequence(seq, lengths, w_gates, u_gates, b_gates, w_cand, u_cand,
         rh = r * hp
         c = np.tanh(x_cand[lo:hi] + _matmul_rows(rh, uc, uc_t))
         if keep:
-            h_prev[lo:hi], zs[lo:hi], rs[lo:hi] = hp, z, r
-            cs[lo:hi], rhs[lo:hi] = c, rh
+            h_prev[lo:hi], zs[lo:hi], rs[lo:hi], cs[lo:hi] = hp, z, r, c
         h[:hi - lo] = (1.0 - z) * hp + z * c
     out = np.empty_like(h)
     out[order] = h
 
     def vjp(g):
+        ug_t, uc_t = transposes()
         da_gates = np.empty((n_rows, 2 * d_h), dtype=dtype)
         da_cand = np.empty((n_rows, d_h), dtype=dtype)
         dh = np.asarray(g, dtype=dtype)[order]
@@ -802,7 +819,7 @@ def gru_sequence(seq, lengths, w_gates, u_gates, b_gates, w_cand, u_cand,
         return (
             dx,
             x.T @ da_gates, h_prev.T @ da_gates, da_gates.sum(axis=0),
-            x.T @ da_cand, rhs.T @ da_cand, da_cand.sum(axis=0),
+            x.T @ da_cand, (rs * h_prev).T @ da_cand, da_cand.sum(axis=0),
         )
 
     return _finish(out, parents, vjp)

@@ -135,7 +135,10 @@ def train(model: QaModel, train_set: list[QAExample], cfg: RunConfig,
     ``run_episode`` under one tape. The actor acts from tape-free readings
     and the critic does not run. Once the episodes have ended,
     ``update_loss`` reads all their states with one recorded actor and one
-    recorded critic pass; one backward and one optimizer step follow. Each
+    recorded critic pass; one backward and one optimizer step follow. The
+    backward sweep frees each taped array once it has read it, and the
+    episodes and the loss are dropped before the step, so the norms and the
+    optimizer run beside the parameters and their gradients only. Each
     train-log record adds ``grad_norm``, the ``grad_norms`` of the backward
     pass, and the wall-clock totals of the three phases: ``rollout_ms``
     (episodes and the packed pass), ``backward_ms`` and ``step_ms`` (the
@@ -159,6 +162,8 @@ def train(model: QaModel, train_set: list[QAExample], cfg: RunConfig,
             rolled_out = time.perf_counter()
             tape.backward(total)
         backward_done = time.perf_counter()
+        # the norms and the step read only the parameters and their grads
+        del tape, results, total
         record["grad_norm"] = grad_norms(model.store)
         model.store.apply_gradients()
         stepped = time.perf_counter()

@@ -1,8 +1,10 @@
 """The hooks the benchmark under ``perfbench/`` patches still exist,
-``train()`` still passes through the one it wraps once per episode, and a
-step record subclass with the benchmark's constructor builds every step."""
+``train()`` still passes through the one it wraps once per episode, a
+spent tape still counts the ops it recorded, and a step record subclass
+with the benchmark's constructor builds every step."""
 
 import importlib.util
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ import cfqa.train
 from cfqa.checks import tiny_config, tiny_example, toy_vocab
 from cfqa.config import RunConfig
 from cfqa.model import QaModel
+from cfqa.tensor import Tape
 from helpers import ScriptedModel, make_example
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -45,6 +48,41 @@ def test_train_plays_each_episode_through_run_episode(monkeypatch):
     monkeypatch.setattr(cfqa.train, "run_episode", counting)
     cfqa.train.train(model, examples, cfg)
     assert len(played) == cfg.updates * cfg.batch_size
+
+
+def test_a_swept_tape_keeps_its_op_count_and_frees_what_its_ops_saved(monkeypatch):
+    # the benchmark reads len(tape.nodes) after backward returns as the
+    # update's tensor.tape_nodes, while the sweep frees each op's arrays
+    recorded, counted, saved = [0], [], []
+    record, backward = Tape.record, Tape.backward
+
+    def counting(self, *args):
+        recorded[0] += 1
+        return record(self, *args)
+
+    def sweeping(self, loss):
+        states = []
+        for node in self.nodes:
+            names = node.vjp.__code__.co_freevars
+            if "h_prev" in names:     # a GRU's states, read only by its vjp
+                states.append(weakref.ref(
+                    node.vjp.__closure__[names.index("h_prev")].cell_contents))
+        backward(self, loss)
+        counted.append((recorded[0], len(self.nodes)))
+        saved.append([ref() is None for ref in states])
+        recorded[0] = 0
+
+    monkeypatch.setattr(Tape, "record", counting)
+    monkeypatch.setattr(Tape, "backward", sweeping)
+    vocab = toy_vocab()
+    cfg = tiny_config(updates=2, batch_size=2)
+    rng = np.random.default_rng(6)
+    examples = [tiny_example(rng, vocab) for _ in range(3)]
+    cfqa.train.train(QaModel(cfg, vocab, seed=6), examples, cfg)
+    assert len(counted) == cfg.updates
+    assert all(ops == nodes > 0 for ops, nodes in counted)
+    # the actor's and the critic's states, dead once backward has returned
+    assert saved == [[True, True]] * cfg.updates
 
 
 def test_a_step_record_with_the_benchmarks_constructor_builds_every_step(monkeypatch):

@@ -1,5 +1,6 @@
 """What a ParamStore holds: the parameters, a slot only for a parameter that
-has taken an optimizer step, and no copy of either to digest them."""
+has taken an optimizer step, and no copy of either to build or digest
+them."""
 
 import tracemalloc
 
@@ -9,7 +10,7 @@ import pytest
 from cfqa.checks import toy_vocab
 from cfqa.config import RunConfig
 from cfqa.model import QaModel
-from cfqa.params import ParamStore
+from cfqa.params import ParamStore, uniform_fan_in
 from cfqa.tensor import using_dtype
 
 
@@ -38,6 +39,26 @@ def test_a_paper_size_model_holds_its_parameters_and_no_slots(traced):
     payload = sum(p.data.nbytes for _, p in model.store.items())
     assert model.store._slots == {}
     assert held < 1.25 * payload, (held, payload)
+
+
+def test_building_a_paper_size_model_holds_no_float64_copy_of_a_parameter(traced):
+    # each parameter is drawn in float64 blocks straight into its float32
+    # array; one float64 draw of the largest would peak at ~1.3x the payload
+    model = QaModel(RunConfig(), toy_vocab())
+    _, peak = tracemalloc.get_traced_memory()
+    payload = sum(p.data.nbytes for _, p in model.store.items())
+    assert peak <= 1.1 * payload, (peak, payload)
+
+
+@pytest.mark.parametrize("shape", [(512, 1024), (7, 96, 128), (16385,), (1,), ()])
+def test_blocked_draws_are_one_draw_of_the_shape(shape):
+    # so the seeded initialisation, and every digest after it, is unchanged
+    blocked, whole = np.random.default_rng(21), np.random.default_rng(21)
+    got = uniform_fan_in(blocked, shape, 9, np.float32)
+    want = whole.uniform(-1 / 3, 1 / 3, size=shape).astype(np.float32)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert blocked.random() == whole.random()
 
 
 def test_a_refused_first_step_makes_no_slot():

@@ -204,6 +204,19 @@ def test_backward_rejects_non_scalar_loss():
             tape.backward(out)
 
 
+def test_a_spent_tape_refuses_a_second_backward():
+    # the sweep releases every op as it goes, so a second sweep would find
+    # nothing to run; it must not add the leaf gradients again either
+    w = Tensor([1.0, 2.0], requires_grad=True)
+    with Tape() as tape:
+        loss = T.reduce_sum(T.mul(w, w))
+        tape.backward(loss)
+        assert np.array_equal(w.grad, [2.0, 4.0])
+        with pytest.raises(ContractError):
+            tape.backward(loss)
+    assert np.array_equal(w.grad, [2.0, 4.0])
+
+
 def test_backward_scalar_value_reused_in_two_terms(f64):
     # regression: 0-d accumulation buffers must be mutable arrays
     rng = np.random.default_rng(3)

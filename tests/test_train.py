@@ -1,10 +1,12 @@
 """The train loop: a non-finite update is refused and logged, each update
-reads the controller once on its tape, and the log says how the policy,
-the critic, the gradients and the time moved."""
+reads the controller once on its tape and steps beside its gradients
+only, and the log says how the policy, the critic, the gradients and the
+time moved."""
 
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +14,12 @@ import pytest
 import cfqa.train
 from cfqa import tensor as T
 from cfqa.checks import tiny_config, tiny_example, toy_vocab
+from cfqa.config import RunConfig
 from cfqa.episode import episode_rng, run_lockstep
 from cfqa.model import QaModel
 from cfqa.params import restore_into
+from cfqa.synthetic import SyntheticConfig, gen_synthetic
+from cfqa.text import build_vocab, examples_from_records
 
 
 def test_nonfinite_loss_skips_the_update_and_is_logged(monkeypatch):
@@ -86,6 +91,38 @@ def test_an_update_makes_slots_for_exactly_the_parameters_it_steps():
     (names,) = stepped
     assert "emb.word" not in names and len(names) > 1
     assert set(store._slots) == names
+
+
+def test_a_paper_size_update_steps_beside_its_gradients_only():
+    # backward frees each taped array once it has read it, and train()
+    # drops the episodes and the loss before the step, so when the
+    # optimizer starts, what the update allocated is the gradients
+    records = gen_synthetic(SyntheticConfig(n_docs=3, sentences_per_doc=(8, 12),
+                                            tokens_per_sentence=(5, 9)), seed=7)
+    cfg = RunConfig()
+    vocab = build_vocab(records, char_width=cfg.char_width)
+    examples = examples_from_records(records, vocab, max_doc_tokens=cfg.max_doc_tokens)
+    model = QaModel(cfg, vocab)
+    store = model.store
+    seen = []
+    real_apply = store.apply_gradients
+
+    def apply_gradients():
+        held, _ = tracemalloc.get_traced_memory()
+        seen.append((held, sum(p.grad.nbytes for _, p in store.items()
+                               if p.grad is not None)))
+        return real_apply()
+
+    store.apply_gradients = apply_gradients
+    tracemalloc.start()     # after the model: its parameters are not counted
+    try:
+        cfqa.train.train(model, examples,
+                         cfg.replace(batch_size=len(examples), updates=1, eval_every=0))
+    finally:
+        tracemalloc.stop()
+    ((held, grads),) = seen
+    assert grads > 0
+    assert held - grads <= 2 ** 20, (held, grads)
 
 
 def test_one_update_reads_actor_and_critic_once_on_the_tape():
