@@ -71,21 +71,19 @@ def _pools(vocab_size: int) -> tuple[list[str], list[str], list[str]]:
     return keys, values, fillers
 
 
-def _embed_block(rng: np.random.Generator, block: list[str], length: int,
-                 fillers: list[str]) -> list[str]:
-    """Pad ``block`` to ``length`` tokens with filler on both sides."""
-    slack = length - len(block)
-    lead = int(rng.integers(0, slack + 1))
-    before = [fillers[int(i)] for i in rng.integers(0, len(fillers), lead)]
-    after = [fillers[int(i)] for i in rng.integers(0, len(fillers), slack - lead)]
-    return before + block + after
-
-
 def gen_synthetic(cfg: SyntheticConfig, seed: int) -> list[dict]:
-    """Generate ``cfg.n_docs`` records of {id, document, question, answers}."""
+    """Generate ``cfg.n_docs`` records of {id, document, question, answers}.
+
+    The order of the draws is part of the output, pinned by the records'
+    digests in the tests. Bounded integer draws of one range take the same
+    values from the stream singly or as one sized call, which keeps that
+    order while a document's sentence lengths, and a sentence's fillers
+    before and after its block, each take one call.
+    """
     cfg.validate()
     rng = np.random.default_rng(seed)
     keys, values, fillers = _pools(cfg.vocab_size)
+    n_fill = len(fillers)
     lo_s, hi_s = cfg.sentences_per_doc
     lo_t, hi_t = cfg.tokens_per_sentence
     records = []
@@ -95,52 +93,47 @@ def gen_synthetic(cfg: SyntheticConfig, seed: int) -> list[dict]:
     ans_lo = max(lo_t, hi_t - 1)
     for doc_i in range(cfg.n_docs):
         n_sent = int(rng.integers(lo_s, hi_s + 1))
-        sent_lens = [int(rng.integers(lo_t, other_hi + 1)) for _ in range(n_sent)]
+        sent_lens = rng.integers(lo_t, other_hi + 1, n_sent).tolist()
         ans_sent = int(rng.integers(0, n_sent))
-        sent_lens[ans_sent] = int(rng.integers(ans_lo, hi_t + 1))
+        sent_lens[ans_sent] = l_ans = int(rng.integers(ans_lo, hi_t + 1))
 
-        l_ans = sent_lens[ans_sent]
         ans_len = int(rng.integers(1, min(2, l_ans - 3) + 1))
         key_len = int(rng.integers(3, min(5, l_ans - ans_len) + 1))
-        key = [keys[int(i)] for i in rng.choice(len(keys), size=key_len, replace=False)]
-        answer = [values[int(i)] for i in rng.choice(len(values), size=ans_len, replace=False)]
+        key = [keys[i] for i in rng.choice(len(keys), size=key_len, replace=False).tolist()]
+        answer = [values[i] for i in rng.choice(len(values), size=ans_len, replace=False).tolist()]
+        wrong_pool = [v for v in values if v not in answer]
 
         sentences = []
-        for si in range(n_sent):
+        for si, length in enumerate(sent_lens):
             if si == ans_sent:
-                sentences.append(_embed_block(rng, key + answer, sent_lens[si], fillers))
+                block = key + answer
             elif rng.random() < cfg.distractor_rate:
-                sentences.append(_distractor(rng, key, answer, values,
-                                             sent_lens[si], fillers))
+                # a near-key ending in a wrong value
+                draw = rng.random()
+                if draw < FULL_KEY_DISTRACTOR_SHARE:
+                    block = list(key)
+                elif draw < FULL_KEY_DISTRACTOR_SHARE + SWAP_DISTRACTOR_SHARE:
+                    block = [key[1], key[0]] + key[2:]
+                else:
+                    drop = int(rng.integers(0, key_len))
+                    block = key[:drop] + key[drop + 1:]
+                block.append(wrong_pool[int(rng.integers(0, len(wrong_pool)))])
+                # short sentences keep the tail of the pattern
+                block = block[-length:]
             else:
-                sentences.append(_embed_block(rng, [], sent_lens[si], fillers))
-        document = " . ".join(" ".join(s) for s in sentences)
+                block = []
+            # pad the block to ``length`` tokens with filler on both sides
+            slack = length - len(block)
+            lead = int(rng.integers(0, slack + 1))
+            fill = [fillers[i] for i in rng.integers(0, n_fill, slack).tolist()]
+            sentences.append(" ".join(fill[:lead] + block + fill[lead:]))
         records.append({
             "id": f"syn-{seed}-{doc_i:05d}",
-            "document": document,
+            "document": " . ".join(sentences),
             "question": " ".join(key),
             "answers": [" ".join(answer)],
         })
     return records
-
-
-def _distractor(rng: np.random.Generator, key: list[str], answer: list[str],
-                values: list[str], length: int, fillers: list[str]) -> list[str]:
-    draw = rng.random()
-    if draw < FULL_KEY_DISTRACTOR_SHARE:
-        near_key = list(key)
-    elif draw < FULL_KEY_DISTRACTOR_SHARE + SWAP_DISTRACTOR_SHARE:
-        near_key = [key[1], key[0]] + key[2:]
-    else:
-        drop = int(rng.integers(0, len(key)))
-        near_key = key[:drop] + key[drop + 1:]
-    wrong_pool = [v for v in values if v not in answer]
-    wrong = wrong_pool[int(rng.integers(0, len(wrong_pool)))]
-    block = near_key + [wrong]
-    if len(block) > length:
-        # short sentences keep the tail of the pattern
-        block = block[len(block) - length:]
-    return _embed_block(rng, block, length, fillers)
 
 
 def write_jsonl(path, records: list[dict]) -> None:

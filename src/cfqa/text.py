@@ -70,12 +70,13 @@ class Vocab:
                 self.char_to_id[c] = len(self.chars)
                 self.chars.append(c)
         self.char_width = char_width
-        self._char_rows: dict[str, tuple[int, ...]] = {}
+        self._encoded: dict[str, tuple[int, tuple[int, ...]]] = {}
 
     @classmethod
     def build(cls, token_lists: Iterable[list[str]], char_width: int = 16) -> "Vocab":
-        """Words and chars in order of first occurrence."""
-        words = [w for tokens in token_lists for w in tokens]
+        """Words and chars in order of first occurrence (a char first occurs
+        in some word's first occurrence, so distinct words give the same ids)."""
+        words = dict.fromkeys(w for tokens in token_lists for w in tokens)
         return cls(words, (c for w in words for c in w), char_width=char_width)
 
     @property
@@ -96,17 +97,20 @@ class Vocab:
         """``w``'s char ids, cut or PAD-filled to ``char_width``: one
         memoized tuple per distinct word, shared by every token of it and
         immutable, so no holder can change another's row."""
-        row = self._char_rows.get(w)
-        if row is None:
-            ids = [self.char_to_id.get(c, UNK_ID) for c in w[: self.char_width]]
-            ids.extend([PAD_ID] * (self.char_width - len(ids)))
-            row = self._char_rows[w] = tuple(ids)
-        return row
+        return (self._encoded.get(w) or self._encode(w))[1]
+
+    def _encode(self, w: str) -> tuple[int, tuple[int, ...]]:
+        ids = [self.char_to_id.get(c, UNK_ID) for c in w[: self.char_width]]
+        ids.extend([PAD_ID] * (self.char_width - len(ids)))
+        self._encoded[w] = entry = (self.word_id(w), tuple(ids))
+        return entry
 
     def encode_words(self, words: list[str]) -> tuple[list[int], list[tuple[int, ...]]]:
         """The word ids of ``words`` and their char-id rows, each row the
-        word's one shared tuple from ``char_ids``."""
-        return [self.word_id(w) for w in words], [self.char_ids(w) for w in words]
+        word's one shared tuple from ``char_ids``: one memo lookup per token."""
+        encoded = self._encoded
+        entries = [encoded.get(w) or self._encode(w) for w in words]
+        return [e[0] for e in entries], [e[1] for e in entries]
 
     def digest(self) -> str:
         """Digest of both id spaces and the char width: vocabs with one

@@ -5,10 +5,11 @@ import pytest
 
 from cfqa.errors import ContractError, DataError
 from cfqa.synthetic import SyntheticConfig, gen_synthetic, write_jsonl
-from cfqa.text import (PAD_ID, SEP_ID, UNK_ID, TokenDoc, Vocab, build_vocab,
-                       detokenize, examples_from_records, find_subsequence,
-                       load_dataset, load_glove, load_vocab, read_jsonl,
-                       save_vocab, split_sentences, tokenize, truncate_doc)
+from cfqa.text import (PAD_ID, SEP_ID, UNK_ID, QAExample, TokenDoc, Vocab,
+                       build_vocab, detokenize, examples_from_records,
+                       find_subsequence, load_dataset, load_glove, load_vocab,
+                       read_jsonl, save_vocab, split_sentences, split_words,
+                       tokenize, truncate_doc)
 
 
 @pytest.fixture
@@ -79,21 +80,13 @@ def test_char_ids_pad_and_truncate(vocab):
     assert PAD_ID not in long_ids
 
 
-def test_memoized_char_ids_give_one_shared_read_only_row_per_word(monkeypatch):
+def test_memoized_char_ids_give_one_shared_read_only_row_per_word():
     cfg = SyntheticConfig(n_docs=40, sentences_per_doc=(2, 5),
                           tokens_per_sentence=(4, 7), vocab_size=60,
                           distractor_rate=0.3)
     records = gen_synthetic(cfg, seed=5)
     vocab = build_vocab(records[:20], char_width=4)   # some later words are unknown
     memoized = examples_from_records(records, vocab)
-
-    def char_ids_unmemoized(self, w):
-        ids = [self.char_to_id.get(c, UNK_ID) for c in w[:self.char_width]]
-        return tuple(ids + [PAD_ID] * (self.char_width - len(ids)))
-
-    monkeypatch.setattr(Vocab, "char_ids", char_ids_unmemoized)
-    assert memoized == examples_from_records(records, vocab)
-    monkeypatch.undo()
 
     # every token of one word holds the one row of that word
     rows_of: dict[int, set] = {}
@@ -115,6 +108,74 @@ def test_memoized_char_ids_give_one_shared_read_only_row_per_word(monkeypatch):
     taken = doc.take(index, [len(index)])
     chars = doc.flat_char_ids()
     assert all(a is chars[i] for a, i in zip(taken.flat_char_ids(), index))
+
+
+def _char_row(vocab, w):
+    ids = [vocab.char_to_id.get(c, UNK_ID) for c in w[:vocab.char_width]]
+    return tuple(ids + [PAD_ID] * (vocab.char_width - len(ids)))
+
+
+@pytest.mark.parametrize("encode_first", [True, False])
+def test_encode_words_gives_each_word_its_id_and_its_one_char_row(encode_first):
+    vocab = Vocab(["a", "hello", "hellohello"], list("aehlo"), char_width=6)
+    words = ["a", "hello", "hellohello",        # in vocab, the last cut
+             "zz", "zzzzzzzzz"]                 # unknown, the last cut
+    if not encode_first:
+        rows = [vocab.char_ids(w) for w in words]
+    ids, chars = vocab.encode_words(words + words)
+    if encode_first:
+        rows = [vocab.char_ids(w) for w in words]
+    assert ids == [vocab.word_id(w) for w in words] * 2
+    assert ids[3:5] == [UNK_ID, UNK_ID]
+    assert all(got is row for got, row in zip(chars, rows + rows))
+    assert rows == [_char_row(vocab, w) for w in words]
+
+
+@pytest.mark.parametrize("max_doc_tokens", [0, 40])
+def test_examples_from_records_match_a_per_token_oracle(max_doc_tokens):
+    cfg = SyntheticConfig(n_docs=40, sentences_per_doc=(4, 9),
+                          tokens_per_sentence=(4, 8), vocab_size=60,
+                          distractor_rate=0.5)
+    records = gen_synthetic(cfg, seed=11)
+    vocab = build_vocab(records[:10], char_width=2)   # later words are unknown
+    examples = examples_from_records(records, vocab, max_doc_tokens=max_doc_tokens)
+
+    def encode(words):
+        return ([vocab.word_to_id.get(w, UNK_ID) for w in words],
+                [_char_row(vocab, w) for w in words])
+
+    expected = []
+    for rec in records:
+        words = split_sentences(rec["document"])
+        sentences, left = [], max_doc_tokens or sum(map(len, words))
+        for sent in words:
+            if left > 0:
+                sentences.append(sent[:left])
+                left -= len(sentences[-1])
+        encoded = [encode(s) for s in sentences]
+        doc = TokenDoc([e[0] for e in encoded], [e[1] for e in encoded])
+        answers = [encode(split_words(a))[0] for a in rec["answers"]]
+        expected.append(QAExample(rec["id"], doc, *encode(split_words(rec["question"])),
+                                  answers))
+    assert examples == expected
+    assert max_doc_tokens == 0 or max(ex.doc.n_tokens for ex in examples) == max_doc_tokens
+
+    # one memo entry per distinct word encoded, and no second table of rows
+    seen = {w for rec in records
+            for text in (rec["document"], rec["question"], *rec["answers"])
+            for w in split_words(text)}
+    assert len(vocab._encoded) == len(seen)
+    assert {k for k, v in vars(vocab).items() if isinstance(v, dict)} == {
+        "word_to_id", "char_to_id", "_encoded"}
+
+
+def test_vocab_build_counts_chars_in_first_occurrence_order():
+    tokens = [["bc", "ab"], ["bc", "cd", "ab", "de"]]
+    vocab = Vocab.build(tokens)
+    flat = [w for t in tokens for w in t]
+    assert vocab.words[3:] == ["bc", "ab", "cd", "de"]
+    assert vocab.chars == Vocab(flat, (c for w in flat for c in w)).chars
+    assert vocab.chars[2:] == ["b", "c", "a", "d", "e"]
 
 
 def test_load_dataset_empty_file(tmp_path):
