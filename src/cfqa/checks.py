@@ -448,7 +448,7 @@ def check_selector(seed: int = 0, cases: int = 200) -> CheckResult:
         doc = toy_doc(sentences, vocab)
         m = int(rng.integers(1, 7))
         with using_dtype(np.float64):
-            cfg = EncoderConfig(d1=5, d2=4, d_model=6, k_s=3, d_f=6, n_heads=2)
+            cfg = EncoderConfig(d1=5, d2=4, d_model=6, k_s=3, n_heads=2)
             store = ParamStore()
             create_encoder_params(store, cfg, vocab.n_words, vocab.n_chars, rng)
             create_selector_params(store, cfg, kernel, 4, rng)
@@ -540,7 +540,7 @@ def check_encoder_rows(seed: int = 0, cases: int = 200) -> CheckResult:
             kept = np.concatenate([sentences[i] for i in chosen])
         narrowed[action] += 1
         with using_dtype(np.float64):
-            cfg = EncoderConfig(d1=5, d2=4, d_model=6, k_s=3, d_f=6, n_heads=2)
+            cfg = EncoderConfig(d1=5, d2=4, d_model=6, k_s=3, n_heads=2)
             store = ParamStore()
             create_encoder_params(store, cfg, vocab.n_words, vocab.n_chars, rng)
             # the biases start at zero; perturb everything so that no
@@ -590,7 +590,7 @@ def check_encoder_rows(seed: int = 0, cases: int = 200) -> CheckResult:
 
 def tiny_config(**overrides) -> RunConfig:
     """A configuration small enough for oracle and gradient runs."""
-    base = dict(d1=8, d2=6, d_model=8, d_f=8, k_s=3, n_heads=2, char_width=6,
+    base = dict(d1=8, d2=6, d_model=8, k_s=3, n_heads=2, char_width=6,
                 sel_kernel=3, sel_filters=6, gru_size=6, max_span_len=4,
                 max_state_tokens=16, batch_size=2, updates=1, eval_every=0)
     base.update(overrides)

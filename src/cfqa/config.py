@@ -15,7 +15,6 @@ from dataclasses import dataclass, fields
 from .encoder import EncoderConfig
 from .errors import ConfigError
 
-REWARD_MODES = ("single_final", "shaped")
 RUN_PLUMBING = ("seed", "train_path", "eval_path", "out_dir", "updates",
                 "batch_size", "eval_every")
 
@@ -35,7 +34,6 @@ class RunConfig:
     d2: int = 200
     d_model: int = 128
     k_s: int = 7
-    d_f: int = 128
     n_heads: int = 4
     char_width: int = 16
     # sentence selector
@@ -49,11 +47,9 @@ class RunConfig:
     k_initial: int = 5
     step_cap: int = 5
     max_state_tokens: int = 512
-    reward_mode: str = "single_final"
     entropy_coef: float = 0.0
     # answer generation
     max_span_len: int = 20
-    span_loss: bool = True
     selector_loss: bool = False
     # data handling
     max_doc_tokens: int = 0
@@ -61,15 +57,12 @@ class RunConfig:
     freeze_word_emb: bool = False
 
     def validate(self) -> None:
-        if self.reward_mode not in REWARD_MODES:
-            raise ConfigError(f"reward_mode must be one of {REWARD_MODES}")
         for name in ("updates", "max_doc_tokens", "entropy_coef"):
             if not getattr(self, name) >= 0:
                 raise ConfigError(f"{name} must be >= 0")
         for name in ("batch_size", "k_initial", "step_cap", "max_span_len",
                      "max_state_tokens", "gru_size", "char_width", "d1", "d2",
-                     "d_model", "k_s", "d_f", "n_heads", "sel_kernel",
-                     "sel_filters"):
+                     "d_model", "k_s", "n_heads", "sel_kernel", "sel_filters"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.sel_kernel % 2 == 0:
@@ -87,7 +80,7 @@ class RunConfig:
 
     def encoder_config(self) -> EncoderConfig:
         return EncoderConfig(d1=self.d1, d2=self.d2, d_model=self.d_model,
-                             k_s=self.k_s, d_f=self.d_f, n_heads=self.n_heads)
+                             k_s=self.k_s, n_heads=self.n_heads)
 
     def to_text(self) -> str:
         lines = []

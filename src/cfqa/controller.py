@@ -7,8 +7,8 @@ softmax over answer/select/excise per state; the critic in a scalar per
 state. Update rule: per-step temporal-difference error delta = r +
 gamma * v_next - v, computed as one vector over the steps of a batch of
 episodes; the actor loss weights -log pi(a) by delta treated as a
-constant, the critic regresses delta^2. The episode computes each step's
-reward where it runs the step.
+constant, the critic regresses delta^2. Only the answer step is rewarded,
+with its F1; every SELECT and EXCISE step gets 0.
 """
 
 from __future__ import annotations

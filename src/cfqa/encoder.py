@@ -44,12 +44,11 @@ from .tensor import Tensor, active_tape, on_tape
 
 @dataclass
 class EncoderConfig:
-    d1: int = 300          # word embedding width
-    d2: int = 200          # char embedding width
-    d_model: int = 128
-    k_s: int = 7
-    d_f: int = 128
-    n_heads: int = 4
+    d1: int          # word embedding width
+    d2: int          # char embedding width
+    d_model: int     # also the convolution's filter count, as in QANet
+    k_s: int
+    n_heads: int
 
     def validate(self) -> None:
         if self.d_model % self.n_heads != 0:
@@ -57,10 +56,6 @@ class EncoderConfig:
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.k_s % 2 == 0:
             raise ConfigError(f"conv kernel size must be odd, got {self.k_s}")
-        if self.d_f != self.d_model:
-            raise ConfigError(
-                f"conv filter count {self.d_f} must equal d_model {self.d_model} "
-                "so the attention layer sees a constant width")
 
 
 def create_encoder_params(store: ParamStore, cfg: EncoderConfig,
@@ -83,8 +78,8 @@ def _create_block(store: ParamStore, prefix: str, cfg: EncoderConfig,
     if proj_in is not None:
         store.create(f"{prefix}.proj_w", (proj_in, d), rng, fan_in=proj_in)
         store.create(f"{prefix}.proj_b", (d,), rng, fan_in=0)
-    store.create(f"{prefix}.conv_w", (cfg.k_s, d, cfg.d_f), rng, fan_in=cfg.k_s * d)
-    store.create(f"{prefix}.conv_b", (cfg.d_f,), rng, fan_in=0)
+    store.create(f"{prefix}.conv_w", (cfg.k_s, d, d), rng, fan_in=cfg.k_s * d)
+    store.create(f"{prefix}.conv_b", (d,), rng, fan_in=0)
     for name in ("attn_q", "attn_k", "attn_v", "attn_o"):
         store.create(f"{prefix}.{name}", (d, d), rng, fan_in=d)
     store.create(f"{prefix}.ff_w1", (d, d), rng, fan_in=d)

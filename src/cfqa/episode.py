@@ -3,26 +3,25 @@
 An episode walks a question-document pair through up to ``step_cap`` free
 action choices; answering ends it, narrowing and excision shrink the
 context and continue. If no answer was produced within the cap, every other
-action is masked and the answer is forced. Rewards are placed according to
-the configured mode (one final reward by default, per-step shaped rewards
-behind a flag).
+action is masked and the answer is forced. Only the answer is rewarded:
+the episode's one reward is the F1 of the answer it ends with.
 
 The step loop is a generator (``episode_steps``) that hands out each state
 and waits for the actor's action probabilities for it. One driver plays it:
-``run_lockstep`` keeps up to ``batch_size`` episodes in flight and reads all
-their pending states with one packed actor call per round; ``run_episode``
-is that driver over one example. Acting needs only those probabilities, so
-the driver reads the actor with no tape and never runs the critic; a state
-with one legal action is not read at all, since the masked softmax is
-exactly that action. Each step computes its reward where it runs (the
-answer's F1, or whether a narrowed or cut context still holds a gold
-answer) and leaves one ``StepRecord``: the action it ran, what that did to
-the context, and what learning needs. ``train()`` reads every state of a
-batch again, in one recorded actor and one recorded critic pass, and
-computes the actor-critic loss over those rows; ``evaluate`` logs each
-record's ``log_line``. Every episode checks its invariants as it runs: the
-context never grows, the question encoding stays the same, and the episode
-answers exactly once, at the end, forced only by the step cap.
+``run_lockstep`` keeps up to ``batch_size`` episodes in flight and reads
+all their pending states with one packed actor call per round;
+``run_episode`` is that driver over one example. Acting needs only those
+probabilities, so the driver reads the actor with no tape and never runs
+the critic; a state with one legal action is not read at all, since the
+masked softmax is exactly that action. Each step sets its reward where it
+runs (the answer's F1, 0 for a SELECT or an EXCISE) and leaves one
+``StepRecord``: the action it ran, what that did to the context, and what
+learning needs. ``train()`` reads every state of a batch again, in one
+recorded actor and one recorded critic pass, and computes the actor-critic
+loss over those rows; ``evaluate`` logs each record's ``log_line``. Every
+episode checks its invariants as it runs: the context never grows, the
+question encoding stays the same, and the episode answers exactly once, at
+the end, forced only by the step cap.
 
 The document is embedded and projected once per episode. A narrowed
 context is a subset of the document's tokens (``TokenDoc.take`` builds it)
@@ -52,7 +51,7 @@ from .selector import kept_dist, select_top_k
 from .subcontext import excise_span
 from .tensor import Tensor, active_tape, pick, log_softmax, suspend_tape
 from . import tensor as T
-from .text import QAExample, TokenDoc, contains_any_answer, find_subsequence
+from .text import QAExample, TokenDoc, find_subsequence
 
 
 @dataclass
@@ -62,13 +61,14 @@ class StepRecord:
     ``action`` is what the policy picked, by its ``ActionId`` name in lower
     case, and the step did just that: an answer ends the episode, a select
     or an excise shrinks the context of ``ctx_tokens`` tokens. ``reward`` is
-    the placed reward. ``span`` is the answered or excised span and, on a
-    SELECT step, ``kept`` the sorted indices of the sentences it kept.
-    ``probs`` are the [3] actor probabilities the action was drawn from and
-    ``mask`` the legal actions. ``state`` is the controller input (None in
-    eval, where nothing reads it again) and ``sel_log_prob`` the
-    log-probability of the kept sentences on a SELECT step, which the
-    update adds to the action's own; neither is logged.
+    the answer's F1 on the answer step and 0 on every other. ``span`` is the
+    answered or excised span and, on a SELECT step, ``kept`` the sorted
+    indices of the sentences it kept. ``probs`` are the [3] actor
+    probabilities the action was drawn from and ``mask`` the legal actions.
+    ``state`` is the controller input (None in eval, where nothing reads it
+    again) and ``sel_log_prob`` the log-probability of the kept sentences on
+    a SELECT step, which the update adds to the action's own; neither is
+    logged.
     """
     action: str
     ctx_tokens: int
@@ -245,7 +245,7 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
             span = (out.span.start, out.span.end)
             answer_tokens = ctx.flat_tokens()[span[0]:span[1] + 1]
             reward = float(best_f1(answer_tokens, example.gold_answers))
-            if train and cfg.span_loss:
+            if train:
                 gold_span = _gold_span_in(ctx, example.gold_answers)
                 if gold_span is not None:
                     aux.append(span_nll(out, gold_span[0], gold_span[1]))
@@ -255,7 +255,7 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
             new_ctx, kept = select_top_k(dist, ctx, k_budget)
             narrowed_from = dist, kept
             k_budget = max(1, k_budget - 1)
-            reward = float(contains_any_answer(new_ctx, example.gold_answers))
+            reward = 0.0
             # selection trains through the policy loss: credit the chosen
             # sentences alongside the action choice itself
             sel_logp = log_softmax(dist.logits, axis=0)
@@ -273,7 +273,7 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
                     cached = model.answer(q_enc, ctx_enc)
             span = (cached.span.start, cached.span.end)
             new_ctx = excise_span(ctx, *span)
-            reward = float(contains_any_answer(new_ctx, example.gold_answers))
+            reward = 0.0
             narrowed_from = None
 
         rec = StepRecord(action.name.lower(), ctx.n_tokens, reward, span)
@@ -285,7 +285,6 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
             break
         ctx = new_ctx
 
-    _place_rewards(steps, cfg.reward_mode)
     em = exact_match(answer_tokens, example.gold_answers)
     f1 = best_f1(answer_tokens, example.gold_answers) if answer_tokens else 0.0
     result = EpisodeResult(steps=steps, forced=forced_answer, em=em, f1=f1,
@@ -298,15 +297,6 @@ def _renorm(p: np.ndarray) -> np.ndarray:
     # float32 probabilities do not always sum to exactly 1 for rng.choice
     p = p.astype(np.float64)
     return p / p.sum()
-
-
-def _place_rewards(steps: list[StepRecord], mode: str) -> None:
-    if mode == "shaped":
-        return
-    # single final reward: intermediate steps get zero, the terminal answer
-    # keeps its F1
-    for rec in steps[:-1]:
-        rec.reward = 0.0
 
 
 def _check_episode(result: EpisodeResult, cfg: RunConfig) -> None:

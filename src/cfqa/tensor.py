@@ -586,16 +586,16 @@ def log_softmax(a, axis: int = -1, mask: Optional[np.ndarray] = None) -> Tensor:
 def conv1d(x, filters) -> Tensor:
     """1-D convolution over the sequence axis with zero same-padding.
 
-    x: [length x d_in], filters: [k x d_in x d_f] with k odd. Output
-    [length x d_f]. Implemented by an im2col matmul so both gradients fall
+    x: [length x d_in], filters: [k x d_in x d_out] with k odd. Output
+    [length x d_out]. Implemented by an im2col matmul so both gradients fall
     out of matrix calculus plus a pad-window scatter. The columns are k
     times the input's size, so the vjp rebuilds them from ``x`` rather than
     a tape holding them from the forward pass.
     """
     x, filters = _wrap(x), _wrap(filters)
     if filters.ndim != 3:
-        raise ShapeError(f"filters must be [k x d_in x d_f], got {filters.shape}")
-    k, d_in, d_f = filters.data.shape
+        raise ShapeError(f"filters must be [k x d_in x d_out], got {filters.shape}")
+    k, d_in, d_out = filters.data.shape
     if k % 2 == 0:
         raise ShapeError(f"kernel size must be odd, got {k}")
     if x.ndim != 2 or x.data.shape[1] != d_in:
@@ -609,11 +609,11 @@ def conv1d(x, filters) -> Tensor:
         padded[half:half + length] = x.data
         return np.concatenate([padded[off:off + length] for off in range(k)], axis=1)
 
-    w2d = filters.data.reshape(k * d_in, d_f)
+    w2d = filters.data.reshape(k * d_in, d_out)
     out = columns() @ w2d
 
     def vjp(g):
-        gw = (columns().T @ g).reshape(k, d_in, d_f)
+        gw = (columns().T @ g).reshape(k, d_in, d_out)
         gcols = g @ w2d.T  # [length x k*d_in]
         gpad = np.zeros((length + 2 * half, d_in), dtype=x.data.dtype)
         gply = gcols.reshape(length, k, d_in)

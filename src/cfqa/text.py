@@ -290,15 +290,6 @@ def examples_from_records(records: list[dict], vocab: Vocab,
     return examples
 
 
-def load_dataset(path, vocab: Optional[Vocab] = None, char_width: int = 16,
-                 max_doc_tokens: int = 0) -> tuple[list[QAExample], Vocab]:
-    """Load a JSONL dataset; builds the vocab from this file when none given."""
-    records = read_jsonl(path)
-    if vocab is None:
-        vocab = build_vocab(records, char_width=char_width)
-    return examples_from_records(records, vocab, max_doc_tokens=max_doc_tokens), vocab
-
-
 def save_vocab(path, vocab: Vocab) -> None:
     payload = {"words": vocab.words[len(Vocab.WORD_RESERVED):],
                "chars": vocab.chars[len(Vocab.CHAR_RESERVED):],
@@ -359,8 +350,3 @@ def find_subsequence(haystack: list[int], needle: list[int]) -> Optional[int]:
         if haystack[i] == first and haystack[i:i + len(needle)] == needle:
             return i
     return None
-
-
-def contains_any_answer(doc: TokenDoc, gold_answers: list[list[int]]) -> bool:
-    flat = doc.flat_tokens()
-    return any(find_subsequence(flat, ans) is not None for ans in gold_answers)

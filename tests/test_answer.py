@@ -11,7 +11,7 @@ from cfqa.tensor import Tape, Tensor
 
 
 def small_cfg():
-    return EncoderConfig(d1=6, d2=4, d_model=8, k_s=3, d_f=8, n_heads=2)
+    return EncoderConfig(d1=6, d2=4, d_model=8, k_s=3, n_heads=2)
 
 
 @pytest.fixture

@@ -95,7 +95,7 @@ def test_a_step_record_with_the_benchmarks_constructor_builds_every_step(monkeyp
 
     monkeypatch.setattr(cfqa.episode, "StepRecord", FourArguments)
     cfg = RunConfig(d_model=4, step_cap=5, k_initial=5, max_span_len=3,
-                    span_loss=False, batch_size=4)
+                    batch_size=4)
     rng = np.random.default_rng(40)
     actions = set()
     for case in range(20):

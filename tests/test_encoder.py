@@ -11,7 +11,7 @@ from cfqa.tensor import Tape, Tensor
 
 
 def small_cfg(**kw):
-    base = dict(d1=6, d2=4, d_model=8, k_s=3, d_f=8, n_heads=2)
+    base = dict(d1=6, d2=4, d_model=8, k_s=3, n_heads=2)
     base.update(kw)
     return EncoderConfig(**base)
 
@@ -30,8 +30,6 @@ def test_config_validation():
         small_cfg(n_heads=3).validate()
     with pytest.raises(ConfigError):
         small_cfg(k_s=4).validate()
-    with pytest.raises(ConfigError):
-        small_cfg(d_f=16).validate()
 
 
 # ------------------------------------------------------------ char embeddings

@@ -12,8 +12,8 @@ from helpers import (ScriptedModel, make_example, oracle_components,
 
 def engine_cfg(**kw):
     base = dict(d_model=4, step_cap=5, k_initial=5, max_span_len=3,
-                reward_mode="single_final", span_loss=False, batch_size=4,
-                updates=0, d1=4, d2=4, d_f=4, k_s=3, n_heads=2, gru_size=4)
+                batch_size=4, updates=0, d1=4, d2=4, k_s=3, n_heads=2,
+                gru_size=4)
     base.update(kw)
     return RunConfig(**base)
 
@@ -153,25 +153,37 @@ def test_single_sentence_masks_select():
     assert doc_mask[ActionId.ANSWER]
 
 
-def test_reward_modes_place_rewards_differently():
+def test_only_the_answer_step_is_rewarded():
+    # a SELECT or an EXCISE step earns 0 whether or not its context keeps
+    # the gold answer; the answer step earns the answer's F1, in both modes
     rng = np.random.default_rng(7)
     ex = make_example(rng, n_sentences=8, gold_sentence=0)
     dist_fn, span_fn = oracle_components(ex.gold_answers)
+    cfg = engine_cfg()
 
-    def policy(ctx, step):
-        return pinned_policy(ActionId.SELECT if step < 2 else ActionId.ANSWER)(ctx, step)
+    def scripted(*actions):
+        return lambda ctx, step: pinned_policy(actions[step])(ctx, step)
 
-    single = run_episode(ScriptedModel(seed=8, policy_fn=policy, dist_fn=dist_fn,
-                                       span_fn=span_fn),
-                         ex, engine_cfg(reward_mode="single_final"), "eval")
-    assert [s.reward for s in single.steps[:-1]] == [0.0, 0.0]
-    assert single.steps[-1].reward == 1.0
+    for mode in ("eval", "train"):
+        run_rng = episode_rng(8, ex.id) if mode == "train" else None
+        oracle = run_episode(
+            ScriptedModel(seed=8, dist_fn=dist_fn, span_fn=span_fn,
+                          policy_fn=scripted(ActionId.SELECT, ActionId.SELECT,
+                                             ActionId.ANSWER)),
+            ex, cfg, mode, rng=run_rng)
+        assert [s.action for s in oracle.steps] == ["select", "select", "answer"]
+        assert [s.reward for s in oracle.steps] == [0.0, 0.0, 1.0]
+        # the answered context holds the gold span: train adds its span NLL
+        assert len(oracle.aux_losses) == (mode == "train")
 
-    shaped = run_episode(ScriptedModel(seed=8, policy_fn=policy, dist_fn=dist_fn,
-                                       span_fn=span_fn),
-                         ex, engine_cfg(reward_mode="shaped"), "eval")
-    assert shaped.steps[0].reward == 1.0   # gold kept by oracle selector
-    assert shaped.steps[-1].reward == 1.0
+        run_rng = episode_rng(9, ex.id) if mode == "train" else None
+        cut = run_episode(
+            ScriptedModel(seed=9, max_span_len=cfg.max_span_len,
+                          policy_fn=scripted(ActionId.EXCISE, ActionId.SELECT,
+                                             ActionId.ANSWER)),
+            ex, cfg, mode, rng=run_rng)
+        assert [s.action for s in cut.steps] == ["excise", "select", "answer"]
+        assert [s.reward for s in cut.steps] == [0.0, 0.0, cut.f1]
 
 
 def test_invariants_over_random_policies_and_examples():
@@ -436,7 +448,7 @@ def test_train_recomputes_the_answer_under_its_tape():
     from cfqa.tensor import Tape, Tensor
 
     vocab = toy_vocab()
-    cfg = tiny_config(seed=5, max_span_len=40, span_loss=True, entropy_coef=0.0)
+    cfg = tiny_config(seed=5, max_span_len=40, entropy_coef=0.0)
     model = QaModel(cfg, vocab, seed=5)
     ex = tiny_example(np.random.default_rng(5), vocab, n_sentences=1,
                       tokens_per_sentence=5)

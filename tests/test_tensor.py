@@ -95,10 +95,10 @@ def test_embedding_gradient_matches_add_at_within_float32_rounding():
 # ---------------------------------------------------------------------- conv1d
 
 def conv1d_oracle(x, f):
-    k, d_in, d_f = f.shape
+    k, d_in, d_out = f.shape
     half = k // 2
     length = x.shape[0]
-    out = np.zeros((length, d_f))
+    out = np.zeros((length, d_out))
     for t in range(length):
         for dt in range(k):
             src = t + dt - half

@@ -7,7 +7,7 @@ from cfqa.errors import ContractError, DataError
 from cfqa.synthetic import SyntheticConfig, gen_synthetic, write_jsonl
 from cfqa.text import (PAD_ID, SEP_ID, UNK_ID, QAExample, TokenDoc, Vocab,
                        build_vocab, detokenize, examples_from_records,
-                       find_subsequence, load_dataset, load_glove, load_vocab,
+                       find_subsequence, load_glove, load_vocab,
                        read_jsonl, save_vocab, split_sentences, split_words,
                        tokenize, truncate_doc)
 
@@ -178,10 +178,18 @@ def test_vocab_build_counts_chars_in_first_occurrence_order():
     assert vocab.chars[2:] == ["b", "c", "a", "d", "e"]
 
 
+def load_examples(path):
+    """A dataset file through the loading path: records, then a vocab built
+    from them, then examples."""
+    records = read_jsonl(path)
+    vocab = build_vocab(records)
+    return examples_from_records(records, vocab), vocab
+
+
 def test_load_dataset_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
-    examples, _ = load_dataset(path)
+    examples, _ = load_examples(path)
     assert examples == []
 
 
@@ -190,7 +198,7 @@ def test_load_dataset_single_line(tmp_path):
     rec = {"id": "x1", "document": "The cat sat. It purred.",
            "question": "cat", "answers": ["sat"]}
     path.write_text(json.dumps(rec) + "\n")
-    examples, vocab = load_dataset(path)
+    examples, vocab = load_examples(path)
     assert len(examples) == 1
     assert examples[0].id == "x1"
     assert examples[0].doc.n_sentences == 2
@@ -201,7 +209,7 @@ def test_load_dataset_answer_absent_from_document_is_legal(tmp_path):
     rec = {"id": "x2", "document": "Alpha beta gamma.",
            "question": "alpha", "answers": ["omega"]}
     path.write_text(json.dumps(rec) + "\n")
-    examples, _ = load_dataset(path)
+    examples, _ = load_examples(path)
     assert len(examples) == 1
     assert examples[0].gold_answers[0] == [UNK_ID]
 
