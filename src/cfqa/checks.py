@@ -228,12 +228,12 @@ def attention_per_head(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
 
 def check_attention_heads(seed: int = 0) -> CheckResult:
     """The fused attention op against the per-head oracle, in float32 at
-    paper width (d_model 128, 4 heads): its value read with no tape (one
-    head at a time) and under a tape (all heads batched), and the q, k and
-    v gradients, within 1e-5 relative. Two shapes: 512 queries over 1,900
-    keys, as the controller state of a long document reads its encoder
-    rows, and a 17-row context attending to itself, as the answer
-    pre-check reads one."""
+    paper width (d_model 128, 4 heads): its value read with no tape and
+    under a tape, and the q, k and v gradients of its vjp, which recomputes
+    every head's probabilities, within 1e-5 relative. Two shapes: 512
+    queries over 1,900 keys, as the controller state of a long document
+    reads its encoder rows, and a 17-row context attending to itself, as
+    the answer pre-check reads one."""
     rng = np.random.default_rng(seed)
     shapes = ((512, 1900), (17, 17))
     for m, n in shapes:

@@ -17,15 +17,18 @@ key/value projections then run over every row of the sequence, since every
 query reads them. The rest of the block, from the queries to the
 feed-forward, runs per output row, and only when a row is first read: the
 controller state of a long context reads its head and tail rows, the span
-extractor reads them all, and the selector reads none.
+extractor reads them all, and the selector reads none. A row's block pass
+is recorded on the tape active when the row is first read, so a tape holds
+only the rows read under it.
 
 The attention heads are fused: after the query, key and value projections,
 one ``tensor.attention_heads`` op computes every head's scores, softmax and
 weighted sum over [heads x rows x d_head] views of the projections, and
 the head outputs land side by side in one [rows x d_model] array for the
 output projection. No head is narrowed out or concatenated back, and the
-op is a single tape node. Its per-head composition of tape ops is the
-oracle in ``cfqa.checks``.
+op is a single tape node that keeps only the projections: its backward
+recomputes the heads' probabilities. Its per-head composition of tape ops
+is the oracle in ``cfqa.checks``.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from . import tensor as T
 from .errors import ConfigError
 from .nn import feed_forward, linear
 from .params import ParamStore
-from .tensor import Tensor, active_tape, on_tape
+from .tensor import Tensor
 
 
 @dataclass
@@ -198,15 +201,15 @@ class Encoded:
     them adds the positions and runs the block's convolution and its
     attention keys and values over every row. The block output rows are
     computed on first read, each row once: ``rows(index)`` computes the rows
-    of ``index`` not computed before, and ``matrix`` the rest. Rows read late are recorded on the tape that was
-    active when the encoding was made, so a read under ``suspend_tape``
-    still keeps the gradient path of a recorded encoding.
+    of ``index`` not computed before, and ``matrix`` the rest. A read is
+    recorded on whatever tape is active when it runs, like any op, so a row
+    first read under ``suspend_tape`` has no gradient path; an episode reads
+    that way only a context it drops when the step ends.
     """
 
     def __init__(self, projected: Tensor, cfg: EncoderConfig, store: ParamStore):
         self.projected = projected
         self._cfg, self._store = cfg, store
-        self._tape = active_tape()
         self._x = conv_sublayer(add_positions(projected, cfg), store, "enc")
         self._keys = attention_keys(self._x, store, "enc")
         self._have = np.zeros(self._x.data.shape[0], dtype=bool)   # rows computed
@@ -230,8 +233,7 @@ class Encoded:
         self._compute(np.flatnonzero(need & ~self._have))
         if np.array_equal(index, np.flatnonzero(self._have)):
             return self._done
-        with on_tape(self._tape):
-            return T.embedding(self._done, np.cumsum(self._have)[index] - 1)
+        return T.embedding(self._done, np.cumsum(self._have)[index] - 1)
 
     @property
     def matrix(self) -> Tensor:
@@ -244,13 +246,12 @@ class Encoded:
         yet) and merge them into ``_done`` in row order."""
         if not missing.size:
             return
-        with on_tape(self._tape):
-            every = missing.size == self.n_rows
-            new = block_rows(self._x, self._cfg, self._store, "enc",
-                             rows=None if every else missing, keys=self._keys)
-            if self._done is not None:
-                merged = np.concatenate([np.flatnonzero(self._have), missing])
-                new = T.embedding(T.concat([self._done, new]), np.argsort(merged))
+        every = missing.size == self.n_rows
+        new = block_rows(self._x, self._cfg, self._store, "enc",
+                         rows=None if every else missing, keys=self._keys)
+        if self._done is not None:
+            merged = np.concatenate([np.flatnonzero(self._have), missing])
+            new = T.embedding(T.concat([self._done, new]), np.argsort(merged))
         self._done = new
         self._have[missing] = True
         if self._have.all():

@@ -49,7 +49,7 @@ from .errors import ContractError, DataError
 from .metrics import best_f1, exact_match
 from .selector import kept_dist, select_top_k
 from .subcontext import excise_span
-from .tensor import Tensor, active_tape, pick, log_softmax, suspend_tape
+from .tensor import Tensor, pick, log_softmax, suspend_tape
 from . import tensor as T
 from .text import QAExample, TokenDoc, find_subsequence
 
@@ -211,18 +211,19 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
                                     "other tokens than the context")
             ctx_enc = model.encode_doc(ctx, doc_enc)
 
+        state = model.state(ctx_enc, q_enc)
         # cheap pre-check: a span that would cover the whole context makes
-        # excision illegal, so mask it before the policy decides
+        # excision illegal, so mask it before the policy decides. Under a
+        # tape it is recorded like any forward pass, so an answer at this
+        # step is this output, span loss included
         cached = None
         covers_all = False
         if not forced and 1 < ctx.n_tokens <= cfg.max_span_len:
-            with suspend_tape():
-                cached = model.answer(q_enc, ctx_enc)
+            cached = model.answer(q_enc, ctx_enc)
             covers_all = (cached.span.start == 0
                           and cached.span.end == ctx.n_tokens - 1)
 
         mask = action_mask(ctx, forced, covers_all)
-        state = model.state(ctx_enc, q_enc)
         probs = yield state, mask
         if not train:
             # only the update reads a state again: an eval result keeps no
@@ -236,12 +237,7 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
 
         span = kept = sel_log_prob = None
         if action is ActionId.ANSWER:
-            # without a tape the pre-check's output is this answer; under a
-            # tape it is recomputed so the span loss can differentiate it
-            if cached is None or active_tape() is not None:
-                out = model.answer(q_enc, ctx_enc)
-            else:
-                out = cached
+            out = model.answer(q_enc, ctx_enc) if cached is None else cached
             span = (out.span.start, out.span.end)
             answer_tokens = ctx.flat_tokens()[span[0]:span[1] + 1]
             reward = float(best_f1(answer_tokens, example.gold_answers))
@@ -267,7 +263,9 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
         else:
             # excise: produce a span on the current context and cut it out.
             # Spans are at most max_span_len tokens, so only a context that
-            # short can be covered whole, and the pre-check masked that case
+            # short can be covered whole, and the pre-check masked that case.
+            # Nothing learns from this span, and the context is dropped when
+            # the step ends, so a longer context is read with no tape
             if cached is None:
                 with suspend_tape():
                     cached = model.answer(q_enc, ctx_enc)

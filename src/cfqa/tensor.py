@@ -7,8 +7,10 @@ already topologically sorted and ``backward`` is a single reverse sweep.
 The sweep empties each node once its closure has run, so an array saved
 for backward lives only until backward has read it, and a tape is spent
 after one sweep. A closure keeps what is costly to redo; what is large and
-cheap, such as ``conv1d``'s im2col columns, it rebuilds. With no active
-tape, ops run as plain numpy (fast inference path).
+cheap, such as ``conv1d``'s im2col columns and ``attention_heads``'
+[m x n] probabilities, it rebuilds. An op computes the same arrays
+whether or not a tape records it; the tape adds only the closures. With no
+active tape, ops run as plain numpy (fast inference path).
 
 Float width is float32 by default; gradient checks switch to float64 via
 ``using_dtype``. Ops do not check their outputs for NaN or Inf: a
@@ -66,28 +68,17 @@ def active_tape() -> Optional["Tape"]:
     return getattr(_tls, "tape", None)
 
 
-class on_tape:
-    """Record onto ``tape`` (nothing, for None) whatever tape is active, for
-    example to finish a forward pass on the tape it started on."""
-
-    def __init__(self, tape: Optional["Tape"]):
-        self.tape = tape
+class suspend_tape:
+    """Run a forward pass without recording, inside an active tape."""
 
     def __enter__(self):
         self._saved = active_tape()
-        _tls.tape = self.tape
+        _tls.tape = None
         return self
 
     def __exit__(self, *exc):
         _tls.tape = self._saved
         return False
-
-
-class suspend_tape(on_tape):
-    """Run a forward pass without recording, inside an active tape."""
-
-    def __init__(self):
-        super().__init__(None)
 
 
 class fixed_weights:
@@ -520,11 +511,12 @@ def attention_heads(q, k, v, n_heads: int) -> Tensor:
     and values; head h owns columns h*d_head:(h+1)*d_head of each, and its
     output softmax(q_h k_h^T) v_h fills the same columns of the [m x d]
     result. The heads are [h x rows x d_head] views of the operands, so no
-    head is copied out. With no tape recording the op, the heads run one
-    after another through one reused [m x n] score buffer, so a long read
-    holds one head's scores at a time. Under a tape every head's [m x n]
-    probabilities are kept for backward, and both passes are batched
-    matmuls over the heads.
+    head is copied out. The heads run one after another through one reused
+    [m x n] score buffer, so a read holds one head's scores at a time,
+    whether or not a tape records it. The vjp keeps only q, k and v: it
+    recomputes every head's probabilities in one batched product and
+    softmax, the same arithmetic as the forward's, and the backward is
+    batched matmuls over the heads.
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     if q.ndim != 2 or k.ndim != 2 or k.data.shape != v.data.shape:
@@ -542,17 +534,14 @@ def attention_heads(q, k, v, n_heads: int) -> Tensor:
     qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
     out = np.empty((m, d), dtype=q.data.dtype)
     out_h = heads(out)
-    if not _records((q, k, v)):
-        scores = np.empty((m, n), dtype=q.data.dtype)
-        for h in range(n_heads):
-            np.matmul(qh[h], kh[h].T, out=scores)
-            np.matmul(_stable_softmax(scores, -1, scores), vh[h], out=out_h[h])
-        return Tensor(out)
-    probs = np.matmul(qh, kh.transpose(0, 2, 1))   # [h x m x n]
-    _stable_softmax(probs, -1, probs)
-    np.matmul(probs, vh, out=out_h)
+    scores = np.empty((m, n), dtype=q.data.dtype)
+    for h in range(n_heads):
+        np.matmul(qh[h], kh[h].T, out=scores)
+        np.matmul(_stable_softmax(scores, -1, scores), vh[h], out=out_h[h])
 
     def vjp(g):
+        probs = np.matmul(qh, kh.transpose(0, 2, 1))   # [h x m x n]
+        _stable_softmax(probs, -1, probs)
         gh = heads(np.asarray(g, dtype=out.dtype))
         ds = np.matmul(gh, vh.transpose(0, 2, 1))     # d probs, then d scores
         ds -= (ds * probs).sum(axis=-1, keepdims=True)

@@ -156,6 +156,43 @@ def test_attention_heads_check_catches_heads_written_back_in_the_wrong_order(
     assert "output off by" in result.detail
 
 
+def test_attention_heads_check_catches_a_vjp_recomputing_against_the_wrong_keys(
+        monkeypatch):
+    # the forward is right; the backward recomputes head h's probabilities
+    # against the keys of head n_heads - 1 - h
+    attention_heads = T.attention_heads
+
+    def keys_reversed_in_backward(q, k, v, n_heads):
+        out = attention_heads(q, k, v, n_heads).data
+        m, d = out.shape
+        d_head = d // n_heads
+
+        def heads(a):
+            return a.reshape(a.shape[0], n_heads, d_head).transpose(1, 0, 2)
+
+        qh, kh, vh = heads(q.data), heads(k.data)[::-1], heads(v.data)
+
+        def vjp(g):
+            probs = np.matmul(qh, kh.transpose(0, 2, 1))
+            probs = np.exp(probs - probs.max(axis=-1, keepdims=True))
+            probs /= probs.sum(axis=-1, keepdims=True)
+            gh = heads(g)
+            ds = np.matmul(gh, vh.transpose(0, 2, 1))
+            ds = (ds - (ds * probs).sum(axis=-1, keepdims=True)) * probs
+            dq, dk, dv = (np.matmul(a, b).transpose(1, 0, 2).reshape(-1, d)
+                          for a, b in ((ds, heads(k.data)),
+                                       (ds.transpose(0, 2, 1), qh),
+                                       (probs.transpose(0, 2, 1), gh)))
+            return dq, dk, dv
+
+        return T._finish(out, (q, k, v), vjp)
+
+    monkeypatch.setattr(T, "attention_heads", keys_reversed_in_backward)
+    result = checks.check_attention_heads()
+    assert result.passed is False
+    assert re.search(r"\b[qkv] off by", result.detail), result.detail
+
+
 def test_selector_check_catches_sentences_bleeding_into_each_other(monkeypatch):
     # no zero rows between segments: the convolution at a sentence's last
     # token reads the next segment's question rows

@@ -442,7 +442,10 @@ def test_greedy_eval_calls_answer_at_most_once_per_step():
                for row in rows for step in row["steps"][:cfg.step_cap])
 
 
-def test_train_recomputes_the_answer_under_its_tape():
+def test_a_train_answer_reuses_the_pre_check_on_its_tape():
+    # a span cap above the context length runs the pre-check; under the
+    # tape it is recorded, so the answer is its output and the span loss
+    # reaches the encoder and the span extractor through it
     from cfqa.checks import tiny_config, tiny_example, toy_vocab
     from cfqa.model import QaModel
     from cfqa.tensor import Tape, Tensor
@@ -455,11 +458,54 @@ def test_train_recomputes_the_answer_under_its_tape():
     always_answer = np.array([[1.0, 0.0, 0.0]])
     model.policy = lambda state, action_mask, lengths: (
         Tensor(always_answer), Tensor(np.log(always_answer + 1e-12)))
-    with Tape():
+    calls = []
+    real_answer = model.answer
+    model.answer = lambda q_enc, ctx_enc: calls.append(1) or real_answer(q_enc, ctx_enc)
+    with Tape() as tape:
         result = run_episode(model, ex, cfg, "train", rng=np.random.default_rng(0))
+        (span_loss,) = result.aux_losses
+        tape.backward(span_loss)
     assert [s.action for s in result.steps] == ["answer"]
-    (span_loss,) = result.aux_losses
-    assert span_loss.requires_grad
+    assert len(calls) == 1
+    learned = [name for name, _ in model.store.items()
+               if name.split(".")[0] in ("enc", "ans", "m2")]
+    assert len(learned) > 20
+    for name in learned:
+        grad = model.store[name].grad
+        assert grad is not None and np.abs(grad).sum() > 0, name
+
+
+def test_an_excise_on_a_long_training_context_records_only_the_state_rows():
+    # the state of a context over max_state_tokens reads its head and tail
+    # rows on the tape; the EXCISE reads the rest for a span nothing learns
+    # from, with no tape, and the context is dropped when the step ends
+    from cfqa.checks import tiny_config, tiny_example, toy_vocab
+    from cfqa.model import QaModel
+    from cfqa.tensor import Tape, Tensor
+
+    vocab = toy_vocab()
+    cfg = tiny_config(seed=4)
+    model = QaModel(cfg, vocab, seed=4)
+    ex = tiny_example(np.random.default_rng(4), vocab, n_sentences=6,
+                      tokens_per_sentence=5)
+    n = ex.doc.n_tokens
+    assert n > max(cfg.max_state_tokens, cfg.max_span_len)
+    picks = iter([ActionId.EXCISE, ActionId.ANSWER])
+
+    def scripted(state, action_mask, lengths):
+        probs = np.eye(3)[[int(next(picks))]]
+        return Tensor(probs), Tensor(np.log(probs + 1e-12))
+
+    model.policy = scripted
+    with Tape() as tape:
+        result = run_episode(model, ex, cfg, "train", np.random.default_rng(0))
+        # query rows of each attention op over the first context's keys
+        recorded = [node.out.data.shape[0] for node in tape.nodes
+                    if node.vjp.__qualname__.startswith("attention_heads.")
+                    and node.parents[1].data.shape[0] == n]
+    assert [s.action for s in result.steps] == ["excise", "answer"]
+    assert result.steps[1].ctx_tokens < n
+    assert recorded == [cfg.max_state_tokens]
 
 
 def test_an_episode_embeds_its_document_once(monkeypatch):
