@@ -26,9 +26,9 @@ import numpy as np
 from . import tensor as T
 from .answer import (context_query_attention, decode_span, span_nll,
                      trilinear_similarity)
-from .bandit import run_bandit_check
 from .config import RunConfig
-from .controller import ActionId, actor_critic_update, entropy_of
+from .controller import (ActionId, actor_critic_update, actor_policy,
+                         create_controller_params, critic_value, entropy_of)
 from .encoder import (EncoderConfig, add_positions, create_encoder_params,
                       embed_tokens, encode_tokens, encoder_block)
 from .episode import EpisodeResult, _gold_span_in, episode_rng, run_episode
@@ -111,9 +111,10 @@ def _gradcheck(loss_fn, params, **kw) -> bool:
     return all(r["ok"] for r in finite_diff_grads(loss_fn, params, **kw))
 
 
-def check_gradient_ops(seed: int = 0, seeds_per_op: int = 10) -> CheckResult:
-    """Finite-difference every primitive and composite op, reporting the
-    first op whose gradient disagrees."""
+def check_gradient_ops(seed: int = 0) -> CheckResult:
+    """Finite-difference every primitive and composite op in 10 seeded
+    cases, reporting the first op whose gradient disagrees."""
+    seeds_per_op = 10
     failures = []
     with using_dtype(np.float64):
         for case in range(seeds_per_op):
@@ -178,10 +179,10 @@ def _op_cases(rng: np.random.Generator):
         seq = Tensor(grurng.normal(0, 1, (4, 3)), requires_grad=True)
         pair = Tensor(grurng.normal(0, 1, (5, 3)), requires_grad=True)
         w_pair = Tensor(grurng.normal(0, 1, (2, 4)))
-        return (_gradcheck(lambda: T.reduce_sum(run_gru(seq, params, 4, [4])),
+        return (_gradcheck(lambda: T.reduce_sum(run_gru(seq, params, [4])),
                            {**params, "seq": seq})
                 and _gradcheck(lambda: T.reduce_sum(T.mul(
-                    run_gru(pair, params, 4, lengths=[2, 3]), w_pair)),
+                    run_gru(pair, params, lengths=[2, 3]), w_pair)),
                     {**params, "seq": pair}))
 
     def case_embed_tokens():
@@ -277,9 +278,10 @@ def gru_step(h: Tensor, x: Tensor, params: dict[str, Tensor]) -> Tensor:
     return T.add(T.mul(T.sub(1.0, z), h), T.mul(z, cand))
 
 
-def gru_steps(seq: Tensor, params: dict[str, Tensor], d_h: int, lengths) -> Tensor:
+def gru_steps(seq: Tensor, params: dict[str, Tensor], lengths) -> Tensor:
     """Oracle for ``run_gru``: ``gru_step`` over the rows of each of the
     sequences ``lengths`` packs in ``seq``, one sequence after another."""
+    d_h = params["u_cand"].data.shape[0]
     finals, start = [], 0
     for n in lengths:
         h = Tensor(np.zeros(d_h, dtype=seq.data.dtype))
@@ -333,13 +335,12 @@ def _worst_mismatch(got: dict, want: dict, tol: float,
     return None
 
 
-def check_gru_sequence(seed: int = 0, max_len: int = 8, max_pack: int = 5
-                       ) -> CheckResult:
+def check_gru_sequence(seed: int = 0) -> CheckResult:
     """The fused GRU against the per-step oracle: the final states and all
     seven gradients (six weights and the input sequence).
 
-    Single sequences of lengths 1..``max_len`` at random widths in float64,
-    then packs of 1..``max_pack`` sequences (mixed lengths with an empty one
+    Single sequences of lengths 1..8 at random widths in float64, then
+    packs of 1..5 sequences (mixed lengths with an empty one
     and a tie, in no sorted order) against the oracle run on each sequence
     alone. In float32 at paper width (128 -> 512): one sequence of 80 rows
     and a pack of 8 sequences of 20-80 rows. Last, a float32 pack of 4
@@ -347,6 +348,7 @@ def check_gru_sequence(seed: int = 0, max_len: int = 8, max_pack: int = 5
     into column panels, forward and backward, and no panel width divides
     the product's width, so each last panel is narrower.
     """
+    max_len, max_pack = 8, 5
     rng = np.random.default_rng(seed)
 
     def width():
@@ -375,7 +377,7 @@ def check_gru_sequence(seed: int = 0, max_len: int = 8, max_pack: int = 5
             w_out = Tensor(rng.normal(0, 1, (len(seqs), d_h)))
             leaves = {"seq": seq, **params}
             fused, oracle = (
-                _output_and_grads(lambda: run(seq, params, d_h, seqs),
+                _output_and_grads(lambda: run(seq, params, seqs),
                                   "output", leaves, w_out)
                 for run in (run_gru, gru_steps))
         mismatch = _worst_mismatch(fused, oracle, tol)
@@ -426,7 +428,7 @@ def score_sentences_loop(q: Tensor, ctx: TokenDoc, cfg: EncoderConfig,
     return SentenceDist(probs=probs.data.copy(), logits=logits)
 
 
-def check_selector(seed: int = 0, cases: int = 200) -> CheckResult:
+def check_selector(seed: int = 0) -> CheckResult:
     """The packed sentence scorer, fed the encoder's projected rows, against
     the one-sentence-at-a-time oracle that embeds and projects each sentence
     itself: logits and the gradients of every parameter and of the question
@@ -434,10 +436,11 @@ def check_selector(seed: int = 0, cases: int = 200) -> CheckResult:
     subset of the sentences against the oracle's scoring of the document
     narrowed to them.
 
-    Float64 docs of 1..12 sentences of 1..9 tokens drawn from 8 words (so
-    words and char rows repeat), questions of 1..6 rows, selector kernels 3
-    and 5; bound 1e-9 relative.
+    200 float64 docs of 1..12 sentences of 1..9 tokens drawn from 8 words
+    (so words and char rows repeat), questions of 1..6 rows, selector
+    kernels 3 and 5; bound 1e-9 relative.
     """
+    cases = 200
     rng = np.random.default_rng(seed)
     vocab = toy_vocab(n_words=11, char_width=4)
     for case in range(cases):
@@ -491,7 +494,7 @@ def check_selector(seed: int = 0, cases: int = 200) -> CheckResult:
                        f"all gradients")
 
 
-def check_encoder_rows(seed: int = 0, cases: int = 200) -> CheckResult:
+def check_encoder_rows(seed: int = 0) -> CheckResult:
     """``Encoded``, which computes the block's output rows as they are
     read, against rows of the whole block: ``rows(index)`` against those
     rows of ``encoder_block`` over the full sequence, and ``matrix`` read
@@ -501,7 +504,7 @@ def check_encoder_rows(seed: int = 0, cases: int = 200) -> CheckResult:
     ``matrix``. All in the output and the gradients of every encoder
     parameter, within 1e-9 relative.
 
-    Float64 docs of 1..40 tokens drawn from 8 words.
+    200 float64 docs of 1..40 tokens drawn from 8 words.
     The row subsets are random and ascending; in every other case of a doc
     over the tiny config's ``max_state_tokens`` rows, the head and tail rows
     the controller state reads. The gathers alternate between what a SELECT
@@ -509,6 +512,7 @@ def check_encoder_rows(seed: int = 0, cases: int = 200) -> CheckResult:
     EXCISE keeps (all tokens outside a random span); a one-token doc is
     always narrowed as by a SELECT.
     """
+    cases = 200
     max_state_tokens = tiny_config().max_state_tokens
     rng = np.random.default_rng(seed)
     vocab = toy_vocab(n_words=11, char_width=4)
@@ -673,10 +677,11 @@ def end_to_end_loss(model: QaModel, example: QAExample,
     return loss, deltas, kept
 
 
-def check_gradient_end_to_end(seed: int = 0, max_coords: int = 6) -> CheckResult:
-    """Finite differences of ``end_to_end_loss`` in every parameter, on a
-    doc whose state holds all its rows and on one longer than the state, so
-    that the state reads only its head and tail encoder rows."""
+def check_gradient_end_to_end(seed: int = 0) -> CheckResult:
+    """Finite differences of ``end_to_end_loss`` in every parameter, at 6
+    random coordinates of each, on a doc whose state holds all its rows and
+    on one longer than the state, so that the state reads only its head and
+    tail encoder rows."""
     with using_dtype(np.float64):
         vocab = toy_vocab()
         cfg = tiny_config(seed=seed)
@@ -694,7 +699,7 @@ def check_gradient_end_to_end(seed: int = 0, max_coords: int = 6) -> CheckResult
             reports = finite_diff_grads(
                 lambda: end_to_end_loss(model, example, frozen_deltas=deltas,
                                         frozen_kept=kept)[0],
-                params, h=1e-5, max_coords=max_coords, rng=rng)
+                params, h=1e-5, max_coords=6, rng=rng)
             bad = [r["param"] for r in reports if not r["ok"]]
             if bad:
                 return CheckResult("gradient_end_to_end", False,
@@ -742,7 +747,7 @@ def serial_update_loss(model: QaModel, results: list[EpisodeResult],
     return total
 
 
-def check_packed_update(seed: int = 0, rounds: int = 3) -> CheckResult:
+def check_packed_update(seed: int = 0) -> CheckResult:
     """The packed update loss (one recorded actor and critic pass over all
     of a batch's states) against the per-decision oracle: the summed loss
     and every parameter gradient, each within 1e-9 relative to its own
@@ -750,16 +755,16 @@ def check_packed_update(seed: int = 0, rounds: int = 3) -> CheckResult:
     largest entry is held to 1e-16 of that entry instead, under one float64
     ulp of it, so a gradient that is pure round-off can pass.
 
-    Float64 tiny models; per round, batches of 1 and 4 train episodes at
-    ``entropy_coef`` 0 and 0.1. Documents of 1..5 sentences, so episodes
-    end after different numbers of steps; the sampled episodes must take
-    all three actions, or the check fails for lack of coverage.
+    Float64 tiny models; in each of 3 rounds, batches of 1 and 4 train
+    episodes at ``entropy_coef`` 0 and 0.1. Documents of 1..5 sentences, so
+    episodes end after different numbers of steps; the sampled episodes
+    must take all three actions, or the check fails for lack of coverage.
     """
     vocab = toy_vocab()
     rng = np.random.default_rng(seed)
     actions: dict[str, int] = {"answer": 0, "select": 0, "excise": 0}
     n_batches = n_episodes = 0
-    for rnd in range(rounds):
+    for rnd in range(3):
         for batch_size in (1, 4):
             for coef in (0.0, 0.1):
                 with using_dtype(np.float64):
@@ -816,7 +821,9 @@ def check_packed_update(seed: int = 0, rounds: int = 3) -> CheckResult:
                        f"oracle in the summed loss and every parameter gradient")
 
 
-def check_topk(seed: int = 0, cases: int = 1000) -> CheckResult:
+def check_topk(seed: int = 0) -> CheckResult:
+    """``top_k_indices`` on 1,000 random distributions against a full sort."""
+    cases = 1000
     rng = np.random.default_rng(seed)
     for case in range(cases):
         n = int(rng.integers(1, 12))
@@ -830,14 +837,15 @@ def check_topk(seed: int = 0, cases: int = 1000) -> CheckResult:
     return CheckResult("topk", True, f"{cases} random distributions matched full sort")
 
 
-def check_excision(seed: int = 0, cases: int = 1000) -> CheckResult:
-    """Draw random docs and spans until ``cases`` splices have been compared.
+def check_excision(seed: int = 0) -> CheckResult:
+    """Draw random docs and spans until 1,000 splices have been compared.
 
     Draws that cannot be excised (a one-token doc, or a span covering the
     whole doc) are redrawn, not counted. Each doc's ``positions`` are a
     random permutation, so a cut that renumbers them, or rebuilds them from
     the doc's own offsets, fails.
     """
+    cases = 1000
     rng = np.random.default_rng(seed)
     case = 0
     while case < cases:
@@ -875,7 +883,9 @@ def check_excision(seed: int = 0, cases: int = 1000) -> CheckResult:
                        f"{cases} random splices matched the flat-delete oracle")
 
 
-def check_span_decode(seed: int = 0, cases: int = 500) -> CheckResult:
+def check_span_decode(seed: int = 0) -> CheckResult:
+    """``decode_span`` in 500 random cases against enumerating every pair."""
+    cases = 500
     rng = np.random.default_rng(seed)
     for case in range(cases):
         n = int(rng.integers(1, 20))
@@ -895,7 +905,9 @@ def check_span_decode(seed: int = 0, cases: int = 500) -> CheckResult:
                        f"{cases} cases matched exhaustive pair enumeration")
 
 
-def check_trilinear(seed: int = 0, cases: int = 50) -> CheckResult:
+def check_trilinear(seed: int = 0) -> CheckResult:
+    """``trilinear_similarity`` in 50 random cases against a loop over pairs."""
+    cases = 50
     rng = np.random.default_rng(seed)
     for case in range(cases):
         n, m, d = (int(rng.integers(1, 6)), int(rng.integers(1, 5)),
@@ -915,7 +927,10 @@ def check_trilinear(seed: int = 0, cases: int = 50) -> CheckResult:
     return CheckResult("trilinear", True, f"{cases} cases matched the loop oracle")
 
 
-def check_attention_b(seed: int = 0, cases: int = 50) -> CheckResult:
+def check_attention_b(seed: int = 0) -> CheckResult:
+    """``context_query_attention`` in 50 random cases against the dense
+    three-matrix product."""
+    cases = 50
     rng = np.random.default_rng(seed)
     for case in range(cases):
         n, m, d = (int(rng.integers(1, 6)), int(rng.integers(1, 5)),
@@ -941,13 +956,58 @@ def check_attention_b(seed: int = 0, cases: int = 50) -> CheckResult:
 
 
 def check_bandit(seed: int = 0) -> CheckResult:
-    report = run_bandit_check(seed, updates=2000)
-    ok = (report.final_target_prob > 0.95
-          and abs(report.final_value - 1.0) < 0.1)
-    detail = (f"target prob {report.final_target_prob:.3f}, "
-              f"critic {report.final_value:.3f}, "
-              f"reached threshold at update {report.updates_to_threshold}")
-    return CheckResult("bandit", ok, detail)
+    """The actor-critic update rule alone, on a three-armed bandit.
+
+    States are random [3 x 8] rows and rewards depend on the action only:
+    one target arm pays 1.0, the others 0.0. A controller of GRU width 12
+    trains for 2,000 single-step episodes at gamma 0.9. If the losses and
+    the optimizer are wired correctly, the policy saturates on the target
+    arm (probability > 0.95) and the critic approaches the optimal expected
+    reward (within 0.1 of 1.0), both read as means over 8 probe states.
+    Every 50 updates the target probability is probed, and the first update
+    where it exceeds 0.95 is reported (-1 if never).
+    """
+    ctx_rows, d_model = 3, 8
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
+                                                       spawn_key=(0xBA4D17,)))
+    store = ParamStore()
+    create_controller_params(store, d_model, 12, rng)
+    target = int(seed) % 3
+    probe_states = [rng.normal(0.0, 1.0, size=(ctx_rows, d_model))
+                    for _ in range(8)]
+    probe_seq = Tensor(np.concatenate(probe_states))
+    probe_lengths = [ctx_rows] * len(probe_states)
+
+    def probe() -> tuple[float, float]:
+        """Mean target-action probability and mean value over the probe
+        states, read by one packed actor and one packed critic call."""
+        probs, _ = actor_policy(probe_seq, store, None, probe_lengths)
+        values = critic_value(probe_seq, store, probe_lengths)
+        return (float(probs.data.mean(axis=0, dtype=np.float64)[target]),
+                float(values.data.mean(dtype=np.float64)))
+
+    reached = -1
+    for update in range(2000):
+        state_data = rng.normal(0.0, 1.0, size=(ctx_rows, d_model))
+        with Tape() as tape:
+            state = Tensor(state_data)
+            probs, logp = actor_policy(state, store, None, [ctx_rows])
+            value = critic_value(state, store, [ctx_rows])
+            p = probs.data[0].astype(np.float64)
+            action = int(rng.choice(3, p=p / p.sum()))
+            loss_actor, loss_critic, _ = actor_critic_update(
+                T.pick(logp, ([0], [action])), value,
+                [1.0 if action == target else 0.0], [1], 0.9)
+            tape.backward(T.add(loss_actor, loss_critic))
+        store.apply_gradients()
+        if reached < 0 and (update + 1) % 50 == 0 and probe()[0] > 0.95:
+            reached = update + 1
+
+    target_prob, final_value = probe()
+    ok = target_prob > 0.95 and abs(final_value - 1.0) < 0.1
+    return CheckResult("bandit", ok,
+                       f"target prob {target_prob:.3f}, critic {final_value:.3f}, "
+                       f"reached threshold at update {reached}")
 
 
 ALL_CHECKS: dict[str, Callable[..., CheckResult]] = {

@@ -42,8 +42,6 @@ class RunConfig:
     # controller
     gru_size: int = 512
     gamma: float = 0.9
-    rho: float = 0.95
-    eps: float = 1e-6
     k_initial: int = 5
     step_cap: int = 5
     max_state_tokens: int = 512
@@ -69,10 +67,6 @@ class RunConfig:
             raise ConfigError(f"sel_kernel must be odd, got {self.sel_kernel}")
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError("gamma must lie in (0, 1]")
-        if not 0.0 < self.rho < 1.0:
-            raise ConfigError("rho must lie in (0, 1)")
-        if not self.eps > 0.0:
-            raise ConfigError("eps must be > 0")
         if self.freeze_word_emb and not self.glove_path:
             raise ConfigError("freeze_word_emb needs glove_path: it freezes "
                               "pretrained word vectors")
@@ -109,19 +103,19 @@ def _parse_value(key: str, raw: str):
     if ftype is None:
         raise ConfigError(f"unknown config key {key!r}")
     raw = raw.strip()
-    if ftype in ("bool", bool):
+    if ftype == "bool":
         low = raw.lower()
         if low in ("true", "1", "yes", "on"):
             return True
         if low in ("false", "0", "no", "off"):
             return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-    if ftype in ("int", int):
+    if ftype == "int":
         try:
             return int(raw)
         except ValueError as e:
             raise ConfigError(f"{key}: expected an integer, got {raw!r}") from e
-    if ftype in ("float", float):
+    if ftype == "float":
         try:
             return float(raw)
         except ValueError as e:

@@ -64,13 +64,7 @@ def build_state(ctx_enc: Encoded, question_rows: Tensor, store: ParamStore,
     return T.concat([ctx_rows, sep, question_rows], axis=0)
 
 
-def actor_logits(state_seq: Tensor, store: ParamStore, gru_size: int,
-                 lengths) -> Tensor:
-    h = run_gru(state_seq, gru_params(store, "actor.gru"), gru_size, lengths)
-    return T.add(T.matmul(h, store["actor.head_w"]), store["actor.head_b"])
-
-
-def actor_policy(state_seq: Tensor, store: ParamStore, gru_size: int,
+def actor_policy(state_seq: Tensor, store: ParamStore,
                  action_mask: Optional[np.ndarray], lengths) -> tuple[Tensor, Tensor]:
     """(probabilities, log-probabilities) over the three actions, [B x 3]
     each for the B states ``state_seq`` packs back to back (see
@@ -78,16 +72,16 @@ def actor_policy(state_seq: Tensor, store: ParamStore, gru_size: int,
 
     Masked actions get probability exactly zero; the rest renormalize.
     """
-    logits = actor_logits(state_seq, store, gru_size, lengths)
+    h = run_gru(state_seq, gru_params(store, "actor.gru"), lengths)
+    logits = T.add(T.matmul(h, store["actor.head_w"]), store["actor.head_b"])
     probs = T.softmax(logits, axis=-1, mask=action_mask)
     log_probs = T.log_softmax(logits, axis=-1, mask=action_mask)
     return probs, log_probs
 
 
-def critic_value(state_seq: Tensor, store: ParamStore, gru_size: int,
-                 lengths) -> Tensor:
+def critic_value(state_seq: Tensor, store: ParamStore, lengths) -> Tensor:
     """State values, [B] for the B states ``state_seq`` packs."""
-    h = run_gru(state_seq, gru_params(store, "critic.gru"), gru_size, lengths)
+    h = run_gru(state_seq, gru_params(store, "critic.gru"), lengths)
     return T.add(T.matmul(h, store["critic.head_w"]),
                  T.pick(store["critic.head_b"], 0))
 

@@ -65,10 +65,10 @@ class StepRecord:
     answered or excised span and, on a SELECT step, ``kept`` the sorted
     indices of the sentences it kept. ``probs`` are the [3] actor
     probabilities the action was drawn from and ``mask`` the legal actions.
-    ``state`` is the controller input (None in eval, where nothing reads it
-    again) and ``sel_log_prob`` the log-probability of the kept sentences on
-    a SELECT step, which the update adds to the action's own; neither is
-    logged.
+    ``state`` is the controller input and ``sel_log_prob`` the
+    log-probability of the kept sentences on a SELECT step, which the update
+    adds to the action's own; both are None in eval, where nothing reads
+    them, and neither is logged.
     """
     action: str
     ctx_tokens: int
@@ -252,14 +252,15 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
             narrowed_from = dist, kept
             k_budget = max(1, k_budget - 1)
             reward = 0.0
-            # selection trains through the policy loss: credit the chosen
-            # sentences alongside the action choice itself
-            sel_logp = log_softmax(dist.logits, axis=0)
-            sel_log_prob = T.reduce_sum(pick(sel_logp, (np.asarray(kept),)))
-            if train and cfg.selector_loss:
-                gold_sent = _gold_sentence_in(ctx, example.gold_answers)
-                if gold_sent is not None:
-                    aux.append(T.mul(pick(sel_logp, gold_sent), -1.0))
+            if train:
+                # selection trains through the policy loss: credit the chosen
+                # sentences alongside the action choice itself
+                sel_logp = log_softmax(dist.logits, axis=0)
+                sel_log_prob = T.reduce_sum(pick(sel_logp, (np.asarray(kept),)))
+                if cfg.selector_loss:
+                    gold_sent = _gold_sentence_in(ctx, example.gold_answers)
+                    if gold_sent is not None:
+                        aux.append(T.mul(pick(sel_logp, gold_sent), -1.0))
         else:
             # excise: produce a span on the current context and cut it out.
             # Spans are at most max_span_len tokens, so only a context that

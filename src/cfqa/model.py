@@ -30,7 +30,7 @@ class QaModel:
         self.cfg = cfg
         self.enc_cfg = cfg.encoder_config()
         self.vocab = vocab
-        self.store = ParamStore(rho=cfg.rho, eps=cfg.eps)
+        self.store = ParamStore()
         rng = np.random.default_rng(cfg.seed if seed is None else seed)
         word_init = None
         if cfg.glove_path:
@@ -77,9 +77,8 @@ class QaModel:
     def policy(self, state_seq: Tensor, action_mask: Optional[np.ndarray], lengths):
         """Action (probabilities, log-probabilities), [B x 3] each for the B
         states ``state_seq`` packs back to back, of row counts ``lengths``."""
-        return actor_policy(state_seq, self.store, self.cfg.gru_size,
-                            action_mask, lengths)
+        return actor_policy(state_seq, self.store, action_mask, lengths)
 
     def value(self, state_seq: Tensor, lengths) -> Tensor:
         """Critic values, [B] for the B states ``state_seq`` packs."""
-        return critic_value(state_seq, self.store, self.cfg.gru_size, lengths)
+        return critic_value(state_seq, self.store, lengths)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
 from .params import ParamStore
 from .tensor import Tensor, add, gru_sequence, matmul, relu
 
@@ -37,14 +36,11 @@ def gru_params(store: ParamStore, prefix: str) -> dict[str, Tensor]:
     return {k: store[f"{prefix}.{k}"] for k in GRU_KEYS}
 
 
-def run_gru(seq: Tensor, params: dict[str, Tensor], d_h: int, lengths) -> Tensor:
+def run_gru(seq: Tensor, params: dict[str, Tensor], lengths) -> Tensor:
     """Final GRU states of the sequences ``seq`` packs back to back, whose
-    row counts are ``lengths``, as [len(lengths) x d_h]: one fused
-    ``gru_sequence`` op, a single tape node for all rows."""
-    if params["u_cand"].data.shape[0] != d_h:
-        raise ShapeError(
-            f"state width {d_h} does not match cell size "
-            f"{params['u_cand'].data.shape[0]}")
+    row counts are ``lengths``, as [len(lengths) x d_h], d_h the width of
+    ``u_cand``: one fused ``gru_sequence`` op, a single tape node for all
+    rows."""
     return gru_sequence(seq, lengths, *(params[k] for k in GRU_KEYS))
 
 

@@ -1,4 +1,8 @@
-"""AdaDelta parameter updates (accumulated-RMS step sizing)."""
+"""AdaDelta parameter updates (accumulated-RMS step sizing).
+
+Every parameter trains at Zeiler's published decay ``RHO`` and conditioning
+term ``EPS`` (arXiv 1212.5701).
+"""
 
 from __future__ import annotations
 
@@ -6,19 +10,16 @@ import numpy as np
 
 from .errors import ShapeError
 
+RHO = 0.95
+EPS = 1e-6
+
 
 class AdaDeltaSlot:
     """Per-parameter accumulators for the AdaDelta rule."""
 
-    def __init__(self, shape, rho: float = 0.95, eps: float = 1e-6, dtype=np.float32):
-        if not 0.0 < rho < 1.0:
-            raise ValueError(f"rho must lie in (0,1), got {rho}")
-        if eps <= 0.0:
-            raise ValueError(f"eps must be positive, got {eps}")
+    def __init__(self, shape, dtype=np.float32):
         self.accum_grad_sq = np.zeros(shape, dtype=dtype)
         self.accum_update_sq = np.zeros(shape, dtype=dtype)
-        self.rho = rho
-        self.eps = eps
 
 
 def adadelta_update(param: np.ndarray, grad: np.ndarray, slot: AdaDeltaSlot) -> None:
@@ -32,10 +33,9 @@ def adadelta_update(param: np.ndarray, grad: np.ndarray, slot: AdaDeltaSlot) -> 
         raise ShapeError(
             f"parameter {param.shape}, gradient {grad.shape} and slot "
             f"{slot.accum_grad_sq.shape} must share one shape")
-    rho, eps = slot.rho, slot.eps
-    slot.accum_grad_sq *= rho
-    slot.accum_grad_sq += (1.0 - rho) * grad * grad
-    delta = -np.sqrt(slot.accum_update_sq + eps) / np.sqrt(slot.accum_grad_sq + eps) * grad
+    slot.accum_grad_sq *= RHO
+    slot.accum_grad_sq += (1.0 - RHO) * grad * grad
+    delta = -np.sqrt(slot.accum_update_sq + EPS) / np.sqrt(slot.accum_grad_sq + EPS) * grad
     param += delta
-    slot.accum_update_sq *= rho
-    slot.accum_update_sq += (1.0 - rho) * delta * delta
+    slot.accum_update_sq *= RHO
+    slot.accum_update_sq += (1.0 - RHO) * delta * delta

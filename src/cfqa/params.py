@@ -66,11 +66,9 @@ class ParamStore:
     Inf gradient.
     """
 
-    def __init__(self, rho: float = 0.95, eps: float = 1e-6):
+    def __init__(self):
         self._params: dict[str, Tensor] = {}
         self._slots: dict[str, AdaDeltaSlot] = {}
-        self.rho = rho
-        self.eps = eps
         self.skipped_nonfinite = 0
 
     def create(self, name: str, shape, rng: np.random.Generator,
@@ -123,8 +121,7 @@ class ParamStore:
         for name, p in pending:
             slot = self._slots.get(name)
             if slot is None:
-                slot = self._slots[name] = AdaDeltaSlot(
-                    p.data.shape, rho=self.rho, eps=self.eps, dtype=p.data.dtype)
+                slot = self._slots[name] = AdaDeltaSlot(p.data.shape, p.data.dtype)
             g = np.asarray(p.grad, dtype=p.data.dtype)
             adadelta_update(p.data, g, slot)
             p.grad = None

@@ -39,28 +39,24 @@ def default_dtype():
     return _DEFAULT_DTYPE
 
 
-def set_default_dtype(dtype) -> None:
-    global _DEFAULT_DTYPE
-    if dtype not in (np.float32, np.float64):
-        raise ValueError(f"unsupported dtype {dtype!r}")
-    _DEFAULT_DTYPE = dtype
-
-
 class using_dtype:
     """Context manager that temporarily switches the default float width."""
 
     def __init__(self, dtype):
+        if dtype not in (np.float32, np.float64):
+            raise ValueError(f"unsupported dtype {dtype!r}")
         self.dtype = dtype
         self._saved = None
 
     def __enter__(self):
         global _DEFAULT_DTYPE
         self._saved = _DEFAULT_DTYPE
-        set_default_dtype(self.dtype)
+        _DEFAULT_DTYPE = self.dtype
         return self
 
     def __exit__(self, *exc):
-        set_default_dtype(self._saved)
+        global _DEFAULT_DTYPE
+        _DEFAULT_DTYPE = self._saved
         return False
 
 
@@ -816,7 +812,7 @@ def gru_sequence(seq, lengths, w_gates, u_gates, b_gates, w_cand, u_cand,
 
 __all__ = [
     "Tensor", "Tape", "active_tape", "fixed_weights",
-    "set_default_dtype", "default_dtype", "using_dtype",
+    "default_dtype", "using_dtype",
     "add", "sub", "mul", "matmul", "tanh", "sigmoid", "relu",
     "square", "reduce_sum", "reduce_max", "reshape", "transpose",
     "concat", "narrow", "pick", "embedding", "softmax", "log_softmax",

@@ -82,11 +82,11 @@ def test_attention_b_check_catches_row_softmax_twice(monkeypatch):
 
 
 def test_gru_sequence_check_catches_u_gates_gradient_off_by_one_percent(monkeypatch):
-    def scales_u_gates_gradient(seq, params, d_h, lengths):
+    def scales_u_gates_gradient(seq, params, lengths):
         u = params["u_gates"]
         # same forward value, 1.01x the gradient
         same_u = T.sub(T.mul(u, 1.01), Tensor(0.01 * u.data))
-        return run_gru(seq, {**params, "u_gates": same_u}, d_h, lengths)
+        return run_gru(seq, {**params, "u_gates": same_u}, lengths)
 
     monkeypatch.setattr(checks, "run_gru", scales_u_gates_gradient)
     result = checks.check_gru_sequence()
@@ -95,16 +95,16 @@ def test_gru_sequence_check_catches_u_gates_gradient_off_by_one_percent(monkeypa
 
 
 def test_gru_sequence_check_catches_skipped_last_row(monkeypatch):
-    def skips_last_row(seq, params, d_h, lengths):
+    def skips_last_row(seq, params, lengths):
         short = T.narrow(seq, 0, 0, seq.data.shape[0] - 1)
-        return run_gru(short, params, d_h, [*lengths[:-1], lengths[-1] - 1])
+        return run_gru(short, params, [*lengths[:-1], lengths[-1] - 1])
 
     monkeypatch.setattr(checks, "run_gru", skips_last_row)
     assert checks.check_gru_sequence().passed is False
 
 
 def test_gru_sequence_check_catches_a_finished_sequence_that_keeps_stepping(monkeypatch):
-    def pads_to_the_longest(seq, params, d_h, lengths):
+    def pads_to_the_longest(seq, params, lengths):
         # every packed sequence runs on through zero rows up to the longest,
         # as a padded batch without per-sequence lengths would
         longest = max(lengths)
@@ -113,7 +113,7 @@ def test_gru_sequence_check_catches_a_finished_sequence_that_keeps_stepping(monk
             pad = Tensor(np.zeros((longest - n, seq.data.shape[1]), dtype=seq.data.dtype))
             parts += [T.narrow(seq, 0, start, start + n), pad]
             start += n
-        return run_gru(T.concat(parts, axis=0), params, d_h, [longest] * len(lengths))
+        return run_gru(T.concat(parts, axis=0), params, [longest] * len(lengths))
 
     monkeypatch.setattr(checks, "run_gru", pads_to_the_longest)
     result = checks.check_gru_sequence()

@@ -82,7 +82,8 @@ def test_eval_refuses_a_vocab_of_the_same_size_with_other_ids(trained_run, tmp_p
 
 @pytest.mark.parametrize("pair", ["threads=2", "learning_rate=0.1",
                                   "disable_excise=true", "reward_mode=shaped",
-                                  "span_loss=false", "d_f=128"])
+                                  "span_loss=false", "d_f=128", "rho=0.95",
+                                  "eps=1e-6"])
 def test_removed_keys_are_rejected(trained_run, tmp_path, capsys, pair):
     code = main(eval_args(trained_run, tmp_path, *tiny_set_args(), "--set", pair))
     assert code == EXIT_USAGE
@@ -195,7 +196,7 @@ def test_eval_with_a_malformed_vocab_exits_with_a_data_error(trained_run, tmp_pa
     assert str(vocab) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("pair", ["rho=1.5", "rho=0", "eps=0", "entropy_coef=-0.1",
+@pytest.mark.parametrize("pair", ["gamma=0", "gamma=1.5", "entropy_coef=-0.1",
                                   "sel_kernel=4", "sel_kernel=-1", "sel_filters=0",
                                   "max_doc_tokens=-1", "n_heads=0"])
 def test_out_of_range_values_are_config_errors(pair):
@@ -228,11 +229,11 @@ def test_train_with_an_out_of_range_value_prints_one_error_line(tmp_path, capsys
     data = tmp_path / "train.jsonl"
     data.write_text(json.dumps({"id": "a", "document": "Alpha beta.",
                                 "question": "alpha", "answers": ["beta"]}) + "\n")
-    code = main(["train", "--set", "rho=1.5", "--train", str(data),
+    code = main(["train", "--set", "gamma=1.5", "--train", str(data),
                  "--out", str(tmp_path / "r")])
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
-    assert err.startswith("error:") and "rho" in err and "Traceback" not in err
+    assert err.startswith("error:") and "gamma" in err and "Traceback" not in err
     assert not (tmp_path / "r").exists()
 
 

@@ -63,19 +63,19 @@ def test_separator_row_is_the_learned_parameter(store):
 def test_zero_head_gives_uniform_policy(store):
     store["actor.head_w"].data[:] = 0.0
     store["actor.head_b"].data[:] = 0.0
-    probs, _ = actor_policy(rows(np.random.default_rng(4), 3), store, GRU, None, [3])
+    probs, _ = actor_policy(rows(np.random.default_rng(4), 3), store, None, [3])
     assert probs.data.shape == (1, 3)
     assert np.allclose(probs.data, 1.0 / 3.0, atol=1e-6)
 
 
 def test_policy_probabilities_sum_to_one(store):
-    probs, _ = actor_policy(rows(np.random.default_rng(5), 4), store, GRU, None, [4])
+    probs, _ = actor_policy(rows(np.random.default_rng(5), 4), store, None, [4])
     assert abs(float(probs.data.sum()) - 1.0) < 1e-6
 
 
 def test_masked_action_has_probability_exactly_zero(store):
     mask = np.array([[True, False, True]])
-    probs, _ = actor_policy(rows(np.random.default_rng(6), 3), store, GRU, mask, [3])
+    probs, _ = actor_policy(rows(np.random.default_rng(6), 3), store, mask, [3])
     assert probs.data[0, 1] == 0.0
     assert abs(float(probs.data.sum()) - 1.0) < 1e-6
 
@@ -83,7 +83,7 @@ def test_masked_action_has_probability_exactly_zero(store):
 def test_zero_critic_head_gives_zero_value(store):
     store["critic.head_w"].data[:] = 0.0
     store["critic.head_b"].data[:] = 0.0
-    v = critic_value(rows(np.random.default_rng(7), 3), store, GRU, [3])
+    v = critic_value(rows(np.random.default_rng(7), 3), store, [3])
     assert v.data.tolist() == [0.0]
 
 
@@ -199,8 +199,8 @@ def test_actor_gradient_matches_fd_with_frozen_delta(store):
 
         def loss():
             lengths = [state_data.shape[0]]
-            probs, logp = actor_policy(Tensor(state_data), s, GRU, None, lengths)
-            v = critic_value(Tensor(state_data), s, GRU, lengths)
+            probs, logp = actor_policy(Tensor(state_data), s, None, lengths)
+            v = critic_value(Tensor(state_data), s, lengths)
             la, _, _ = actor_critic_update(T.pick(logp, ([0], [1])), v, [1.0],
                                            [1], 0.9, frozen_deltas=frozen)
             return la
@@ -222,8 +222,8 @@ def test_critic_perturbation_changes_actor_loss_value_not_direction(store):
                 s[n].grad = None
             with Tape() as tape:
                 lengths = [state_data.shape[0]]
-                probs, logp = actor_policy(Tensor(state_data), s, GRU, None, lengths)
-                v = critic_value(Tensor(state_data), s, GRU, lengths)
+                probs, logp = actor_policy(Tensor(state_data), s, None, lengths)
+                v = critic_value(Tensor(state_data), s, lengths)
                 la, _, deltas = actor_critic_update(T.pick(logp, ([0], [0])), v, [1.0],
                                                     [1], 0.9, frozen_deltas=frozen)
                 tape.backward(la)

@@ -43,6 +43,20 @@ def test_pinned_select_policy_hits_cap_then_forced_answer():
     assert result.forced
 
 
+def test_an_eval_select_record_holds_no_state_and_no_sentence_log_prob():
+    ex = make_example(np.random.default_rng(1), n_sentences=10)
+    cfg = engine_cfg()
+    for mode, rng in (("eval", None), ("train", np.random.default_rng(0))):
+        model = ScriptedModel(seed=2, policy_fn=pinned_policy(ActionId.SELECT),
+                              max_span_len=cfg.max_span_len)
+        select = run_episode(model, ex, cfg, mode, rng=rng).steps[0]
+        assert select.action == "select"
+        if mode == "eval":
+            assert select.state is None and select.sel_log_prob is None
+        else:
+            assert select.state is not None and select.sel_log_prob is not None
+
+
 def test_select_steps_record_the_sentences_they_kept():
     from cfqa.text import QAExample, TokenDoc
 
