@@ -31,7 +31,8 @@ from .controller import (ActionId, actor_critic_update, actor_policy,
                          create_controller_params, critic_value, entropy_of)
 from .encoder import (EncoderConfig, add_positions, create_encoder_params,
                       embed_tokens, encode_tokens, encoder_block)
-from .episode import EpisodeResult, _gold_span_in, episode_rng, run_episode
+from .episode import (EpisodeResult, _gold_sentence_nll, _gold_span_in, episode_rng,
+                      run_episode)
 from .errors import ContractError
 from .model import QaModel
 from .nn import create_gru, gru_params, linear, run_gru
@@ -67,8 +68,9 @@ def finite_diff_grads(loss_fn: Callable[[], Tensor],
     """Central-difference gradients vs tape gradients, per parameter.
 
     Returns one record per parameter with the worst absolute/relative
-    mismatch over the probed coordinates, named by its key when ``params``
-    is a dict and ``#i`` when it is a list. ``loss_fn`` must rebuild the
+    mismatch over the probed coordinates and whether the tape gradient has
+    a nonzero entry (``reached``), named by its key when ``params`` is a
+    dict and ``#i`` when it is a list. ``loss_fn`` must rebuild the
     loss from current parameter values on every call.
     """
     if not isinstance(params, dict):
@@ -101,8 +103,8 @@ def finite_diff_grads(loss_fn: Callable[[], Tensor],
             worst = max(worst, err - tol)
             if err > tol:
                 ok = False
-        reports.append({"param": name, "ok": ok,
-                        "worst_excess": worst})
+        reports.append({"param": name, "ok": ok, "worst_excess": worst,
+                        "reached": bool(analytic.any())})
         p.grad = None
     return reports
 
@@ -637,7 +639,9 @@ def end_to_end_loss(model: QaModel, example: QAExample,
     the document's, as an episode gathers it.
 
     Covers every module: encoder, sentence scorer, span extractor, both
-    GRUs, the policy and value heads, and all three loss families. Freeze
+    GRUs, the policy and value heads, and all four loss terms: actor,
+    critic, the span NLL on the narrowed context and the gold sentence's
+    NLL on the document, the sentence scorer's only one. Freeze
     the advantage weights and the narrowed sentence set when
     differentiating numerically: the advantage is a constant by contract,
     and the selection is a discrete choice the loss conditions on.
@@ -654,7 +658,6 @@ def end_to_end_loss(model: QaModel, example: QAExample,
         pinned[frozen_kept] = 1.0 / len(frozen_kept)
         dist = SentenceDist(probs=pinned, logits=dist.logits)
     narrowed, kept = select_top_k(dist, ctx, 2)
-    sel_logp = T.log_softmax(dist.logits, axis=0)
 
     ctx2_enc = model.encode_doc(narrowed, ctx_enc)
     state2 = model.state(ctx2_enc, q_enc)
@@ -665,8 +668,6 @@ def end_to_end_loss(model: QaModel, example: QAExample,
     out = model.answer(q_enc, ctx2_enc)
 
     log_probs = T.pick(logp, ([0, 1], [ActionId.SELECT, ActionId.ANSWER]))
-    sel_log_prob = T.reduce_sum(T.pick(sel_logp, (np.asarray(kept),)))
-    log_probs = T.add(log_probs, T.mul(sel_log_prob, np.array([1.0, 0.0])))
     loss_actor, loss_critic, deltas = actor_critic_update(
         log_probs, values, [0.0, 0.7], [2], cfg.gamma, frozen_deltas=frozen_deltas)
     loss = T.add(loss_actor, loss_critic)
@@ -674,6 +675,7 @@ def end_to_end_loss(model: QaModel, example: QAExample,
     if gold is None:
         gold = (0, 0)
     loss = T.add(loss, span_nll(out, gold[0], gold[1]))
+    loss = T.add(loss, _gold_sentence_nll(dist, ctx, example.gold_answers))
     return loss, deltas, kept
 
 
@@ -681,7 +683,10 @@ def check_gradient_end_to_end(seed: int = 0) -> CheckResult:
     """Finite differences of ``end_to_end_loss`` in every parameter, at 6
     random coordinates of each, on a doc whose state holds all its rows and
     on one longer than the state, so that the state reads only its head and
-    tail encoder rows."""
+    tail encoder rows. Every parameter's tape gradient must have a nonzero
+    entry on both docs: finite differences agree with the zero gradient of
+    a parameter that the loss never reaches, so they alone miss a cut
+    path."""
     with using_dtype(np.float64):
         vocab = toy_vocab()
         cfg = tiny_config(seed=seed)
@@ -705,6 +710,11 @@ def check_gradient_end_to_end(seed: int = 0) -> CheckResult:
                 return CheckResult("gradient_end_to_end", False,
                                    f"{lengths[-1]}-token doc: gradient mismatch "
                                    f"in {bad[:3]}")
+            dead = [r["param"] for r in reports if not r["reached"]]
+            if dead:
+                return CheckResult("gradient_end_to_end", False,
+                                   f"{lengths[-1]}-token doc: an all-zero gradient "
+                                   f"in {len(dead)} parameters, {dead[:3]} first")
     if max(lengths) <= cfg.max_state_tokens:
         return CheckResult("gradient_end_to_end", False,
                            f"no doc is longer than the {cfg.max_state_tokens}-row state")
@@ -718,8 +728,9 @@ def serial_update_loss(model: QaModel, results: list[EpisodeResult],
                        cfg: RunConfig) -> Tensor:
     """Oracle for ``train.update_loss``: each decision's state read alone, as
     a pack of one, by its own recorded ``policy`` and ``value`` call, each
-    step's TD error, actor and critic terms built on their own, and the
-    entropy bonus added step by step."""
+    step's TD error, actor term (on the taken action's log-probability
+    alone) and critic term built on their own, and the entropy bonus added
+    step by step."""
     terms = []
     for result in results:
         terms.extend(result.aux_losses)
@@ -728,8 +739,6 @@ def serial_update_loss(model: QaModel, results: list[EpisodeResult],
             alone = [rec.state.data.shape[0]]
             probs, log_probs = model.policy(rec.state, rec.mask[None], alone)
             log_prob = T.pick(log_probs, (0, int(ActionId[rec.action.upper()])))
-            if rec.sel_log_prob is not None:
-                log_prob = T.add(log_prob, rec.sel_log_prob)
             value = T.pick(model.value(rec.state, alone), 0)
             steps.append((log_prob, value, rec.reward))
             if cfg.entropy_coef > 0.0:

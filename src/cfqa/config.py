@@ -48,7 +48,6 @@ class RunConfig:
     entropy_coef: float = 0.0
     # answer generation
     max_span_len: int = 20
-    selector_loss: bool = False
     # data handling
     max_doc_tokens: int = 0
     glove_path: str = ""

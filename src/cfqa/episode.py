@@ -31,6 +31,11 @@ encodings, the convolution and the rows read from the block run per step.
 Likewise, after a SELECT the narrowed context's sentence scores are the
 kept entries of the scores that SELECT read; after an EXCISE, whose merged
 sentence is new, the context is scored again.
+
+In train mode the modules learn from ``aux_losses``, whatever the policy
+picks: the first step scores the document's sentences and adds the gold
+sentence's NLL (a SELECT there acts on those scores), and an answer adds
+the gold span's NLL when its context holds one. Eval adds no loss.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from .controller import ActionId
 from .answer import span_nll
 from .errors import ContractError, DataError
 from .metrics import best_f1, exact_match
-from .selector import kept_dist, select_top_k
+from .selector import SentenceDist, kept_dist, select_top_k
 from .subcontext import excise_span
 from .tensor import Tensor, pick, log_softmax, suspend_tape
 from . import tensor as T
@@ -65,10 +70,8 @@ class StepRecord:
     answered or excised span and, on a SELECT step, ``kept`` the sorted
     indices of the sentences it kept. ``probs`` are the [3] actor
     probabilities the action was drawn from and ``mask`` the legal actions.
-    ``state`` is the controller input and ``sel_log_prob`` the
-    log-probability of the kept sentences on a SELECT step, which the update
-    adds to the action's own; both are None in eval, where nothing reads
-    them, and neither is logged.
+    ``state`` is the controller input, which only the update reads: it is
+    None in eval and never logged.
     """
     action: str
     ctx_tokens: int
@@ -78,7 +81,6 @@ class StepRecord:
     probs: Optional[np.ndarray] = None
     mask: Optional[np.ndarray] = None
     state: Optional[Tensor] = None
-    sel_log_prob: Optional[Tensor] = None
 
     def log_line(self) -> dict:
         """The step as the trajectory log holds it."""
@@ -127,11 +129,14 @@ def _gold_span_in(ctx: TokenDoc, golds: list[list[int]]) -> Optional[tuple[int, 
     return None
 
 
-def _gold_sentence_in(ctx: TokenDoc, golds: list[list[int]]) -> Optional[int]:
+def _gold_sentence_nll(dist: SentenceDist, ctx: TokenDoc,
+                       golds: list[list[int]]) -> Optional[Tensor]:
+    """The selector's loss on ``ctx``, which ``dist`` scores: the NLL of the
+    first sentence that holds a gold answer, or None when none does."""
     for i, sent in enumerate(ctx.sentences):
         for gold in golds:
             if find_subsequence(sent, gold) is not None:
-                return i
+                return T.mul(pick(log_softmax(dist.logits, axis=0), i), -1.0)
     return None
 
 
@@ -212,6 +217,14 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
             ctx_enc = model.encode_doc(ctx, doc_enc)
 
         state = model.state(ctx_enc, q_enc)
+        dist = None     # the context's sentence distribution, once read
+        if train and step == 0:
+            # the selector learns on every training document, whatever the
+            # policy picks
+            dist = model.sentence_dist(q_enc, ctx, ctx_enc)
+            sel_nll = _gold_sentence_nll(dist, ctx, example.gold_answers)
+            if sel_nll is not None:
+                aux.append(sel_nll)
         # cheap pre-check: a span that would cover the whole context makes
         # excision illegal, so mask it before the policy decides. Under a
         # tape it is recorded like any forward pass, so an answer at this
@@ -235,7 +248,7 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
         else:
             action = ActionId(int(np.argmax(probs)))
 
-        span = kept = sel_log_prob = None
+        span = kept = None
         if action is ActionId.ANSWER:
             out = model.answer(q_enc, ctx_enc) if cached is None else cached
             span = (out.span.start, out.span.end)
@@ -246,21 +259,13 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
                 if gold_span is not None:
                     aux.append(span_nll(out, gold_span[0], gold_span[1]))
         elif action is ActionId.SELECT:
-            dist = (model.sentence_dist(q_enc, ctx, ctx_enc) if narrowed_from is None
-                    else kept_dist(*narrowed_from))
+            if dist is None:
+                dist = (model.sentence_dist(q_enc, ctx, ctx_enc) if narrowed_from is None
+                        else kept_dist(*narrowed_from))
             new_ctx, kept = select_top_k(dist, ctx, k_budget)
             narrowed_from = dist, kept
             k_budget = max(1, k_budget - 1)
             reward = 0.0
-            if train:
-                # selection trains through the policy loss: credit the chosen
-                # sentences alongside the action choice itself
-                sel_logp = log_softmax(dist.logits, axis=0)
-                sel_log_prob = T.reduce_sum(pick(sel_logp, (np.asarray(kept),)))
-                if cfg.selector_loss:
-                    gold_sent = _gold_sentence_in(ctx, example.gold_answers)
-                    if gold_sent is not None:
-                        aux.append(T.mul(pick(sel_logp, gold_sent), -1.0))
         else:
             # excise: produce a span on the current context and cut it out.
             # Spans are at most max_span_len tokens, so only a context that
@@ -276,8 +281,7 @@ def episode_steps(model, example: QAExample, cfg: RunConfig, mode: str,
             narrowed_from = None
 
         rec = StepRecord(action.name.lower(), ctx.n_tokens, reward, span)
-        rec.kept, rec.probs, rec.mask = kept, probs, mask
-        rec.state, rec.sel_log_prob = state, sel_log_prob
+        rec.kept, rec.probs, rec.mask, rec.state = kept, probs, mask, state
         steps.append(rec)
         if action is ActionId.ANSWER:
             forced_answer = forced

@@ -350,15 +350,13 @@ def square(a) -> Tensor:
 # ---------------------------------------------------------------------------
 # reductions and shape ops
 
-def reduce_sum(a, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:
+def reduce_sum(a) -> Tensor:
+    """The sum of every entry, a scalar."""
     a = _wrap(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+    out = a.data.sum()
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.data.shape).copy(),)
+        return (np.broadcast_to(g, a.data.shape).copy(),)
 
     return _finish(out, (a,), vjp)
 

@@ -47,11 +47,10 @@ def update_loss(model: QaModel, results: list[EpisodeResult], cfg: RunConfig
     packed back to back and read once by a recorded ``model.policy`` and
     once by a recorded ``model.value`` call, so each GRU runs forward and
     backward once per update. One ``actor_critic_update`` call over all
-    those rows gives the actor and critic losses: a row's log-probability is
-    its entry for the step's action plus, on a SELECT step, the kept
-    sentences' term (``sel_log_prob``). The episodes' auxiliary losses and
-    the entropy bonus over all rows are added to them. Call it under the
-    tape the episodes ran on.
+    those rows gives the actor and critic losses, a row's log-probability
+    being its entry for the step's action. The episodes' auxiliary losses
+    (the gold sentence's and the gold span's NLL) and the entropy bonus over
+    all rows are added to them. Call it under the tape the episodes ran on.
     """
     steps = [rec for result in results for rec in result.steps]
     lengths = [rec.state.data.shape[0] for rec in steps]
@@ -62,10 +61,6 @@ def update_loss(model: QaModel, results: list[EpisodeResult], cfg: RunConfig
 
     taken = T.pick(log_probs, (np.arange(len(steps)),
                                [int(ActionId[rec.action.upper()]) for rec in steps]))
-    no_selection = Tensor(np.zeros(1))
-    taken = T.add(taken, T.concat(
-        [no_selection if rec.sel_log_prob is None
-         else T.reshape(rec.sel_log_prob, (1,)) for rec in steps], axis=0))
     loss_actor, loss_critic, deltas = actor_critic_update(
         taken, values, [rec.reward for rec in steps],
         [len(result.steps) for result in results], cfg.gamma)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cfqa import tensor as T
-from cfqa.answer import (AnswerOutput, answer_forward, context_query_attention,
+from cfqa.answer import (answer_forward, context_query_attention,
                          create_answer_params, decode_span, model_encode,
-                         predict_span, span_nll, trilinear_similarity)
+                         span_nll, trilinear_similarity)
 from cfqa.encoder import EncoderConfig, create_encoder_params
 from cfqa.params import ParamStore
 from cfqa.tensor import Tape, Tensor

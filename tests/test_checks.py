@@ -1,4 +1,4 @@
-"""Every ``cfqa check`` oracle passes, and planted faults make ten of them fail."""
+"""Every ``cfqa check`` oracle passes, and planted faults make eleven of them fail."""
 
 import re
 
@@ -246,6 +246,17 @@ def test_packed_update_check_catches_next_value_from_the_wrong_row(monkeypatch):
     result = checks.check_packed_update()
     assert result.passed is False
     assert "loss off by" in result.detail
+
+
+def test_gradient_end_to_end_check_catches_a_loss_without_the_selector_term(
+        monkeypatch):
+    # with no selector term, no gradient reaches a sel.* parameter and nothing
+    # moves the loss along one either: finite differences agree with the
+    # zero, so only the all-zero rule can fail the check
+    monkeypatch.setattr(checks, "_gold_sentence_nll", lambda *args: Tensor(0.0))
+    result = checks.check_gradient_end_to_end()
+    assert result.passed is False
+    assert "all-zero gradient" in result.detail and "'sel." in result.detail
 
 
 # ------------------------------------------------------- finite differences

@@ -83,7 +83,7 @@ def test_eval_refuses_a_vocab_of_the_same_size_with_other_ids(trained_run, tmp_p
 @pytest.mark.parametrize("pair", ["threads=2", "learning_rate=0.1",
                                   "disable_excise=true", "reward_mode=shaped",
                                   "span_loss=false", "d_f=128", "rho=0.95",
-                                  "eps=1e-6"])
+                                  "eps=1e-6", "selector_loss=true"])
 def test_removed_keys_are_rejected(trained_run, tmp_path, capsys, pair):
     code = main(eval_args(trained_run, tmp_path, *tiny_set_args(), "--set", pair))
     assert code == EXIT_USAGE
@@ -101,7 +101,8 @@ def test_hash_ignores_run_plumbing_only():
 
 def test_save_then_load_round_trips_a_non_default_config(tmp_path):
     cfg = tiny_config(seed=5, train_path="data/train set.jsonl", gamma=0.8,
-                      entropy_coef=0.01, selector_loss=True)
+                      entropy_coef=0.01, glove_path="vectors.txt",
+                      freeze_word_emb=True)
     path = tmp_path / "config.txt"
     save_config(path, cfg)
     assert load_config(path) == cfg

@@ -3,8 +3,8 @@ import pytest
 
 from cfqa.config import RunConfig
 from cfqa.controller import ActionId
-from cfqa.episode import (EpisodeResult, RunMetrics, action_mask, episode_rng,
-                          evaluate, run_episode, run_lockstep)
+from cfqa.episode import (action_mask, episode_rng, evaluate, run_episode,
+                          run_lockstep)
 from cfqa.errors import ContractError, DataError, ExcisionEmptyError
 from helpers import (ScriptedModel, make_example, oracle_components,
                      pinned_policy)
@@ -43,7 +43,7 @@ def test_pinned_select_policy_hits_cap_then_forced_answer():
     assert result.forced
 
 
-def test_an_eval_select_record_holds_no_state_and_no_sentence_log_prob():
+def test_an_eval_select_record_holds_no_state():
     ex = make_example(np.random.default_rng(1), n_sentences=10)
     cfg = engine_cfg()
     for mode, rng in (("eval", None), ("train", np.random.default_rng(0))):
@@ -51,10 +51,7 @@ def test_an_eval_select_record_holds_no_state_and_no_sentence_log_prob():
                               max_span_len=cfg.max_span_len)
         select = run_episode(model, ex, cfg, mode, rng=rng).steps[0]
         assert select.action == "select"
-        if mode == "eval":
-            assert select.state is None and select.sel_log_prob is None
-        else:
-            assert select.state is not None and select.sel_log_prob is not None
+        assert (select.state is None) == (mode == "eval")
 
 
 def test_select_steps_record_the_sentences_they_kept():
@@ -133,31 +130,66 @@ def test_a_full_cover_span_masks_excise_on_a_short_context():
     assert "excise" not in [s.action for s in result.steps]
 
 
-def test_selector_loss_adds_the_gold_sentence_nll_of_each_select_that_holds_it():
-    # the first SELECT sees the gold in sentence 0 and drops it, so the
-    # second SELECT's context holds no gold and adds nothing
-    ex = make_example(np.random.default_rng(8), n_sentences=6, gold_sentence=0)
+def arange_dist(ctx, rng):
+    # p(sentence i) = (i + 1) / (1 + 2 + ... + n): 1/21 for sentence 0 of 6
+    probs = np.arange(1.0, ctx.n_sentences + 1)
+    return probs / probs.sum()
 
-    def dist_fn(ctx, rng):
-        probs = np.arange(1.0, ctx.n_sentences + 1)
-        return probs / probs.sum()
+
+def counting_sentence_dist(model):
+    """Wrap ``model.sentence_dist`` so that each call is counted."""
+    calls = []
+    real = model.sentence_dist
+    model.sentence_dist = lambda *args: calls.append(1) or real(*args)
+    return calls
+
+
+def test_a_training_document_adds_its_gold_sentence_nll_once():
+    # the first SELECT reuses the document's scores, sees the gold in
+    # sentence 0 and drops it; the second SELECT reads the kept scores and
+    # adds nothing, and the answered context holds no gold span
+    ex = make_example(np.random.default_rng(8), n_sentences=6, gold_sentence=0)
 
     def policy(ctx, step):
         return pinned_policy(ActionId.SELECT if step < 2 else ActionId.ANSWER)(ctx, step)
 
-    for selector_loss in (True, False):
-        cfg = engine_cfg(k_initial=3, selector_loss=selector_loss)
-        model = ScriptedModel(seed=8, policy_fn=policy, dist_fn=dist_fn,
+    cfg = engine_cfg(k_initial=3)
+    for mode, rng in (("train", np.random.default_rng(0)), ("eval", None)):
+        model = ScriptedModel(seed=8, policy_fn=policy, dist_fn=arange_dist,
                               max_span_len=cfg.max_span_len)
-        result = run_episode(model, ex, cfg, "train", rng=np.random.default_rng(0))
+        calls = counting_sentence_dist(model)
+        result = run_episode(model, ex, cfg, mode, rng=rng)
         assert [s.action for s in result.steps] == ["select", "select", "answer"]
         assert result.steps[0].kept == [3, 4, 5]
-        if selector_loss:
-            # p(sentence 0) = 1 / (1 + 2 + ... + 6)
+        assert len(calls) == 1
+        if mode == "train":
             (loss,) = result.aux_losses
             assert loss.item() == pytest.approx(np.log(21.0), rel=1e-6)
         else:
             assert result.aux_losses == []
+
+
+def test_a_train_answer_at_the_first_step_adds_the_selector_and_the_span_nll():
+    ex = make_example(np.random.default_rng(8), n_sentences=6, gold_sentence=0)
+    _, span_fn = oracle_components(ex.gold_answers)
+    cfg = engine_cfg()
+    for mode, rng in (("train", np.random.default_rng(0)), ("eval", None)):
+        model = ScriptedModel(seed=8, policy_fn=pinned_policy(ActionId.ANSWER),
+                              dist_fn=arange_dist, span_fn=span_fn)
+        calls = counting_sentence_dist(model)
+        result = run_episode(model, ex, cfg, mode, rng=rng)
+        assert [s.action for s in result.steps] == ["answer"]
+        if mode == "eval":
+            # eval scores sentences only to SELECT, and learns nothing
+            assert calls == [] and result.aux_losses == []
+            continue
+        assert len(calls) == 1
+        sel_nll, span_loss = result.aux_losses
+        assert sel_nll.item() == pytest.approx(np.log(21.0), rel=1e-6)
+        # the stub's span logits are one-hot over the document's tokens
+        n = ex.doc.n_tokens
+        assert span_loss.item() == pytest.approx(2 * (np.log(np.e + n - 1) - 1),
+                                                 rel=1e-6)
 
 
 def test_single_sentence_masks_select():
@@ -187,8 +219,9 @@ def test_only_the_answer_step_is_rewarded():
             ex, cfg, mode, rng=run_rng)
         assert [s.action for s in oracle.steps] == ["select", "select", "answer"]
         assert [s.reward for s in oracle.steps] == [0.0, 0.0, 1.0]
-        # the answered context holds the gold span: train adds its span NLL
-        assert len(oracle.aux_losses) == (mode == "train")
+        # the document holds the gold sentence and the answered context the
+        # gold span: train adds both NLLs
+        assert len(oracle.aux_losses) == 2 * (mode == "train")
 
         run_rng = episode_rng(9, ex.id) if mode == "train" else None
         cut = run_episode(
@@ -477,7 +510,9 @@ def test_a_train_answer_reuses_the_pre_check_on_its_tape():
     model.answer = lambda q_enc, ctx_enc: calls.append(1) or real_answer(q_enc, ctx_enc)
     with Tape() as tape:
         result = run_episode(model, ex, cfg, "train", rng=np.random.default_rng(0))
-        (span_loss,) = result.aux_losses
+        # a one-sentence document's gold sentence has probability 1
+        sel_nll, span_loss = result.aux_losses
+        assert sel_nll.item() == 0.0
         tape.backward(span_loss)
     assert [s.action for s in result.steps] == ["answer"]
     assert len(calls) == 1

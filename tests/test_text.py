@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cfqa.errors import ContractError, DataError
-from cfqa.synthetic import SyntheticConfig, gen_synthetic, write_jsonl
+from cfqa.synthetic import SyntheticConfig, gen_synthetic
 from cfqa.text import (PAD_ID, SEP_ID, UNK_ID, QAExample, TokenDoc, Vocab,
                        build_vocab, detokenize, examples_from_records,
                        find_subsequence, load_glove, load_vocab,
